@@ -63,7 +63,6 @@ def _summary(cmd: str, **kv) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master RNG seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
     p.add_argument("--quiet", action="store_true", help="suppress the summary line")
 
 
@@ -107,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="ScenarioSpec JSON (defaults to the desk-scale spec)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
+    p.set_defaults(seed=None)  # not given: the spec's seed, else DEFAULT_SEED
 
     p = sub.add_parser("ingest", help="convert a raw dataset to a scenario bundle")
     p.add_argument("--format", choices=["indoor", "gps"], required=True)
@@ -158,11 +158,11 @@ def _cmd_gen(args) -> int:
         import json
 
         spec = ScenarioSpec.from_dict(json.loads(Path(args.spec).read_text()))
-        if args.seed != DEFAULT_SEED:
+        if args.seed is not None:
             spec.seed = args.seed
         inputs = [args.spec]
     else:
-        spec = default_scenario_spec(seed=args.seed)
+        spec = default_scenario_spec(seed=DEFAULT_SEED if args.seed is None else args.seed)
         inputs = []
     services, users = generate(spec)
     out = Path(args.out)
@@ -255,7 +255,7 @@ def _select_users(scenario: Scenario, user_arg: str | None):
 def _cmd_discover(args) -> int:
     scenario = load_scenario(args.scenario)
     users = _select_users(scenario, args.user)
-    env = eval_mod.build_environment(scenario, workers=args.workers)
+    env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
         table = env.table_for(user)
@@ -268,14 +268,14 @@ def _cmd_discover(args) -> int:
     payload = {"meta": _meta(args.seed, [args.scenario]), "users": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
-        _summary("discover", users=len(blocks), workers=args.workers, out=args.out)
+        _summary("discover", users=len(blocks), out=args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
-    result, env, test_users = eval_mod.train_on_scenario(scenario, config, workers=args.workers)
+    result, env, test_users = eval_mod.train_on_scenario(scenario, config)
     atomic_write_bytes(args.out, agent_mod.save_model(result.model))
     log_path = args.log or f"{args.out}.log.csv"
     buf = io.StringIO()
@@ -299,7 +299,7 @@ def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
     model = agent_mod.read_model(args.model)
     users = _select_users(scenario, args.user)
-    env = eval_mod.build_environment(scenario, workers=args.workers)
+    env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
         plan = agent_mod.compose(model, env, user)
@@ -352,9 +352,7 @@ def _cmd_evaluate(args) -> int:
     if args.mode == "accuracy":
         train_users, _ = split_train_test(scenario.users, seed=config.seed)
         counts = args.counts or [len(train_users)]
-        points = eval_mod.run_accuracy_sweep(
-            scenario, counts, config, lenient=args.lenient_validity, workers=args.workers
-        )
+        points = eval_mod.run_accuracy_sweep(scenario, counts, config, lenient=args.lenient_validity)
         headline = points[-1].report
         payload = {
             "meta": meta,
@@ -368,15 +366,13 @@ def _cmd_evaluate(args) -> int:
         summary_kv = dict(mode="accuracy", accuracy=f"{headline.accuracy:.4f}")
     elif args.mode == "timing":
         counts = args.counts or [len(scenario.services)]
-        reports = eval_mod.run_timing(
-            scenario, counts, config, repeats=args.repeats, workers=args.workers
-        )
+        reports = eval_mod.run_timing(scenario, counts, config, repeats=args.repeats)
         payload = {"meta": meta, "mode": "timing", "reports": [r.to_dict() for r in reports]}
         series = _series_csv_rows("timing", reports)
         summary_kv = dict(mode="timing", points=len(reports))
     else:
         counts = args.counts or [len(scenario.services)]
-        reports = eval_mod.run_convergence(scenario, counts, config, workers=args.workers)
+        reports = eval_mod.run_convergence(scenario, counts, config)
         payload = {"meta": meta, "mode": "convergence", "reports": [r.to_dict() for r in reports]}
         series = _series_csv_rows("convergence", reports)
         summary_kv = dict(

@@ -324,7 +324,13 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     cfg = json.loads(path.read_text(encoding="utf-8"))
     base = path.parent
-    mode = DistanceMode(cfg["distance_mode"])
+    try:
+        mode = DistanceMode(cfg["distance_mode"])
+        services_csv, users_csv = base / cfg["services_csv"], base / cfg["users_csv"]
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     qos_cfg = cfg.get("qos", {})
     r_s = float(qos_cfg.get("r_s_meters", 20.0))
     if "r_c_meters" in qos_cfg or "decay_k" in qos_cfg:
@@ -345,20 +351,24 @@ def load_scenario(path: str | Path) -> Scenario:
     service_qos = cfg.get("service_qos", {})
 
     services = []
-    for sid, traj in load_trajectories_csv(base / cfg["services_csv"]):
+    for sid, traj in load_trajectories_csv(services_csv):
         entry = service_qos.get(sid, default_qos)
+        try:
+            bandwidth_b, max_concurrent_k = entry["bandwidth_bps"], entry["max_concurrent"]
+        except KeyError as exc:
+            raise InvalidInputError(f"{path}: missing key {exc} for service {sid}") from None
         services.append(
             MovingService(
                 id=sid,
                 trajectory=traj,
                 coverage_radius=r_s,
-                bandwidth_b=float(entry["bandwidth_bps"]),
-                max_concurrent_k=int(entry["max_concurrent"]),
+                bandwidth_b=float(bandwidth_b),
+                max_concurrent_k=int(max_concurrent_k),
             )
         )
     users = [
         UserTrajectory(id=uid, trajectory=traj)
-        for uid, traj in load_trajectories_csv(base / cfg["users_csv"])
+        for uid, traj in load_trajectories_csv(users_csv)
     ]
     return Scenario(
         services=services,
@@ -464,9 +474,11 @@ def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
 def ingest_gps(path: str | Path) -> IngestResult:
     """1 Hz GPS trips: rows of (trip_id, epoch_seconds, lon, lat).
 
-    Each trip becomes one trajectory with timesteps renumbered from 1
-    (t = epoch - first_epoch + 1, preserving any sampling gaps). Trips whose
-    timestamps are not strictly increasing in file order are rejected.
+    Each trip becomes one trajectory on one file-global integer grid,
+    t = epoch - first_epoch_in_file + 1, so trips keep their sampling gaps
+    and their offsets from each other and only trips recorded at the same
+    time share timesteps. Trips whose timestamps are not strictly increasing
+    in file order are rejected.
     """
     raw: dict[str, list[tuple[float, float, float]]] = {}
     order: list[str] = []
@@ -491,6 +503,7 @@ def ingest_gps(path: str | Path) -> IngestResult:
     if not raw:
         raise InvalidInputError(f"no usable rows in {path}")
 
+    origin = min(epoch for rows in raw.values() for (epoch, _, _) in rows)
     result = IngestResult(trajectories=[], skipped_rows=skipped)
     for tid in order:
         samples = raw[tid]
@@ -498,11 +511,10 @@ def ingest_gps(path: str | Path) -> IngestResult:
         if any(b <= a for a, b in zip(epochs, epochs[1:])):
             result.rejected_ids.append(tid)
             continue
-        first_epoch = epochs[0]
         try:
             traj = Trajectory(
                 tuple(
-                    TrajectoryPoint(t=int(round(e - first_epoch)) + 1, x=lon, y=lat)
+                    TrajectoryPoint(t=int(round(e - origin)) + 1, x=lon, y=lat)
                     for e, lon, lat in samples
                 )
             )

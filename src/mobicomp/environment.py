@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ProtocolError
-from .oracle import DUMMY_SERVICE, CandidateTable, discover_parallel
+from .oracle import DUMMY_SERVICE, CandidateTable, ServiceColumns, discover_parallel
 from .qos import QosParams, reward_scale
 from .trajectories import DistanceMode, MovingService, TrajectoryPoint, UserTrajectory
 
@@ -99,8 +99,8 @@ class Environment:
 
     The action space is the full (sorted) service universe plus the dummy
     action and stays fixed for the lifetime of any model trained against it.
-    Candidate tables are computed per user on first use and cached; all other
-    state is immutable, so read-only copies can run in parallel.
+    The columnar form of the universe is built once here; candidate tables
+    are computed per user trajectory on first use and cached.
     """
 
     def __init__(
@@ -111,20 +111,20 @@ class Environment:
         mode: DistanceMode,
         extents: Extents | None = None,
         rewards: RewardScheme = RewardScheme(),
-        workers: int = 1,
     ):
         self.services = list(services)
         self.qos_params = qos_params
         self.w = w
         self.mode = mode
         self.rewards = rewards
-        self.workers = workers
+        self.universe = ServiceColumns(self.services)
         self.action_ids: tuple[str, ...] = tuple(
             sorted(s.id for s in self.services)
         ) + (DUMMY_SERVICE,)
         self.reward_scale = reward_scale(self.services)
         self.extents = extents
-        self._tables: dict[str, CandidateTable] = {}
+        # keyed by the whole user: one id may name different trajectories
+        self._tables: dict[UserTrajectory, CandidateTable] = {}
         self._user: UserTrajectory | None = None
         self._table: CandidateTable | None = None
         self._cursor = 0
@@ -135,12 +135,10 @@ class Environment:
         return len(self.action_ids)
 
     def table_for(self, user: UserTrajectory) -> CandidateTable:
-        table = self._tables.get(user.id)
+        table = self._tables.get(user)
         if table is None:
-            table = discover_parallel(
-                self.services, user, self.qos_params, self.w, self.mode, workers=self.workers
-            )
-            self._tables[user.id] = table
+            table = discover_parallel(self.universe, user, self.qos_params, self.w, self.mode)
+            self._tables[user] = table
         return table
 
     def reset(self, user: UserTrajectory) -> np.ndarray:

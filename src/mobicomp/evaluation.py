@@ -163,7 +163,7 @@ def evaluate_model(
     return combine_reports(reports)
 
 
-def build_environment(scenario: Scenario, train_users=None, workers: int = 1) -> Environment:
+def build_environment(scenario: Scenario, train_users=None) -> Environment:
     """Environment over a scenario; extents come from the training split only."""
     universe_users = train_users if train_users is not None else scenario.users
     extents = Extents.from_universe(scenario.services, universe_users)
@@ -174,7 +174,6 @@ def build_environment(scenario: Scenario, train_users=None, workers: int = 1) ->
         mode=scenario.mode,
         extents=extents,
         rewards=scenario.rewards,
-        workers=workers,
     )
 
 
@@ -182,7 +181,6 @@ def train_on_scenario(
     scenario: Scenario,
     config: AgentConfig,
     train_users=None,
-    workers: int = 1,
 ) -> tuple[TrainResult, Environment, list]:
     """Train over the scenario's 70% split (or an explicit user list)."""
     if train_users is None:
@@ -190,7 +188,7 @@ def train_on_scenario(
     else:
         train_ids = {u.id for u in train_users}
         test_users = [u for u in scenario.users if u.id not in train_ids]
-    env = build_environment(scenario, train_users=train_users, workers=workers)
+    env = build_environment(scenario, train_users=train_users)
     result = agent_mod.train(env, train_users, config)
     return result, env, test_users
 
@@ -209,7 +207,6 @@ def run_accuracy_sweep(
     trajectory_counts: list[int],
     config: AgentConfig,
     lenient: bool = False,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Train one model per training-set size and score it on the held-out 30%."""
     if sorted(trajectory_counts) != list(trajectory_counts):
@@ -221,7 +218,7 @@ def run_accuracy_sweep(
             raise InvalidInputError(
                 f"count {count} outside the training split size {len(train_users)}"
             )
-        env = build_environment(scenario, train_users=train_users[:count], workers=workers)
+        env = build_environment(scenario, train_users=train_users[:count])
         result = agent_mod.train(env, train_users[:count], config)
         report = evaluate_model(result.model, env, test_users, lenient=lenient)
         points.append(SweepPoint(trajectory_count=count, report=report))
@@ -239,7 +236,6 @@ def run_timing(
     service_counts: list[int],
     config: AgentConfig,
     repeats: int = 5,
-    workers: int = 1,
 ) -> list[TimingReport]:
     """Median wall time of oracle discovery, training, and agent selection.
 
@@ -265,14 +261,15 @@ def run_timing(
 
         oracle_times = []
         for _ in range(repeats):
+            # a cold discovery builds the columnar universe too
             t0 = time.perf_counter()
             oracle_mod.discover_parallel(
-                services, probe, sub.qos_params, sub.w, sub.mode, workers=workers
+                oracle_mod.ServiceColumns(services), probe, sub.qos_params, sub.w, sub.mode
             )
             oracle_times.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        result, env, _ = train_on_scenario(sub, config, train_users=train_users, workers=workers)
+        result, env, _ = train_on_scenario(sub, config, train_users=train_users)
         train_time = time.perf_counter() - t0
 
         env.table_for(probe)  # selection timing should not pay oracle costs
@@ -343,7 +340,6 @@ def run_convergence(
     scenario: Scenario,
     service_counts: list[int],
     config: AgentConfig,
-    workers: int = 1,
 ) -> list[ConvergenceReport]:
     """Convergence round per service-universe size, all else shared."""
     reports = []
@@ -358,7 +354,7 @@ def run_convergence(
             rewards=scenario.rewards,
             seed=scenario.seed,
         )
-        result, _, _ = train_on_scenario(sub, config, train_users=sub.users, workers=workers)
+        result, _, _ = train_on_scenario(sub, config, train_users=sub.users)
         rewards = [row.cum_reward for row in result.log]
         ma = moving_average(rewards)
         round_, converged, final = detect_convergence(rewards)

@@ -1,27 +1,33 @@
 """Ground-truth discovery of co-moving services and the optimal composition.
 
-A scan-based map-reduce over one user trajectory: a temporal join keyed on
-shared timesteps, a spatial filter against the search disk, then a reduce
-phase that keeps only services paired over at least ``w`` strictly
-consecutive timesteps. Deliberately index-free; parallelism comes from
-splitting the user's timesteps into contiguous chunks handled by a thread
-pool, with validation run once over the merged pairs so runs may cross chunk
-boundaries.
+A map-reduce over one user trajectory against ``ServiceColumns``, the service
+universe held as flat arrays with one row per service sample, sorted by
+integer timestep. The temporal join finds each user timestep's block of rows
+by binary search. The spatial filter tests every joined row against the
+search disk with numpy, widened by a small relative margin, and passes only
+the survivors to the scalar ``distance`` (which makes the strict ``< r_s``
+decision), perpendicular distance, strength and capacity, so every emitted
+float comes from the scalar functions. The reduce phase keeps services paired
+over at least ``w`` strictly consecutive timesteps.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+import numpy as np
+
+from .errors import InvalidInputError, OutOfRangeError
 from .qos import QosParams, QosValue, capacity, perpendicular_distance, strength
 from .trajectories import (
     DistanceMode,
     MovingService,
     TrajectoryPoint,
     UserTrajectory,
+    check_gps,
     distance,
+    distances,
 )
 
 DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
@@ -83,31 +89,87 @@ class CompositionPlan:
         return [s.capacity for s in self.steps if s.chosen != DUMMY_SERVICE]
 
 
-def temporal_map(
-    services: list[MovingService],
-    user: UserTrajectory,
-    timesteps: list[int] | None = None,
-) -> dict[int, list[tuple[str, TrajectoryPoint]]]:
+# Relative widening of the search disk for the numpy prefilter. numpy's
+# hypot, sin, cos and arcsin may differ from math's in the last bits; the
+# margin keeps every pair the scalar ``distance`` puts inside the disk.
+DISK_MARGIN = 1e-6
+
+
+def _int_timesteps(points: Sequence[TrajectoryPoint]) -> np.ndarray:
+    try:
+        return np.fromiter((int(p.t) for p in points), dtype=np.int64, count=len(points))
+    except OverflowError:
+        raise InvalidInputError("timestep beyond the 64-bit integer range") from None
+
+
+class ServiceColumns:
+    """The service universe as flat columns, one row per service sample.
+
+    Rows are stably sorted by integer timestep ``int(t)``, so within one
+    timestep they keep service order, then sample order; the rows of
+    ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``. ``row`` indexes
+    ``services`` and ``sample`` the sample within that service's trajectory.
+    Built once per scenario and read-only afterwards.
+    """
+
+    def __init__(self, services: Sequence[MovingService]):
+        self.services = tuple(services)
+        lengths = np.array([len(s.trajectory) for s in self.services], dtype=np.int64)
+        n = int(lengths.sum())
+        points = [p for s in self.services for p in s.trajectory.points]
+        t = _int_timesteps(points)
+        order = np.argsort(t, kind="stable")
+        self.timesteps, first = np.unique(t[order], return_index=True)
+        self.bounds = np.append(first, n)
+        self.row = np.repeat(np.arange(len(self.services), dtype=np.int32), lengths)[order]
+        self.sample = (order - (np.cumsum(lengths) - lengths)[self.row]).astype(np.int32)
+        self.x = np.fromiter((p.x for p in points), dtype=np.float64, count=n)[order]
+        self.y = np.fromiter((p.y for p in points), dtype=np.float64, count=n)[order]
+
+
+class JoinedSamples(Mapping):
+    """Result of the temporal join: for each distinct user timestep, the
+    universe rows sharing it (``rows[bounds[i]:bounds[i + 1]]`` for
+    ``timesteps[i]``), possibly none."""
+
+    def __init__(self, timesteps: np.ndarray, bounds: np.ndarray, rows: np.ndarray):
+        self.timesteps, self.bounds, self.rows = timesteps, bounds, rows
+
+    def __getitem__(self, t) -> np.ndarray:
+        i = int(np.searchsorted(self.timesteps, t))
+        if i == len(self.timesteps) or self.timesteps[i] != t:
+            raise KeyError(t)
+        return self.rows[self.bounds[i] : self.bounds[i + 1]]
+
+    def __iter__(self):
+        return iter(self.timesteps.tolist())
+
+    def __len__(self) -> int:
+        return len(self.timesteps)
+
+
+def temporal_map(universe: ServiceColumns, user: UserTrajectory) -> JoinedSamples:
     """Left-outer join of service samples onto the user's timesteps.
 
-    Every requested user timestep maps to the service samples sharing it;
-    timesteps no service covers map to an empty list.
+    Every distinct integer user timestep maps to the universe rows sharing
+    it; timesteps no service covers map to no rows. Each timestep's rows are
+    one contiguous block of the timestep-sorted universe, found by binary
+    search over the universe's distinct timesteps, so the cost follows the
+    rows joined and the user's sample count, never the timestep values.
     """
-    if timesteps is None:
-        timesteps = [int(p.t) for p in user.trajectory.points]
-    joined: dict[int, list[tuple[str, TrajectoryPoint]]] = {t: [] for t in timesteps}
-    for svc in services:
-        for p in svc.trajectory.points:
-            bucket = joined.get(int(p.t))
-            if bucket is not None:
-                bucket.append((svc.id, p))
-    return joined
+    timesteps = np.unique(_int_timesteps(user.trajectory.points))
+    lo = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="left")]
+    counts = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="right")] - lo
+    bounds = np.zeros(len(timesteps) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    rows = np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], counts)
+    return JoinedSamples(timesteps, bounds, rows)
 
 
 def spatial_map(
-    joined: dict[int, list[tuple[str, TrajectoryPoint]]],
+    joined: JoinedSamples,
     user: UserTrajectory,
-    services_by_id: dict[str, MovingService],
+    universe: ServiceColumns,
     qos_params: QosParams,
     mode: DistanceMode,
 ) -> list[SpatialCandidatePair]:
@@ -116,30 +178,63 @@ def spatial_map(
     Disk membership uses the point-to-point distance at the shared timestep
     (strict ``< r_s``); the attached strength uses the clamped perpendicular
     distance to the user's path segment, which never exceeds the point
-    distance, so the strength precondition holds by construction.
+    distance, so the strength precondition holds by construction. A numpy
+    prefilter over all joined rows, widened by ``DISK_MARGIN``, picks the
+    rows that the scalar functions then decide and price.
     """
     r_s = qos_params.sensing_radius_rs
     traj = user.trajectory
+    rows = joined.rows
+    counts = np.diff(joined.bounds)
+    # index of the user sample at each joined timestep; a timestep with
+    # joined rows needs a user sample at exactly that timestep
+    user_t = np.fromiter((p.t for p in traj.points), dtype=np.float64, count=len(traj))
+    at = np.minimum(np.searchsorted(user_t, joined.timesteps), len(traj) - 1)
+    absent = (user_t[at] != joined.timesteps) & (counts > 0)
+    if absent.any():
+        raise OutOfRangeError(f"no sample at timestep {joined.timesteps[np.argmax(absent)]}")
+    ux = np.repeat(np.fromiter((p.x for p in traj.points), np.float64, len(traj))[at], counts)
+    uy = np.repeat(np.fromiter((p.y for p in traj.points), np.float64, len(traj))[at], counts)
+    sx, sy = universe.x[rows], universe.y[rows]
+
+    def step_of(j):  # index into joined.timesteps of joined row j
+        return np.searchsorted(joined.bounds, j, side="right") - 1
+
+    if mode is DistanceMode.HAVERSINE:
+        # every joined pair is range-checked, inside the disk or not
+        valid = (np.abs(ux) <= 180.0) & (np.abs(uy) <= 90.0)
+        valid &= (np.abs(sx) <= 180.0) & (np.abs(sy) <= 90.0)
+        if not valid.all():
+            j = int(np.argmin(valid))
+            check_gps(traj.points[at[step_of(j)]])
+            i = rows[j]
+            check_gps(universe.services[universe.row[i]].trajectory.points[universe.sample[i]])
+    near = np.flatnonzero(distances(ux, uy, sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
+    step = step_of(near)
+    near_rows = rows[near]
+
     pairs: list[SpatialCandidatePair] = []
-    for t in sorted(joined):
-        if not joined[t]:
-            continue
-        user_pt = traj.points[traj.index_of(t)]
-        for sid, svc_pt in joined[t]:
-            d = distance(user_pt, svc_pt, mode)
-            if d < r_s:
-                pdis = perpendicular_distance(svc_pt, traj, t, mode)
-                s = strength(pdis, qos_params)
-                svc = services_by_id[sid]
-                cap = capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
-                pairs.append(
-                    SpatialCandidatePair(
-                        user_timestep=t,
-                        service_id=sid,
-                        distance=d,
-                        qos=QosValue(strength=s, capacity=cap),
-                    )
+    for t, i, svc_index, k in zip(
+        joined.timesteps[step].tolist(),
+        at[step].tolist(),
+        universe.row[near_rows].tolist(),
+        universe.sample[near_rows].tolist(),
+    ):
+        svc = universe.services[svc_index]
+        svc_pt = svc.trajectory.points[k]
+        d = distance(traj.points[i], svc_pt, mode)
+        if d < r_s:
+            pdis = perpendicular_distance(svc_pt, traj, t, mode)
+            s = strength(pdis, qos_params)
+            cap = capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
+            pairs.append(
+                SpatialCandidatePair(
+                    user_timestep=t,
+                    service_id=svc.id,
+                    distance=d,
+                    qos=QosValue(strength=s, capacity=cap),
                 )
+            )
     return pairs
 
 
@@ -226,49 +321,19 @@ def optimal_plan(
     return CompositionPlan(user_id=user.id, steps=tuple(steps))
 
 
-def _chunks(items: list[int], n: int) -> list[list[int]]:
-    """Split into n contiguous chunks with sizes differing by at most one."""
-    n = min(n, len(items)) or 1
-    base, extra = divmod(len(items), n)
-    out, start = [], 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out
-
-
 def discover_parallel(
-    services: list[MovingService],
+    universe: ServiceColumns,
     user: UserTrajectory,
     qos_params: QosParams,
     w: int,
     mode: DistanceMode,
-    workers: int = 1,
 ) -> CandidateTable:
-    """Full discovery pipeline; output is identical for any worker count.
-
-    The map phases run per contiguous timestep chunk on a thread pool over
-    shared immutable inputs; run validation happens once globally because
-    consecutive runs may span chunk boundaries.
-    """
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    services_by_id = {s.id: s for s in services}
-    timesteps = [int(p.t) for p in user.trajectory.points]
-
-    def map_chunk(chunk: list[int]) -> list[SpatialCandidatePair]:
-        joined = temporal_map(services, user, timesteps=chunk)
-        return spatial_map(joined, user, services_by_id, qos_params, mode)
-
-    chunks = _chunks(timesteps, workers)
-    if workers == 1:
-        merged = map_chunk(timesteps)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # gather in chunk order so the merge is scheduling-independent
-            merged = [p for part in pool.map(map_chunk, chunks) for p in part]
-    return reduce_validate(merged, w)
+    """Full discovery pipeline for one user: the temporal join, the spatial
+    filter with QoS, then run validation over all of the user's timesteps at
+    once. ``universe`` is the scenario's ``ServiceColumns``, built once and
+    shared by every user; everything runs in the calling thread."""
+    joined = temporal_map(universe, user)
+    return reduce_validate(spatial_map(joined, user, universe, qos_params, mode), w)
 
 
 def table_plan_json(

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InvalidInputError, OutOfRangeError
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
@@ -108,7 +110,7 @@ class MovingService:
             raise InvalidInputError("max_concurrent_k must be >= 1")
 
 
-def _check_gps(p: TrajectoryPoint) -> None:
+def check_gps(p: TrajectoryPoint) -> None:
     if not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0):
         raise InvalidInputError(f"GPS coordinates out of range: ({p.x}, {p.y})")
 
@@ -126,9 +128,24 @@ def distance(a: TrajectoryPoint, b: TrajectoryPoint, mode: DistanceMode) -> floa
     """Distance in metres between two samples under the given mode."""
     if mode is DistanceMode.PLANAR_EUCLIDEAN:
         return math.hypot(a.x - b.x, a.y - b.y)
-    _check_gps(a)
-    _check_gps(b)
+    check_gps(a)
+    check_gps(b)
     return haversine_m(a.x, a.y, b.x, b.y)
+
+
+def distances(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray, mode: DistanceMode
+) -> np.ndarray:
+    """``distance`` over coordinate arrays, for filtering only: numpy's hypot
+    and trigonometric functions may differ from ``math``'s in the last bits.
+    Haversine inputs must already be range-checked."""
+    if mode is DistanceMode.PLANAR_EUCLIDEAN:
+        return np.hypot(ax - bx, ay - by)
+    phi1, phi2 = np.radians(ay), np.radians(by)
+    dphi = phi2 - phi1
+    dlam = np.radians(bx - ax)
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 def position_at(traj: Trajectory, t_query: float) -> TrajectoryPoint:
@@ -212,7 +229,12 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
         for row in reader:
             if not row:
                 continue
-            ident, t, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
+            try:
+                ident, t, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
+            except (IndexError, ValueError):
+                raise InvalidInputError(
+                    f"malformed row {row!r} in {path} line {reader.line_num}"
+                ) from None
             if ident not in buckets:
                 order.append(ident)
                 buckets[ident] = []

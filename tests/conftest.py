@@ -66,7 +66,7 @@ def random_universe(rng, n_services, n_steps, area=100.0, r_s=15.0):
     return services, user
 
 
-def make_env(services, users, qos=None, w=2, rewards=None, workers=1):
+def make_env(services, users, qos=None, w=2, rewards=None):
     qos = qos or QosParams.defaults_for(20.0)
     return Environment(
         services=services,
@@ -75,7 +75,6 @@ def make_env(services, users, qos=None, w=2, rewards=None, workers=1):
         mode=DistanceMode.PLANAR_EUCLIDEAN,
         extents=Extents.from_universe(services, users),
         rewards=rewards or RewardScheme(),
-        workers=workers,
     )
 
 

@@ -49,6 +49,25 @@ def brute_force_pairs(services, user, r_s):
     return pairs
 
 
+def brute_force_gps_pairs(services, user, r_s, edge_m):
+    """(timestep, service) pairs whose Vincenty-sphere distance is below
+    r_s, and, apart, those within edge_m of r_s, where two correct
+    great-circle formulas may disagree."""
+    inside, edge = set(), set()
+    user_at = {int(p.t): p for p in user.trajectory.points}
+    for svc in services:
+        for sp in svc.trajectory.points:
+            up = user_at.get(int(sp.t))
+            if up is None:
+                continue
+            d = great_circle_vincenty(up.x, up.y, sp.x, sp.y)
+            if abs(d - r_s) <= edge_m:
+                edge.add((int(sp.t), svc.id))
+            elif d < r_s:
+                inside.add((int(sp.t), svc.id))
+    return inside, edge
+
+
 def rle_runs(timesteps):
     """Maximal consecutive runs via run-length encoding over a bitmap."""
     if not timesteps:

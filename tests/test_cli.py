@@ -70,6 +70,17 @@ def test_gen_writes_bundle_with_meta(bundle):
     assert meta["seed"] == SPEC["seed"]
 
 
+def test_gen_explicit_seed_overrides_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    for seed in (7, 22):
+        out = tmp_path / f"s{seed}"
+        args = ["gen", "--spec", str(spec_path), "--seed", str(seed), "--out", str(out), "--quiet"]
+        assert dispatch(args) == 0
+        assert json.loads((out / "scenario.json").read_text())["seed"] == seed
+        assert json.loads((out / "meta.json").read_text())["seed"] == seed
+
+
 def test_gen_is_reproducible(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
@@ -79,14 +90,12 @@ def test_gen_is_reproducible(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
-def test_discover_worker_invariance(bundle, tmp_path):
+def test_discover_is_reproducible(bundle, tmp_path):
     scenario = str(bundle / "scenario.json")
-    out1, out8 = tmp_path / "d1.json", tmp_path / "d8.json"
-    assert dispatch(["discover", "--scenario", scenario, "--out", str(out1), "--quiet"]) == 0
-    assert dispatch(
-        ["discover", "--scenario", scenario, "--workers", "8", "--out", str(out8), "--quiet"]
-    ) == 0
-    assert out1.read_bytes() == out8.read_bytes()
+    out1, out2 = tmp_path / "d1.json", tmp_path / "d2.json"
+    for out in (out1, out2):
+        assert dispatch(["discover", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert len(payload["users"]) == SPEC["n_users"]
     step = payload["users"][0]["steps"][0]

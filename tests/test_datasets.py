@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from mobicomp.datasets import (
 )
 from mobicomp.environment import RewardScheme
 from mobicomp.errors import InvalidInputError
-from mobicomp.oracle import discover_parallel
+from mobicomp.oracle import ServiceColumns, discover_parallel
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode, dump_trajectories_csv, load_trajectories_csv
 
@@ -60,9 +63,10 @@ class TestGenerate:
         spec = small_spec(coroute_fraction=1.0, jitter_m=2.0)
         services, users = generate(spec)
         qos = QosParams.defaults_for(spec.r_s_meters)
+        universe = ServiceColumns(services)
         for user in users:
             table = discover_parallel(
-                services, user, qos, w=1, mode=DistanceMode.PLANAR_EUCLIDEAN
+                universe, user, qos, w=1, mode=DistanceMode.PLANAR_EUCLIDEAN
             )
             covered = {
                 t for pairs in table.per_timestep.values() for t in [pairs[0].user_timestep]
@@ -114,6 +118,30 @@ class TestScenarioBundle:
         for svc in services:
             assert by_id[svc.id].bandwidth_b == svc.bandwidth_b
             assert by_id[svc.id].max_concurrent_k == svc.max_concurrent_k
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("distance_mode",),
+            ("services_csv",),
+            ("users_csv",),
+            ("service_qos", "s0000", "max_concurrent"),
+        ],
+    )
+    def test_missing_key_names_the_file(self, tmp_path, keys):
+        services, users = generate(small_spec())
+        path = write_scenario_bundle(
+            tmp_path, services, users, QosParams.defaults_for(20.0), 2,
+            DistanceMode.PLANAR_EUCLIDEAN,
+        )
+        cfg = json.loads(path.read_text())
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(InvalidInputError, match=f"{re.escape(str(path))}.*{keys[-1]}"):
+            load_scenario(path)
 
     def test_default_spec_is_desk_scale(self):
         spec = default_scenario_spec()
@@ -228,8 +256,10 @@ class TestIngestGps:
         )
         result = ingest_gps(raw)
         assert [tid for tid, _ in result.trajectories] == ["t1", "t2"]
-        for _, traj in result.trajectories:
-            assert [p.t for p in traj.points] == [1, 2]
+        assert [[p.t for p in traj.points] for _, traj in result.trajectories] == [
+            [1, 2],
+            [401, 402],
+        ]
 
     def test_non_monotone_trip_rejected(self, tmp_path):
         raw = tmp_path / "gps.csv"
@@ -246,10 +276,25 @@ class TestIngestGps:
 
     def test_gap_preserved_in_renumbering(self, tmp_path):
         raw = tmp_path / "gps.csv"
-        raw.write_text("trip,epoch,lon,lat\nt1,50,0,0\nt1,51,1,0\nt1,54,2,0\n")
+        raw.write_text(
+            "trip,epoch,lon,lat\nt0,48,0,0\nt0,49,0,0\nt1,50,0,0\nt1,51,1,0\nt1,54,2,0\n"
+        )
         result = ingest_gps(raw)
-        _, traj = result.trajectories[0]
-        assert [p.t for p in traj.points] == [1, 2, 5]
+        _, traj = result.trajectories[1]
+        assert [p.t for p in traj.points] == [3, 4, 7]
+
+    def test_trips_an_hour_apart_stay_an_hour_apart(self, tmp_path):
+        raw = tmp_path / "gps.csv"
+        raw.write_text(
+            "trip,epoch,lon,lat\n"
+            "early,1000,151.20,-33.86\n"
+            "early,1001,151.21,-33.86\n"
+            "late,4600,151.20,-33.86\n"
+            "late,4601,151.21,-33.86\n"
+        )
+        result = ingest_gps(raw)
+        steps = {tid: [p.t for p in traj.points] for tid, traj in result.trajectories}
+        assert steps == {"early": [1, 2], "late": [3601, 3602]}
 
 
 class TestCanonicalIdempotence:

@@ -141,3 +141,11 @@ class TestEpisodeProtocol:
         user = line_user(3)
         env = make_env([service_tracking(user, "a", 1, 3)], [user])
         assert env.table_for(user) is env.table_for(user)
+
+    def test_same_id_different_trajectory_gets_own_table(self):
+        near = line_user(4, user_id="user:same")
+        far = line_user(4, user_id="user:same", y=100.0)
+        env = make_env([service_tracking(near, "a", 1, 4)], [near, far])
+        assert env.table_for(near).validated == {"a": ((1, 4),)}
+        assert env.table_for(far).validated == {}
+        assert env.table_for(near).validated == {"a": ((1, 4),)}

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobicomp.errors import InvalidInputError
+from mobicomp.errors import InvalidInputError, OutOfRangeError
 from mobicomp.oracle import (
+    DISK_MARGIN,
     DUMMY_SERVICE,
+    ServiceColumns,
     SpatialCandidatePair,
     consecutive_runs,
     discover_parallel,
@@ -15,14 +19,56 @@ from mobicomp.oracle import (
     table_plan_json,
     temporal_map,
 )
-from mobicomp.qos import QosParams, QosValue
-from mobicomp.trajectories import DistanceMode, MovingService, UserTrajectory
+from mobicomp.qos import QosParams, QosValue, capacity, perpendicular_distance, strength
+from mobicomp.trajectories import (
+    DistanceMode,
+    MovingService,
+    TrajectoryPoint,
+    UserTrajectory,
+    distance,
+    distances,
+)
 
 from conftest import line_user, random_universe, service_tracking, traj
-from oracles import brute_force_pairs, brute_force_validated, nested_loop_join, rle_runs
+from oracles import (
+    brute_force_gps_pairs,
+    brute_force_pairs,
+    brute_force_validated,
+    great_circle_vincenty,
+    nested_loop_join,
+    rle_runs,
+)
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
+GPS = DistanceMode.HAVERSINE
 QOS = QosParams.defaults_for(15.0)
+SYDNEY = (151.2093, -33.8688)  # lon, lat
+
+
+def discover(services, user, w=2, mode=PLANAR, qos=QOS):
+    return discover_parallel(ServiceColumns(services), user, qos, w=w, mode=mode)
+
+
+def joined_pairs(services, user):
+    """temporal_map's result as {t: [(service id, sample)]}, for comparison
+    with the nested-loop reference."""
+    universe = ServiceColumns(services)
+    joined = temporal_map(universe, user)
+    return {
+        t: [
+            (
+                universe.services[universe.row[i]].id,
+                universe.services[universe.row[i]].trajectory.points[universe.sample[i]],
+            )
+            for i in rows
+        ]
+        for t, rows in joined.items()
+    }
+
+
+def run_spatial(services, user, mode=PLANAR, qos=QOS):
+    universe = ServiceColumns(services)
+    return spatial_map(temporal_map(universe, user), user, universe, qos, mode)
 
 
 def pair(t, sid, distance=1.0, capacity=1.0):
@@ -38,7 +84,7 @@ class TestTemporalMap:
     def test_left_outer_padding(self):
         user = line_user(3)
         svc = service_tracking(user, "a", 2, 3)
-        joined = temporal_map([svc], user)
+        joined = joined_pairs([svc], user)
         assert sorted(joined) == [1, 2, 3]
         assert joined[1] == []
         assert [sid for sid, _ in joined[2]] == ["a"]
@@ -46,13 +92,13 @@ class TestTemporalMap:
 
     def test_empty_universe(self):
         user = line_user(4)
-        joined = temporal_map([], user)
-        assert all(joined[t] == [] for t in joined) and len(joined) == 4
+        joined = temporal_map(ServiceColumns([]), user)
+        assert len(joined) == 4 and all(len(joined[t]) == 0 for t in joined)
 
     def test_matches_nested_loop_join(self):
         rng = np.random.default_rng(11)
         services, user = random_universe(rng, n_services=50, n_steps=20)
-        got = temporal_map(services, user)
+        got = joined_pairs(services, user)
         expected = nested_loop_join(services, user)
         assert set(got) == set(expected)
         for t in got:
@@ -63,9 +109,7 @@ class TestTemporalMap:
 
 class TestSpatialMap:
     def _run(self, services, user, r_s=15.0):
-        qos = QosParams.defaults_for(r_s)
-        joined = temporal_map(services, user)
-        return spatial_map(joined, user, {s.id: s for s in services}, qos, PLANAR)
+        return run_spatial(services, user, qos=QosParams.defaults_for(r_s))
 
     def test_interior_point_retained(self):
         user = line_user(2)
@@ -134,7 +178,7 @@ class TestOptimalPlan:
     def test_single_candidate_chosen_everywhere(self):
         user = line_user(4)
         svc = service_tracking(user, "a", 1, 4)
-        table = discover_parallel([svc], user, QOS, w=2, mode=PLANAR)
+        table = discover([svc], user)
         plan = optimal_plan(table, user)
         assert [s.chosen for s in plan.steps] == ["a"] * 4
 
@@ -142,7 +186,7 @@ class TestOptimalPlan:
         user = line_user(3)
         weak = service_tracking(user, "weak", 1, 3, bandwidth=3e6)
         strong = service_tracking(user, "strong", 1, 3, bandwidth=4e6)
-        table = discover_parallel([weak, strong], user, QOS, w=2, mode=PLANAR)
+        table = discover([weak, strong], user)
         plan = optimal_plan(table, user)
         assert [s.chosen for s in plan.steps] == ["strong"] * 3
 
@@ -150,14 +194,14 @@ class TestOptimalPlan:
         user = line_user(3)
         b = service_tracking(user, "b", 1, 3)
         a = service_tracking(user, "a", 1, 3)
-        table = discover_parallel([b, a], user, QOS, w=2, mode=PLANAR)
+        table = discover([b, a], user)
         plan = optimal_plan(table, user)
         assert [s.chosen for s in plan.steps] == ["a"] * 3
 
     def test_dummy_where_no_candidate(self):
         user = line_user(5)
         svc = service_tracking(user, "a", 1, 2)
-        table = discover_parallel([svc], user, QOS, w=2, mode=PLANAR)
+        table = discover([svc], user)
         plan = optimal_plan(table, user, dummy_reward=-1.0)
         assert [s.chosen for s in plan.steps] == ["a", "a", DUMMY_SERVICE, DUMMY_SERVICE, DUMMY_SERVICE]
         assert all(s.reward == -1.0 for s in plan.steps[2:])
@@ -165,7 +209,7 @@ class TestOptimalPlan:
     def test_plan_total_matches_exhaustive_max_scan(self):
         rng = np.random.default_rng(7)
         services, user = random_universe(rng, n_services=10, n_steps=50)
-        table = discover_parallel(services, user, QOS, w=2, mode=PLANAR)
+        table = discover(services, user)
         plan = optimal_plan(table, user)
         # exhaustive per-timestep maximum over the validated table
         expected = 0.0
@@ -177,7 +221,7 @@ class TestOptimalPlan:
     def test_dominance(self):
         rng = np.random.default_rng(8)
         services, user = random_universe(rng, n_services=12, n_steps=30)
-        table = discover_parallel(services, user, QOS, w=2, mode=PLANAR)
+        table = discover(services, user)
         plan = optimal_plan(table, user)
         for step in plan.steps:
             cands = table.validated_at(step.user_timestep)
@@ -186,36 +230,23 @@ class TestOptimalPlan:
 
 
 class TestDiscoverParallel:
-    def test_single_worker_equals_sequential_pipeline(self):
+    def test_equals_sequential_pipeline(self):
         rng = np.random.default_rng(9)
         services, user = random_universe(rng, n_services=20, n_steps=40)
-        joined = temporal_map(services, user)
-        pairs = spatial_map(joined, user, {s.id: s for s in services}, QOS, PLANAR)
-        sequential = reduce_validate(pairs, w=2)
-        assert discover_parallel(services, user, QOS, w=2, mode=PLANAR, workers=1) == sequential
+        sequential = reduce_validate(run_spatial(services, user), w=2)
+        assert discover(services, user) == sequential
 
-    def test_worker_count_invariance(self):
-        rng = np.random.default_rng(10)
-        services, user = random_universe(rng, n_services=25, n_steps=37)
-        tables = [
-            discover_parallel(services, user, QOS, w=2, mode=PLANAR, workers=n)
-            for n in (1, 2, 4, 8)
-        ]
-        assert all(t == tables[0] for t in tables[1:])
-
-    def test_run_spanning_chunk_boundary(self):
-        # paired at t = 9..12 with a 2-worker split at t = 10: still one run
+    def test_run_crossing_mid_trajectory(self):
         user = line_user(20)
         svc = service_tracking(user, "a", 9, 12)
-        table = discover_parallel([svc], user, QOS, w=2, mode=PLANAR, workers=2)
+        table = discover([svc], user)
         assert table.validated == {"a": ((9, 12),)}
-        sequential = discover_parallel([svc], user, QOS, w=2, mode=PLANAR, workers=1)
-        assert table == sequential
+        assert sorted(table.per_timestep) == [9, 10, 11, 12]
 
     def test_matches_brute_force_validation(self):
         rng = np.random.default_rng(12)
         services, user = random_universe(rng, n_services=15, n_steps=35)
-        table = discover_parallel(services, user, QOS, w=3, mode=PLANAR, workers=4)
+        table = discover(services, user, w=3)
         validated, surviving = brute_force_validated(services, user, 15.0, w=3)
         assert table.validated == validated
         got_pairs = {
@@ -225,17 +256,12 @@ class TestDiscoverParallel:
         }
         assert got_pairs == surviving
 
-    def test_bad_worker_count(self):
-        user = line_user(3)
-        with pytest.raises(InvalidInputError):
-            discover_parallel([], user, QOS, w=1, mode=PLANAR, workers=0)
-
 
 class TestJsonEmission:
     def test_per_step_schema(self):
         user = line_user(3)
         svc = service_tracking(user, "a", 1, 2)
-        table = discover_parallel([svc], user, QOS, w=2, mode=PLANAR)
+        table = discover([svc], user)
         plan = optimal_plan(table, user)
         rows = table_plan_json(table, plan, user)
         assert [r["timestep"] for r in rows] == [1, 2, 3]
@@ -244,3 +270,178 @@ class TestJsonEmission:
         cand = rows[0]["candidates"][0]
         assert set(cand) == {"service_id", "distance_m", "strength", "capacity_bps"}
         assert rows[2]["candidates"] == []
+
+
+M_PER_DEG = math.pi * 6_371_000.0 / 180.0
+
+
+@st.composite
+def universes(draw, gps=False):
+    """One user and up to six services on sparse integer timesteps: gaps,
+    services that start before, end after or sit inside the user's span,
+    and absolute timesteps up to 10^12. Coordinates are metres in a 40 m
+    square, placed around Sydney as lon/lat when ``gps`` is set."""
+    offset = draw(st.sampled_from([0, 1_000, 10**6, 10**12]))
+    coord = st.floats(0.0, 40.0)
+
+    def trajectory(steps):
+        pts = [(offset + t, draw(coord), draw(coord)) for t in sorted(steps)]
+        if gps:
+            k_lon = M_PER_DEG * math.cos(math.radians(SYDNEY[1]))
+            pts = [(t, SYDNEY[0] + x / k_lon, SYDNEY[1] + y / M_PER_DEG) for t, x, y in pts]
+        return traj(pts)
+
+    user = UserTrajectory(
+        id="user:h", trajectory=trajectory(draw(st.sets(st.integers(1, 40), min_size=1, max_size=25)))
+    )
+    services = [
+        MovingService(
+            id=f"s{i}",
+            trajectory=trajectory(draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))),
+            coverage_radius=15.0,
+            bandwidth_b=draw(st.floats(1e6, 9e6)),
+            max_concurrent_k=draw(st.integers(1, 4)),
+        )
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    return services, user
+
+
+def assert_scalar_qos(pairs, services, user, mode):
+    """Every emitted float equals the scalar functions' value for its pair."""
+    by_id = {s.id: s for s in services}
+    user_at = {int(p.t): p for p in user.trajectory.points}
+    for pair in pairs:
+        t, svc = pair.user_timestep, by_id[pair.service_id]
+        svc_pt = svc.trajectory.points[svc.trajectory.index_of(t)]
+        assert pair.distance == distance(user_at[t], svc_pt, mode)
+        s = strength(perpendicular_distance(svc_pt, user.trajectory, t, mode), QOS)
+        assert pair.qos.strength == s
+        assert pair.qos.capacity == capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
+
+
+def surviving_pairs(table):
+    return {(p.user_timestep, p.service_id) for ps in table.per_timestep.values() for p in ps}
+
+
+def stationary(x, y, n=2):
+    return traj([(t, x, y) for t in range(1, n + 1)])
+
+
+def edge_offsets(mode, dy):
+    """Adjacent x offsets from the origin user, at lateral offset dy, whose
+    scalar distance is just below and at or above r_s."""
+    x0, y0 = SYDNEY if mode is GPS else (0.0, 0.0)
+    r_s = QOS.sensing_radius_rs
+
+    def d(x):
+        return distance(TrajectoryPoint(1, x0, y0), TrajectoryPoint(1, x, y0 + dy), mode)
+
+    lo, hi = x0, x0 + (1.0 if mode is GPS else 2.0 * r_s)
+    assert d(lo) < r_s <= d(hi)
+    while np.nextafter(lo, hi) != hi:
+        mid = lo + (hi - lo) / 2.0
+        lo, hi = (mid, hi) if d(mid) < r_s else (lo, mid)
+    return (x0, y0), lo, hi
+
+
+class TestColumnarOracle:
+    """The columnar join and numpy prefilter against the brute-force references."""
+
+    @given(universes())
+    @settings(max_examples=150, deadline=None)
+    def test_planar_matches_brute_force(self, universe):
+        services, user = universe
+        assert joined_pairs(services, user) == nested_loop_join(services, user)
+        pairs = run_spatial(services, user)
+        assert {(p.user_timestep, p.service_id) for p in pairs} == brute_force_pairs(
+            services, user, 15.0
+        )
+        assert_scalar_qos(pairs, services, user, PLANAR)
+        validated, surviving = brute_force_validated(services, user, 15.0, w=2)
+        table = discover(services, user)
+        assert table.validated == validated
+        assert surviving_pairs(table) == surviving
+
+    @given(universes(gps=True))
+    @settings(max_examples=100, deadline=None)
+    def test_haversine_matches_great_circle_away_from_the_edge(self, universe):
+        services, user = universe
+        pairs = run_spatial(services, user, mode=GPS)
+        inside, edge = brute_force_gps_pairs(services, user, 15.0, edge_m=1e-6)
+        assert {(p.user_timestep, p.service_id) for p in pairs} - edge == inside
+        assert_scalar_qos(pairs, services, user, GPS)
+
+    @pytest.mark.parametrize("mode", [PLANAR, GPS])
+    @pytest.mark.parametrize("dy_fraction", [0.0, 0.3, 0.71])
+    def test_one_ulp_inside_and_outside_r_s(self, mode, dy_fraction):
+        dy = dy_fraction * (15.0 / M_PER_DEG if mode is GPS else 15.0)
+        (x0, y0), x_in, x_out = edge_offsets(mode, dy)
+        user = UserTrajectory(id="user:o", trajectory=stationary(x0, y0))
+        services = [
+            MovingService(id=sid, trajectory=stationary(x, y0 + dy), coverage_radius=15.0,
+                          bandwidth_b=4e6, max_concurrent_k=2)
+            for sid, x in (("in", x_in), ("out", x_out))
+        ]
+        table = discover(services, user, mode=mode)
+        assert table.validated == {"in": ((1, 2),)}
+        assert all(p.distance < 15.0 for ps in table.per_timestep.values() for p in ps)
+
+    @pytest.mark.parametrize("mode", [PLANAR, GPS])
+    def test_margin_covers_numpy_rounding(self, mode):
+        rng = np.random.default_rng(3)
+        n = 20_000
+        if mode is GPS:
+            ax, ay = rng.uniform(-180, 180, n), rng.uniform(-89, 89, n)
+            scale = rng.choice([1e-7, 1e-5, 1e-3, 1.0], n)
+            bx = np.clip(ax + rng.normal(0, 1, n) * scale, -180, 180)
+            by = np.clip(ay + rng.normal(0, 1, n) * scale, -90, 90)
+        else:
+            ax, ay = rng.uniform(-1e4, 1e4, (2, n))
+            scale = rng.choice([1e-3, 1.0, 20.0, 1e3], n)
+            bx, by = ax + rng.normal(0, 1, n) * scale, ay + rng.normal(0, 1, n) * scale
+        got = distances(ax, ay, bx, by, mode)
+        scalar = np.array([
+            distance(TrajectoryPoint(0, *a), TrajectoryPoint(0, *b), mode)
+            for a, b in zip(zip(ax.tolist(), ay.tolist()), zip(bx.tolist(), by.tolist()))
+        ])
+        assert np.all(np.abs(got - scalar) <= 1e-3 * DISK_MARGIN * scalar)
+
+    def test_empty_universe(self):
+        user = line_user(5)
+        table = discover([], user)
+        assert table.per_timestep == {} and table.validated == {}
+
+    def test_far_apart_timesteps_join_without_a_dense_index(self):
+        big = 10**15
+        user = UserTrajectory(
+            id="user:g", trajectory=traj([(1, 0, 0), (2, 10, 0), (big, 20, 0), (big + 1, 30, 0)])
+        )
+        svc = service_tracking(user, "a", 2, big + 1)
+        table = discover([svc], user)
+        assert table.validated == {"a": ((big, big + 1),)}
+        assert sorted(table.per_timestep) == [big, big + 1]
+
+    def test_timestep_beyond_int64_rejected(self):
+        user = line_user(3)
+        svc = MovingService(id="a", trajectory=traj([(1, 0, 0), (1e19, 0, 0)]), coverage_radius=15.0,
+                            bandwidth_b=4e6, max_concurrent_k=2)
+        with pytest.raises(InvalidInputError, match="64-bit"):
+            discover([svc], user)
+
+    def test_gps_range_checked_on_every_joined_pair(self):
+        user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
+        far = MovingService(id="far", trajectory=traj([(2, 200.0, 0.0)]), coverage_radius=15.0,
+                            bandwidth_b=4e6, max_concurrent_k=2)
+        with pytest.raises(InvalidInputError, match="200.0"):
+            discover([far], user, mode=GPS)
+        unjoined = MovingService(id="later", trajectory=traj([(9, 200.0, 0.0)]),
+                                 coverage_radius=15.0, bandwidth_b=4e6, max_concurrent_k=2)
+        assert discover([unjoined], user, mode=GPS).validated == {}
+
+    def test_joined_timestep_without_exact_user_sample(self):
+        user = UserTrajectory(id="user:f", trajectory=traj([(1.5, 0, 0), (2.5, 0, 0)]))
+        svc = MovingService(id="a", trajectory=traj([(1, 100, 0)]), coverage_radius=15.0,
+                            bandwidth_b=4e6, max_concurrent_k=2)
+        with pytest.raises(OutOfRangeError, match="timestep 1$"):
+            discover([svc], user)

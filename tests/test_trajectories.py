@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,13 @@ class TestCsvRoundTrip:
         path2 = tmp_path / "t2.csv"
         dump_trajectories_csv(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("row", ["a,1,2", "a,1,zz,3", "a,,2,3"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,t,x,y\na,0,1,1\n{row}\n")
+        with pytest.raises(InvalidInputError, match=rf"{re.escape(str(path))}.*line 3"):
+            load_trajectories_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
