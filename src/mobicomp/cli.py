@@ -141,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="accuracy / timing / convergence reports")
     p.add_argument("--scenario", required=True)
     p.add_argument("--mode", choices=["accuracy", "timing", "convergence"], required=True)
-    p.add_argument("--out", required=True, help="report JSON path")
+    p.add_argument(
+        "--out", required=True,
+        help="report JSON path; its per-point series goes beside it as <stem>.series.csv",
+    )
     p.add_argument("--counts", type=int, nargs="+", help="sweep points (trajectories or services)")
     p.add_argument("--require-accuracy", type=float, help="exit non-zero below this accuracy")
     p.add_argument("--lenient-validity", action="store_true", help="count any valid pick as correct")
@@ -258,7 +261,9 @@ def _cmd_discover(args) -> int:
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
-        table = env.table_for(user)
+        # each user is visited once: no Environment cache, so the table is
+        # freed once its block is built
+        table = oracle_mod.discover_parallel(env.universe, user, env.qos_params, env.w, env.mode)
         plan = oracle_mod.optimal_plan(
             table, user, reward_scale=env.reward_scale, dummy_reward=scenario.rewards.dummy
         )
@@ -383,7 +388,7 @@ def _cmd_evaluate(args) -> int:
     atomic_write_text(out, dump_json(payload))
     buf = io.StringIO()
     csv.writer(buf).writerows(series)
-    atomic_write_text(out.parent / "series.csv", buf.getvalue())
+    atomic_write_text(out.with_name(f"{out.stem}.series.csv"), buf.getvalue())
     if not args.quiet:
         _summary("evaluate", **summary_kv, out=out)
     return exit_code

@@ -21,6 +21,7 @@ import numpy as np
 
 from .environment import Extents, RewardScheme
 from .errors import InvalidInputError
+from .ioutil import atomic_write_text, dump_json
 from .qos import QosParams
 from .trajectories import (
     USER_ID_PREFIX,
@@ -296,15 +297,14 @@ def write_scenario_bundle(
     rewards: RewardScheme = RewardScheme(),
     seed: int = 0,
 ) -> Path:
-    """Write services.csv, users.csv, scenario.json, and manifest.json."""
+    """Write services.csv, users.csv, scenario.json, and manifest.json, each
+    atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dump_trajectories_csv([(s.id, s.trajectory) for s in services], out / "services.csv")
     dump_trajectories_csv([(u.id, u.trajectory) for u in users], out / "users.csv")
     config = _scenario_config(services, qos_params, w, mode, rewards, seed)
-    (out / "scenario.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(out / "scenario.json", dump_json(config))
     extents = Extents.from_universe(services, users)
     manifest = {
         "distance_mode": mode.value,
@@ -313,16 +313,34 @@ def write_scenario_bundle(
         "n_users": len(users),
         "seed": seed,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(out / "manifest.json", dump_json(manifest))
     return out / "scenario.json"
+
+
+def _number(path: Path, section: dict, key: str, default=None, kind=float, where: str = ""):
+    """``kind`` of ``section[key]``, or of ``default`` when the key is absent;
+    with no default the key is required. A missing key or a value that is not
+    a number is an ``InvalidInputError`` naming the file and the key."""
+    if key not in section and default is None:
+        raise InvalidInputError(f"{path}: missing key {key!r}{where}")
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{path}: {key}{where} must be a number, got {value!r}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario.json and its referenced trajectory CSVs."""
     path = Path(path)
-    cfg = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
     base = path.parent
     try:
         mode = DistanceMode(cfg["distance_mode"])
@@ -332,20 +350,20 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
     qos_cfg = cfg.get("qos", {})
-    r_s = float(qos_cfg.get("r_s_meters", 20.0))
+    r_s = _number(path, qos_cfg, "r_s_meters", 20.0)
     if "r_c_meters" in qos_cfg or "decay_k" in qos_cfg:
         defaults = QosParams.defaults_for(r_s)
         qos_params = QosParams(
-            confident_radius_rc=float(qos_cfg.get("r_c_meters", defaults.confident_radius_rc)),
-            decay_k=float(qos_cfg.get("decay_k", defaults.decay_k)),
+            confident_radius_rc=_number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc),
+            decay_k=_number(path, qos_cfg, "decay_k", defaults.decay_k),
             sensing_radius_rs=r_s,
         )
     else:
         qos_params = QosParams.defaults_for(r_s)
     rewards_cfg = cfg.get("rewards", {})
     rewards = RewardScheme(
-        dummy=float(rewards_cfg.get("dummy", -1.0)),
-        invalid=float(rewards_cfg.get("invalid", -10.0)),
+        dummy=_number(path, rewards_cfg, "dummy", -1.0),
+        invalid=_number(path, rewards_cfg, "invalid", -10.0),
     )
     default_qos = cfg.get("default_service_qos", DEFAULT_SERVICE_QOS)
     service_qos = cfg.get("service_qos", {})
@@ -353,17 +371,14 @@ def load_scenario(path: str | Path) -> Scenario:
     services = []
     for sid, traj in load_trajectories_csv(services_csv):
         entry = service_qos.get(sid, default_qos)
-        try:
-            bandwidth_b, max_concurrent_k = entry["bandwidth_bps"], entry["max_concurrent"]
-        except KeyError as exc:
-            raise InvalidInputError(f"{path}: missing key {exc} for service {sid}") from None
+        where = f" for service {sid}"
         services.append(
             MovingService(
                 id=sid,
                 trajectory=traj,
                 coverage_radius=r_s,
-                bandwidth_b=float(bandwidth_b),
-                max_concurrent_k=int(max_concurrent_k),
+                bandwidth_b=_number(path, entry, "bandwidth_bps", where=where),
+                max_concurrent_k=_number(path, entry, "max_concurrent", kind=int, where=where),
             )
         )
     users = [
@@ -374,10 +389,10 @@ def load_scenario(path: str | Path) -> Scenario:
         services=services,
         users=users,
         qos_params=qos_params,
-        w=int(cfg.get("w", 2)),
+        w=_number(path, cfg, "w", 2, kind=int),
         mode=mode,
         rewards=rewards,
-        seed=int(cfg.get("seed", 0)),
+        seed=_number(path, cfg, "seed", 0, kind=int),
     )
 
 

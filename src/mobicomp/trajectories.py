@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError
+from .ioutil import atomic_write_bytes
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
 
@@ -205,21 +207,27 @@ def is_user_id(ident: str) -> bool:
 
 
 def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path) -> None:
-    """Write the canonical ``id,t,x,y`` CSV (UTF-8, '.' decimal separator)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "t", "x", "y"])
-        for ident, traj in items:
-            for p in traj.points:
-                t = int(p.t) if float(p.t).is_integer() else p.t
-                w.writerow([ident, repr(t) if isinstance(t, float) else t, repr(p.x), repr(p.y)])
+    """Atomically write the canonical ``id,t,x,y`` CSV (UTF-8, '.' decimal
+    separator)."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["id", "t", "x", "y"])
+    for ident, traj in items:
+        for p in traj.points:
+            t = int(p.t) if float(p.t).is_integer() else p.t
+            w.writerow([ident, repr(t) if isinstance(t, float) else t, repr(p.x), repr(p.y)])
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
     """Read a canonical trajectory CSV; one entry per id, in file order."""
     order: list[str] = []
     buckets: dict[str, list[TrajectoryPoint]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,18 @@ def test_gen_writes_bundle_with_meta(bundle):
     assert meta["seed"] == SPEC["seed"]
 
 
+def test_gen_bundle_files_share_one_mode(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    old = os.umask(0o022)
+    try:
+        assert dispatch(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("services.csv", "users.csv", "scenario.json", "manifest.json", "meta.json"):
+        assert os.stat(tmp_path / "b" / name).st_mode & 0o777 == 0o644, name
+
+
 def test_gen_explicit_seed_overrides_spec(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
@@ -120,6 +133,17 @@ def test_unknown_user_is_domain_error(bundle, tmp_path):
     assert code == 1
 
 
+def test_missing_scenario_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code = dispatch(
+        ["discover", "--scenario", str(missing), "--out", str(tmp_path / "d.json"), "--quiet"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidInputError: ")
+    assert str(missing) in err[0]
+
+
 def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):
     scenario = str(bundle / "scenario.json")
     model = tmp_path / "model.ckpt"
@@ -147,8 +171,25 @@ def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["mode"] == "accuracy"
     assert 0.0 <= report["accuracy"] <= 1.0
-    series = (tmp_path / "series.csv").read_text().splitlines()
+    series = (tmp_path / "report.series.csv").read_text().splitlines()
     assert series[0] == "trajectory_count,accuracy,error"
+
+
+def test_evaluate_reports_in_one_directory_keep_their_series(bundle, tmp_path):
+    scenario = str(bundle / "scenario.json")
+    common = ["--scenario", scenario, "--counts", "2", "--quiet", *FAST_FLAGS]
+    assert dispatch(
+        ["evaluate", "--mode", "accuracy", "--out", str(tmp_path / "acc.json"), *common]
+    ) == 0
+    assert dispatch(
+        ["evaluate", "--mode", "timing", "--repeats", "1", "--out", str(tmp_path / "time.json"),
+         *common]
+    ) == 0
+    acc = (tmp_path / "acc.series.csv").read_text().splitlines()
+    timing = (tmp_path / "time.series.csv").read_text().splitlines()
+    assert acc[0] == "trajectory_count,accuracy,error"
+    assert timing[0] == "n_services,phase,wall_seconds"
+    assert not (tmp_path / "series.csv").exists()
 
 
 def test_evaluate_threshold_gates_exit_code(bundle, tmp_path):

@@ -143,6 +143,54 @@ class TestScenarioBundle:
         with pytest.raises(InvalidInputError, match=f"{re.escape(str(path))}.*{keys[-1]}"):
             load_scenario(path)
 
+    def test_missing_file_names_the_file(self, tmp_path):
+        path = tmp_path / "nonexistent.json"
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            load_scenario(path)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("{not json")
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            load_scenario(path)
+
+    def test_missing_csv_names_the_csv(self, tmp_path):
+        services, users = generate(small_spec())
+        path = write_scenario_bundle(
+            tmp_path, services, users, QosParams.defaults_for(20.0), 2,
+            DistanceMode.PLANAR_EUCLIDEAN,
+        )
+        (tmp_path / "users.csv").unlink()
+        with pytest.raises(InvalidInputError, match=re.escape(str(tmp_path / "users.csv"))):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("w",),
+            ("seed",),
+            ("qos", "r_s_meters"),
+            ("qos", "decay_k"),
+            ("rewards", "dummy"),
+            ("service_qos", "s0000", "bandwidth_bps"),
+            ("service_qos", "s0000", "max_concurrent"),
+        ],
+    )
+    def test_non_numeric_value_names_file_and_key(self, tmp_path, keys):
+        services, users = generate(small_spec())
+        path = write_scenario_bundle(
+            tmp_path, services, users, QosParams.defaults_for(20.0), 2,
+            DistanceMode.PLANAR_EUCLIDEAN,
+        )
+        cfg = json.loads(path.read_text())
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = "two"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(InvalidInputError, match=f"{re.escape(str(path))}.*{keys[-1]}"):
+            load_scenario(path)
+
     def test_default_spec_is_desk_scale(self):
         spec = default_scenario_spec()
         assert (spec.n_services, spec.n_users, spec.timestep_count) == (200, 100, 500)

@@ -1,0 +1,184 @@
+import enum
+import json
+import math
+import os
+from collections import OrderedDict, namedtuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobicomp import oracle
+from mobicomp.ioutil import atomic_write_bytes, atomic_write_text, dump_json
+
+from conftest import line_user, make_env, service_tracking
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Tag(str):
+    pass
+
+
+class Bag(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 1.5e300, math.nan, math.inf, -math.inf]
+)
+texts = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "é", " ", "\U0001f600", '"\\/'])
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, True, False])
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | floats
+    | texts
+    | st.sampled_from(list(Level))
+    | floats.map(np.float64)
+    | texts.map(Tag)
+)
+# Keys json converts: str and its subclass, int, float, bool and None. Keys
+# of one dict are mutually orderable, as sorting needs (None only alone).
+key_sets = st.one_of(
+    st.lists(texts | texts.map(Tag), max_size=6),
+    st.lists(st.integers() | floats | st.booleans() | st.sampled_from(list(Level)), max_size=6),
+    st.lists(st.none(), max_size=1),
+)
+
+
+def dicts(children):
+    def build(keys):
+        return st.lists(children, min_size=len(keys), max_size=len(keys)).map(
+            lambda vals: dict(zip(keys, vals))
+        )
+
+    return key_sets.flatmap(build)
+
+
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(Row),
+        st.tuples(children, children).map(lambda t: Pair(*t)),
+        dicts(children),
+        dicts(children).map(Bag),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(values)
+    def test_equals_json_dumps(self, obj):
+        assert dump_json(obj) == reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[]], "d": [{}]},
+            {"a%s": 1, "%%": "%d", "{0}": "{}"},
+            {1: "int", 2: [3]},
+            {1.5: 0, -0.0: 1, 1e16: 2},
+            {math.nan: 0},
+            {math.inf: 1, -math.inf: 2},
+            {True: 1, False: 0},
+            {None: None},
+            [{"k": 1}, {1: 2}, {True: 3}, {1.0: 4}, {"k": [5]}],
+            [True, 1, False, 0, 1.0, 0.0],
+            {Level.LOW: Level.HIGH},
+            [np.float64(0.1), np.float64("nan"), np.float64("-inf")],
+            OrderedDict([("b", 1), ("a", 2)]),
+            Bag(z=Bag(), y=Row([1, Row()])),
+            Pair(left=[1], right={"x": Tag("y")}),
+            {"deep": {"er": {"est": [[[{"x": [1, {"y": []}]}]]]}}},
+            "top-level é",
+            12345678901234567890123456789,
+            -1.5e-10,
+            None,
+        ],
+    )
+    def test_examples(self, obj):
+        assert dump_json(obj) == reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            np.int64(3),
+            {1, 2},
+            object(),
+            [1, {"nested": np.int64(3)}],
+            {"a": 1, 2: "b"},
+            [{None: 1, 1: 2}],
+            {(1, 2): "tuple key"},
+            {"b": {b"bytes"}},
+        ],
+    )
+    def test_refuses_what_json_refuses(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json(obj)
+
+    def test_discover_payload(self):
+        user = line_user(30)
+        services = [
+            service_tracking(user, "sA", 1, 20, offset_y=2.0),
+            service_tracking(user, "sB", 5, 30, offset_y=-5.0, bandwidth=7e6),
+            service_tracking(user, "sC", 12, 26, offset_y=9.0, k=3),
+        ]
+        env = make_env(services, [user])
+        table = env.table_for(user)
+        plan = oracle.optimal_plan(table, user, reward_scale=env.reward_scale, dummy_reward=-1.0)
+        payload = {
+            "meta": {"tool": "mobicomp", "seed": 7, "input_hashes": {"scenario.json": "ab" * 32}},
+            "users": [{"user_id": user.id, "steps": oracle.table_plan_json(table, plan, user)}],
+        }
+        assert sum(len(s["candidates"]) for s in payload["users"][0]["steps"]) > 20
+        assert dump_json(payload) == reference(payload)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002], ids=lambda m: f"{m:03o}")
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "a.bin", b"x")
+            atomic_write_text(tmp_path / "b.txt", "y")
+            with open(tmp_path / "c.txt", "w") as fh:
+                fh.write("z")
+        finally:
+            os.umask(old)
+        want = os.stat(tmp_path / "c.txt").st_mode & 0o777
+        assert want == 0o666 & ~umask
+        for name in ("a.bin", "b.txt"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == want
+
+    def test_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        atomic_write_text(path, "old")
+        atomic_write_text(path, "new")
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
