@@ -5,20 +5,16 @@ Training walks each user trajectory ``repetition`` times, storing full
 transition tuples in a ring buffer. Once the buffer first fills, and again
 after every ``train_interval`` new experiences, the network trains for one
 pass of uniformly sampled minibatches and the exploration rate decays by
-``epsilon_decay`` (floored at ``epsilon_min``). Bootstrapping uses the same
-network by default; a stabilising target-network clone is available behind
-configuration and off by default.
+``epsilon_decay`` (floored at ``epsilon_min``). Bootstrapping uses the
+network being trained.
 """
 
 from __future__ import annotations
 
-import copy
-import csv
 import json
 import math
 import struct
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +22,7 @@ from . import network
 from .environment import Environment, Extents, encode_state
 from .errors import CheckpointError, ConfigError, InvalidInputError
 from .network import NetworkSpec, NetworkState
-from .oracle import DUMMY_SERVICE, CompositionPlan, PlanStep
+from .oracle import CompositionPlan, PlanStep
 from .trajectories import UserTrajectory
 
 _MODEL_MAGIC = b"MPOL"
@@ -46,10 +42,7 @@ class AgentConfig:
     train_interval: int = 128  # new experiences between training passes
     hidden_layers: tuple[int, ...] = (512, 512, 512)
     dropout_p: float = 0.5
-    optimizer: str = "adam"
     seed: int = 0
-    use_target_network: bool = False
-    target_sync_every: int = 8  # training passes between target clones
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
@@ -145,7 +138,6 @@ def q_targets(
     model: PolicyModel,
     batch: list[Experience],
     gamma: float,
-    bootstrap_net: NetworkState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Target matrix for one minibatch, plus the stacked input states.
 
@@ -156,11 +148,10 @@ def q_targets(
     if not batch:
         raise InvalidInputError("q_targets needs a non-empty batch")
     net = model.network
-    boot = bootstrap_net if bootstrap_net is not None else net
     states = np.stack([e.state for e in batch])
     next_states = np.stack([e.next_state for e in batch])
     preds = network.forward(net, states, train_mode=False)
-    next_q = network.forward(boot, next_states, train_mode=False)
+    next_q = network.forward(net, next_states, train_mode=False)
     targets = np.array(preds, copy=True)
     for i, e in enumerate(batch):
         bootstrap = 0.0 if e.done else gamma * float(np.max(next_q[i]))
@@ -173,14 +164,13 @@ def _train_pass(
     memory: ReplayMemory,
     config: AgentConfig,
     rng: np.random.Generator,
-    bootstrap_net: NetworkState | None,
 ) -> float:
     """One pass of uniformly sampled minibatches over the memory; mean loss."""
     n_batches = max(1, memory.capacity // config.batch_size)
     losses = []
     for _ in range(n_batches):
         batch = memory.sample(config.batch_size, rng)
-        targets, states = q_targets(model, batch, config.gamma, bootstrap_net)
+        targets, states = q_targets(model, batch, config.gamma)
         losses.append(network.train_batch(model.network, states, targets, config.lr))
     return float(np.mean(losses))
 
@@ -205,9 +195,8 @@ def train(
         output_dim=env.n_actions,
         dropout_p=config.dropout_p,
     )
-    net = network.init_network(spec, seed=net_seed, optimizer=config.optimizer)
+    net = network.init_network(spec, seed=net_seed)
     model = PolicyModel(network=net, action_ids=env.action_ids, extents=env.extents)
-    target_net = copy.deepcopy(net) if config.use_target_network else None
 
     memory = ReplayMemory(config.memory_capacity)
     epsilon = config.epsilon_start
@@ -215,7 +204,6 @@ def train(
     episode = 0
     new_since_train = 0
     trained_once = False
-    train_passes = 0
 
     for user in users:
         for _ in range(config.repetition):
@@ -241,13 +229,10 @@ def train(
             episode += 1
             loss = math.nan
             if memory.full and (not trained_once or new_since_train >= config.train_interval):
-                loss = _train_pass(model, memory, config, rng, target_net)
+                loss = _train_pass(model, memory, config, rng)
                 trained_once = True
                 new_since_train = 0
-                train_passes += 1
                 epsilon = max(config.epsilon_min, epsilon * config.epsilon_decay)
-                if target_net is not None and train_passes % config.target_sync_every == 0:
-                    target_net = copy.deepcopy(model.network)
             logs.append(EpisodeLog(episode=episode, cum_reward=cum, epsilon=epsilon, loss=loss))
     return TrainResult(model=model, log=logs)
 
@@ -292,7 +277,7 @@ def save_model(model: PolicyModel) -> bytes:
     header = json.dumps(
         {
             "action_ids": list(model.action_ids),
-            "extents": model.extents.to_dict(),
+            "extents": asdict(model.extents),
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -318,29 +303,14 @@ def load_model(data: bytes) -> PolicyModel:
     (hlen,) = struct.unpack("<I", data[8:12])
     if 12 + hlen + 4 > len(data):
         raise CheckpointError("truncated policy model header")
-    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+        action_ids = tuple(header["action_ids"])
+        extents = Extents.from_dict(header["extents"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"bad policy model header: {exc!r}") from None
     (nlen,) = struct.unpack("<I", data[12 + hlen : 16 + hlen])
     blob = data[16 + hlen : 16 + hlen + nlen]
     if len(blob) != nlen or 16 + hlen + nlen != len(data):
         raise CheckpointError("truncated or oversized policy model payload")
-    return PolicyModel(
-        network=network.load(blob),
-        action_ids=tuple(header["action_ids"]),
-        extents=Extents.from_dict(header["extents"]),
-    )
-
-
-def write_model(model: PolicyModel, path: str | Path) -> None:
-    Path(path).write_bytes(save_model(model))
-
-
-def read_model(path: str | Path) -> PolicyModel:
-    return load_model(Path(path).read_bytes())
-
-
-def write_training_log(logs: list[EpisodeLog], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "cum_reward", "epsilon", "loss"])
-        for row in logs:
-            w.writerow([row.episode, repr(row.cum_reward), repr(row.epsilon), repr(row.loss)])
+    return PolicyModel(network=network.load(blob), action_ids=action_ids, extents=extents)

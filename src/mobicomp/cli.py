@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -32,15 +33,20 @@ from .datasets import (
     split_train_test,
     write_scenario_bundle,
 )
-from .environment import RewardScheme
 from .errors import InvalidInputError, MobicompError
-from .ioutil import atomic_write_bytes, atomic_write_text, dump_json, sha256_file
+from .ioutil import (
+    atomic_write_bytes,
+    atomic_write_text,
+    dump_json,
+    read_input,
+    read_json_object,
+    sha256_file,
+)
 from .qos import QosParams
 from .trajectories import (
     USER_ID_PREFIX,
     DistanceMode,
     MovingService,
-    Trajectory,
     UserTrajectory,
 )
 
@@ -158,9 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.spec:
-        import json
-
-        spec = ScenarioSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        try:
+            spec = ScenarioSpec.from_dict(read_json_object(args.spec))
+        except TypeError as exc:  # missing or unknown fields, or values of the wrong type
+            raise InvalidInputError(f"{args.spec}: bad scenario spec: {exc}") from None
         if args.seed is not None:
             spec.seed = args.seed
         inputs = [args.spec]
@@ -204,7 +211,6 @@ def _cmd_ingest(args) -> int:
         MovingService(
             id=sid,
             trajectory=by_id[sid],
-            coverage_radius=args.r_s,
             bandwidth_b=5_000_000.0,
             max_concurrent_k=2,
         )
@@ -263,7 +269,7 @@ def _cmd_discover(args) -> int:
     for user in users:
         # each user is visited once: no Environment cache, so the table is
         # freed once its block is built
-        table = oracle_mod.discover_parallel(env.universe, user, env.qos_params, env.w, env.mode)
+        table = oracle_mod.discover(env.universe, user, env.qos_params, env.w, env.mode)
         plan = oracle_mod.optimal_plan(
             table, user, reward_scale=env.reward_scale, dummy_reward=scenario.rewards.dummy
         )
@@ -302,7 +308,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
-    model = agent_mod.read_model(args.model)
+    model = agent_mod.load_model(read_input(args.model))
     users = _select_users(scenario, args.user)
     env = eval_mod.build_environment(scenario)
     blocks = []
@@ -362,7 +368,7 @@ def _cmd_evaluate(args) -> int:
         payload = {
             "meta": meta,
             "mode": "accuracy",
-            "points": [p.to_dict() for p in points],
+            "points": [asdict(p) for p in points],
             "accuracy": headline.accuracy,
         }
         series = _series_csv_rows("accuracy", points)
@@ -372,13 +378,13 @@ def _cmd_evaluate(args) -> int:
     elif args.mode == "timing":
         counts = args.counts or [len(scenario.services)]
         reports = eval_mod.run_timing(scenario, counts, config, repeats=args.repeats)
-        payload = {"meta": meta, "mode": "timing", "reports": [r.to_dict() for r in reports]}
+        payload = {"meta": meta, "mode": "timing", "reports": [asdict(r) for r in reports]}
         series = _series_csv_rows("timing", reports)
         summary_kv = dict(mode="timing", points=len(reports))
     else:
         counts = args.counts or [len(scenario.services)]
         reports = eval_mod.run_convergence(scenario, counts, config)
-        payload = {"meta": meta, "mode": "convergence", "reports": [r.to_dict() for r in reports]}
+        payload = {"meta": meta, "mode": "convergence", "reports": [asdict(r) for r in reports]}
         series = _series_csv_rows("convergence", reports)
         summary_kv = dict(
             mode="convergence",

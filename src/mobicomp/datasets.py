@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .environment import Extents, RewardScheme
+from .environment import RewardScheme
 from .errors import InvalidInputError
-from .ioutil import atomic_write_text, dump_json
+from .ioutil import atomic_write_text, dump_json, read_json_object
 from .qos import QosParams
 from .trajectories import (
     USER_ID_PREFIX,
@@ -64,24 +63,6 @@ class ScenarioSpec:
             raise InvalidInputError(f"bad speed_range {self.speed_range}")
         if self.mobility_model not in ("random_waypoint", "corridor_flow"):
             raise InvalidInputError(f"unknown mobility model {self.mobility_model!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_services": self.n_services,
-            "n_users": self.n_users,
-            "area": list(self.area),
-            "timestep_count": self.timestep_count,
-            "speed_range": list(self.speed_range),
-            "seed": self.seed,
-            "mobility_model": self.mobility_model,
-            "coroute_fraction": self.coroute_fraction,
-            "jitter_m": self.jitter_m,
-            "corridor_count": self.corridor_count,
-            "bandwidth_range_bps": list(self.bandwidth_range_bps),
-            "max_concurrent_choices": list(self.max_concurrent_choices),
-            "r_s_meters": self.r_s_meters,
-            "w": self.w,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
@@ -238,7 +219,6 @@ def generate(spec: ScenarioSpec) -> tuple[list[MovingService], list[UserTrajecto
             MovingService(
                 id=f"s{j:04d}",
                 trajectory=Trajectory(tuple(pts)),
-                coverage_radius=spec.r_s_meters,
                 bandwidth_b=bw,
                 max_concurrent_k=k,
             )
@@ -297,23 +277,13 @@ def write_scenario_bundle(
     rewards: RewardScheme = RewardScheme(),
     seed: int = 0,
 ) -> Path:
-    """Write services.csv, users.csv, scenario.json, and manifest.json, each
-    atomically."""
+    """Write services.csv, users.csv and scenario.json, each atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dump_trajectories_csv([(s.id, s.trajectory) for s in services], out / "services.csv")
     dump_trajectories_csv([(u.id, u.trajectory) for u in users], out / "users.csv")
     config = _scenario_config(services, qos_params, w, mode, rewards, seed)
     atomic_write_text(out / "scenario.json", dump_json(config))
-    extents = Extents.from_universe(services, users)
-    manifest = {
-        "distance_mode": mode.value,
-        "extents": extents.to_dict(),
-        "n_services": len(services),
-        "n_users": len(users),
-        "seed": seed,
-    }
-    atomic_write_text(out / "manifest.json", dump_json(manifest))
     return out / "scenario.json"
 
 
@@ -333,14 +303,7 @@ def _number(path: Path, section: dict, key: str, default=None, kind=float, where
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario.json and its referenced trajectory CSVs."""
     path = Path(path)
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise InvalidInputError(f"{path}: expected a JSON object")
+    cfg = read_json_object(path)
     base = path.parent
     try:
         mode = DistanceMode(cfg["distance_mode"])
@@ -376,7 +339,6 @@ def load_scenario(path: str | Path) -> Scenario:
             MovingService(
                 id=sid,
                 trajectory=traj,
-                coverage_radius=r_s,
                 bandwidth_b=_number(path, entry, "bandwidth_bps", where=where),
                 max_concurrent_k=_number(path, entry, "max_concurrent", kind=int, where=where),
             )

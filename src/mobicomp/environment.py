@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ProtocolError
-from .oracle import DUMMY_SERVICE, CandidateTable, ServiceColumns, discover_parallel
+from .oracle import DUMMY_SERVICE, CandidateTable, ServiceColumns, discover
 from .qos import QosParams, reward_scale
 from .trajectories import DistanceMode, MovingService, TrajectoryPoint, UserTrajectory
 
@@ -45,13 +45,6 @@ class Extents:
             y_min=float(min(p.y for p in pts)),
             y_max=float(max(p.y for p in pts)),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "t_min": self.t_min, "t_max": self.t_max,
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Extents":
@@ -137,7 +130,7 @@ class Environment:
     def table_for(self, user: UserTrajectory) -> CandidateTable:
         table = self._tables.get(user)
         if table is None:
-            table = discover_parallel(self.universe, user, self.qos_params, self.w, self.mode)
+            table = discover(self.universe, user, self.qos_params, self.w, self.mode)
             self._tables[user] = table
         return table
 
@@ -149,9 +142,6 @@ class Environment:
         self._cursor = 0
         self._done = False
         return encode_state(user.trajectory.points[0], self.extents)
-
-    def current_timestep(self) -> int:
-        return int(self._user.trajectory.points[self._cursor].t)
 
     def validated_at(self, t: int):
         return self._table.validated_at(t)

@@ -1,13 +1,15 @@
 """Evaluation harness: per-timestep accuracy against the oracle plan, wall
 clock timing of discovery vs. agent selection, and convergence detection on
-training logs. Reports are plain dicts-of-scalars that serialize to JSON and
-companion CSV series ready for any plotting tool.
+training logs. Reports are dataclasses of scalars that serialize to JSON
+through ``dataclasses.asdict``, with companion CSV series ready for any
+plotting tool.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,25 +36,6 @@ class AccuracyReport:
     error: float
     per_trajectory: dict[str, dict] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "correct_selections": self.correct_selections,
-            "valid_samples": self.valid_samples,
-            "accuracy": self.accuracy,
-            "error": self.error,
-            "per_trajectory": self.per_trajectory,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccuracyReport":
-        return cls(
-            correct_selections=int(d["correct_selections"]),
-            valid_samples=int(d["valid_samples"]),
-            accuracy=float(d["accuracy"]),
-            error=float(d["error"]),
-            per_trajectory=dict(d.get("per_trajectory", {})),
-        )
-
 
 @dataclass
 class TimingReport:
@@ -63,16 +46,6 @@ class TimingReport:
     n_timesteps: int
     samples: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "wall_seconds": self.wall_seconds,
-            "n_services": self.n_services,
-            "n_users": self.n_users,
-            "n_timesteps": self.n_timesteps,
-            "samples": list(self.samples),
-        }
-
 
 @dataclass
 class ConvergenceReport:
@@ -81,15 +54,6 @@ class ConvergenceReport:
     convergence_round: int
     converged: bool
     final_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_services": self.n_services,
-            "series": [[r, v] for r, v in self.series],
-            "convergence_round": self.convergence_round,
-            "converged": self.converged,
-            "final_value": self.final_value,
-        }
 
 
 def _count_plan(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool):
@@ -198,9 +162,6 @@ class SweepPoint:
     trajectory_count: int
     report: AccuracyReport
 
-    def to_dict(self) -> dict:
-        return {"trajectory_count": self.trajectory_count, "report": self.report.to_dict()}
-
 
 def run_accuracy_sweep(
     scenario: Scenario,
@@ -225,12 +186,6 @@ def run_accuracy_sweep(
     return points
 
 
-def _median(xs: list[float]) -> float:
-    s = sorted(xs)
-    n = len(s)
-    return s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2])
-
-
 def run_timing(
     scenario: Scenario,
     service_counts: list[int],
@@ -246,15 +201,7 @@ def run_timing(
     all_services = sorted(scenario.services, key=lambda s: s.id)
     for count in service_counts:
         services = all_services[:count]
-        sub = Scenario(
-            services=services,
-            users=scenario.users,
-            qos_params=scenario.qos_params,
-            w=scenario.w,
-            mode=scenario.mode,
-            rewards=scenario.rewards,
-            seed=scenario.seed,
-        )
+        sub = replace(scenario, services=services)
         train_users, test_users = split_train_test(sub.users, seed=config.seed)
         probe = (test_users or train_users)[0]
         n_steps = len(probe.trajectory)
@@ -263,7 +210,7 @@ def run_timing(
         for _ in range(repeats):
             # a cold discovery builds the columnar universe too
             t0 = time.perf_counter()
-            oracle_mod.discover_parallel(
+            oracle_mod.discover(
                 oracle_mod.ServiceColumns(services), probe, sub.qos_params, sub.w, sub.mode
             )
             oracle_times.append(time.perf_counter() - t0)
@@ -283,7 +230,7 @@ def run_timing(
         reports.append(
             TimingReport(
                 phase="oracle_discovery",
-                wall_seconds=_median(oracle_times),
+                wall_seconds=statistics.median(oracle_times),
                 samples=oracle_times,
                 **info,
             )
@@ -299,7 +246,7 @@ def run_timing(
         reports.append(
             TimingReport(
                 phase="agent_selection",
-                wall_seconds=_median(select_times),
+                wall_seconds=statistics.median(select_times),
                 samples=select_times,
                 **info,
             )
@@ -345,15 +292,7 @@ def run_convergence(
     reports = []
     all_services = sorted(scenario.services, key=lambda s: s.id)
     for count in service_counts:
-        sub = Scenario(
-            services=all_services[:count],
-            users=scenario.users,
-            qos_params=scenario.qos_params,
-            w=scenario.w,
-            mode=scenario.mode,
-            rewards=scenario.rewards,
-            seed=scenario.seed,
-        )
+        sub = replace(scenario, services=all_services[:count])
         result, _, _ = train_on_scenario(sub, config, train_users=sub.users)
         rewards = [row.cum_reward for row in result.log]
         ma = moving_average(rewards)

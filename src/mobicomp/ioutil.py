@@ -7,11 +7,14 @@ sort_keys=True) + "\\n"``; ``dump_json`` produces it in one pass (see there).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
+
+from .errors import InvalidInputError
 
 
 def _umask() -> int:
@@ -194,6 +197,28 @@ def dump_json(obj) -> str:
     container(obj, 0, "")
     append("\n")
     return "".join(out)
+
+
+def read_input(path: str | Path) -> bytes:
+    """The bytes of an input file; a missing or unreadable file is an
+    ``InvalidInputError`` naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The object a UTF-8 JSON file holds; a file that is unreadable, not
+    valid JSON or not an object is an ``InvalidInputError`` naming it."""
+    data = read_input(path)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    return doc
 
 
 def sha256_file(path: str | Path) -> str:

@@ -14,7 +14,7 @@ over at least ``w`` strictly consecutive timesteps.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,26 +47,18 @@ class SpatialCandidatePair:
 class CandidateTable:
     """Validated pairing of services against one user trajectory.
 
-    ``per_timestep`` holds the surviving pairs grouped by user timestep (only
-    timesteps with at least one pair appear); ``validated`` maps service id to
-    its maximal consecutive runs [start, end], each of length >= w.
+    ``per_timestep`` maps each user timestep with at least one surviving pair
+    to those pairs keyed by service id, in service-id order; ``validated``
+    maps service id to its maximal consecutive runs [start, end], each of
+    length >= w.
     """
 
-    per_timestep: dict[int, tuple[SpatialCandidatePair, ...]]
+    per_timestep: dict[int, dict[str, SpatialCandidatePair]]
     validated: dict[str, tuple[tuple[int, int], ...]]
-    _by_step: dict[int, dict[str, SpatialCandidatePair]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        lookup = {
-            t: {p.service_id: p for p in pairs} for t, pairs in self.per_timestep.items()
-        }
-        object.__setattr__(self, "_by_step", lookup)
 
     def validated_at(self, t: int) -> dict[str, SpatialCandidatePair]:
         """Validated candidates covering timestep t, keyed by service id."""
-        return self._by_step.get(t, {})
+        return self.per_timestep.get(t, {})
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,6 @@ class CompositionPlan:
 
     def total_reward(self) -> float:
         return sum(s.reward for s in self.steps)
-
-    def service_capacities(self) -> list[float]:
-        return [s.capacity for s in self.steps if s.chosen != DUMMY_SERVICE]
 
 
 # Relative widening of the search disk for the numpy prefilter. numpy's
@@ -282,7 +271,7 @@ def reduce_validate(pairs: list[SpatialCandidatePair], w: int) -> CandidateTable
     for p in surviving:
         per_timestep.setdefault(p.user_timestep, []).append(p)
     grouped = {
-        t: tuple(sorted(per_timestep[t], key=lambda p: p.service_id))
+        t: {p.service_id: p for p in sorted(per_timestep[t], key=lambda p: p.service_id)}
         for t in sorted(per_timestep)
     }
     return CandidateTable(per_timestep=grouped, validated=validated)
@@ -321,7 +310,7 @@ def optimal_plan(
     return CompositionPlan(user_id=user.id, steps=tuple(steps))
 
 
-def discover_parallel(
+def discover(
     universe: ServiceColumns,
     user: UserTrajectory,
     qos_params: QosParams,
@@ -351,7 +340,7 @@ def table_plan_json(
                 "strength": c.qos.strength,
                 "capacity_bps": c.qos.capacity,
             }
-            for c in table.per_timestep.get(t, ())
+            for c in table.validated_at(t).values()
         ]
         rows.append({"timestep": t, "candidates": cands, "chosen": chosen_by_t[t]})
     return rows

@@ -12,7 +12,7 @@ import bisect
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -94,18 +94,15 @@ class UserTrajectory:
 
 @dataclass(frozen=True)
 class MovingService:
-    """A service id, its trajectory, circular coverage radius, and the static
-    QoS constants: total bandwidth and maximum concurrent requests."""
+    """A service id, its trajectory, and the static QoS constants: total
+    bandwidth and maximum concurrent requests."""
 
     id: str
     trajectory: Trajectory
-    coverage_radius: float
     bandwidth_b: float
     max_concurrent_k: int
 
     def __post_init__(self):
-        if self.coverage_radius <= 0:
-            raise InvalidInputError("coverage_radius must be positive")
         if self.bandwidth_b <= 0:
             raise InvalidInputError("bandwidth_b must be positive")
         if self.max_concurrent_k < 1:
@@ -200,10 +197,6 @@ def resample(traj: Trajectory, rate: float, origin: float | None = None) -> Traj
         p = position_at(traj, tw)
         out.append(TrajectoryPoint(t=k + 1, x=p.x, y=p.y))
     return Trajectory(tuple(out))
-
-
-def is_user_id(ident: str) -> bool:
-    return ident.startswith(USER_ID_PREFIX)
 
 
 def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path) -> None:

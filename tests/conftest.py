@@ -36,7 +36,6 @@ def service_tracking(user, sid, t_start, t_end, offset_y=0.0, bandwidth=4e6, k=2
     return MovingService(
         id=sid,
         trajectory=traj(pts),
-        coverage_radius=20.0,
         bandwidth_b=bandwidth,
         max_concurrent_k=k,
     )
@@ -57,7 +56,6 @@ def random_universe(rng, n_services, n_steps, area=100.0, r_s=15.0):
         MovingService(
             id=f"s{i:03d}",
             trajectory=walk(),
-            coverage_radius=r_s,
             bandwidth_b=float(rng.uniform(1e6, 9e6)),
             max_concurrent_k=int(rng.integers(1, 4)),
         )

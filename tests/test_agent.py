@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from mobicomp.agent import (
     train,
 )
 from mobicomp.environment import Extents
-from mobicomp.errors import ConfigError, InvalidInputError
+from mobicomp.errors import CheckpointError, ConfigError, InvalidInputError
 from mobicomp.network import NetworkSpec, init_network
 from mobicomp.oracle import DUMMY_SERVICE
 
@@ -310,6 +313,29 @@ class TestModelSerialization:
             network.forward(clone.network, x), network.forward(model.network, x)
         )
         assert save_model(clone) == save_model(model)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\xff\xfe not utf-8",
+            b"{not json",
+            b"[1, 2]",
+            json.dumps({"extents": {"t_min": 0}}).encode(),
+            json.dumps({"action_ids": ["a", DUMMY_SERVICE]}).encode(),
+            json.dumps({"action_ids": ["a"], "extents": [0, 1]}).encode(),
+            json.dumps({"action_ids": ["a"], "extents": {"t_min": "x"}}).encode(),
+        ],
+        ids=["not_utf8", "invalid_json", "not_object", "no_action_ids", "no_extents",
+             "extents_not_object", "extents_not_numeric"],
+    )
+    def test_bad_header_is_checkpoint_error(self, header):
+        blob = network.save(init_network(NetworkSpec(3, (4,), 2), seed=0))
+        data = b"".join([
+            b"MPOL", struct.pack("<I", 1), struct.pack("<I", len(header)), header,
+            struct.pack("<I", len(blob)), blob,
+        ])
+        with pytest.raises(CheckpointError, match="header"):
+            load_model(data)
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,10 @@ import pytest
 
 from mobicomp import __version__
 from mobicomp.cli import dispatch
+from mobicomp.datasets import ScenarioSpec, generate, write_scenario_bundle
+from mobicomp.ioutil import sha256_file
+from mobicomp.qos import QosParams
+from mobicomp.trajectories import DistanceMode, Trajectory, TrajectoryPoint
 
 SPEC = {
     "n_services": 6,
@@ -63,7 +69,7 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_gen_writes_bundle_with_meta(bundle):
-    for name in ("services.csv", "users.csv", "scenario.json", "manifest.json", "meta.json"):
+    for name in ("services.csv", "users.csv", "scenario.json", "meta.json"):
         assert (bundle / name).exists()
     meta = json.loads((bundle / "meta.json").read_text())
     assert meta["tool"] == "mobicomp"
@@ -79,7 +85,7 @@ def test_gen_bundle_files_share_one_mode(tmp_path):
         assert dispatch(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
     finally:
         os.umask(old)
-    for name in ("services.csv", "users.csv", "scenario.json", "manifest.json", "meta.json"):
+    for name in ("services.csv", "users.csv", "scenario.json", "meta.json"):
         assert os.stat(tmp_path / "b" / name).st_mode & 0o777 == 0o644, name
 
 
@@ -99,7 +105,7 @@ def test_gen_is_reproducible(tmp_path):
     spec_path.write_text(json.dumps(SPEC))
     for d in ("r1", "r2"):
         assert dispatch(["gen", "--spec", str(spec_path), "--out", str(tmp_path / d), "--quiet"]) == 0
-    for name in ("services.csv", "users.csv", "scenario.json", "manifest.json"):
+    for name in ("services.csv", "users.csv", "scenario.json"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
@@ -139,9 +145,87 @@ def test_missing_scenario_is_one_line_error(tmp_path, capsys):
         ["discover", "--scenario", str(missing), "--out", str(tmp_path / "d.json"), "--quiet"]
     )
     assert code == 1
+    assert_one_error_line(capsys, "InvalidInputError", missing)
+
+
+def assert_one_error_line(capsys, kind, path):
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: InvalidInputError: ")
-    assert str(missing) in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
+    assert str(path) in err[0]
+
+
+BAD_SPECS = {
+    "missing_file": None,
+    "invalid_json": "{not json",
+    "array": json.dumps([["n_services", 6]]),
+    "number": "7",
+    "missing_fields": json.dumps({"n_services": "a"}),
+    "unknown_field": json.dumps({**SPEC, "colour": "red"}),
+    "wrong_type": json.dumps({**SPEC, "n_users": "four"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_is_one_line_error(tmp_path, capsys, case):
+    spec_path = tmp_path / "spec.json"
+    if BAD_SPECS[case] is not None:
+        spec_path.write_text(BAD_SPECS[case])
+    code = dispatch(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "b"), "--quiet"])
+    assert code == 1
+    assert_one_error_line(capsys, "InvalidInputError", spec_path)
+
+
+def test_missing_model_is_one_line_error(bundle, tmp_path, capsys):
+    missing = tmp_path / "nonexistent.ckpt"
+    code = dispatch(
+        ["compose", "--model", str(missing), "--scenario", str(bundle / "scenario.json"),
+         "--user", "user:u0000", "--out", str(tmp_path / "p.json"), "--quiet"]
+    )
+    assert code == 1
+    assert_one_error_line(capsys, "InvalidInputError", missing)
+
+
+# sha256 of `mobicomp discover` on SPEC's scenario, run from the bundle's
+# parent directory so the output names the scenario by a relative path. A
+# change to these bytes is a change to the ground truth the composer is
+# scored against and must be made on purpose.
+PINNED_DISCOVER_SHA256 = {
+    "planar": "9673a0fecc831c1b9cbbe4f8685d917be911f2b8c65f8d1ce62874896f38adff",
+    "haversine": "a9761ea8eddac7302739998f2111f3213ae892c80b0d68a87febe58187e1940d",
+}
+
+
+def to_lonlat(items):
+    lon0, lat0 = 151.2, -33.87
+    deg_per_m = 180.0 / (math.pi * 6_371_000.0)
+    k_lon = deg_per_m / math.cos(math.radians(lat0))
+    return [
+        dataclasses.replace(item, trajectory=Trajectory(tuple(
+            TrajectoryPoint(t=p.t, x=lon0 + p.x * k_lon, y=lat0 + p.y * deg_per_m)
+            for p in item.trajectory.points
+        )))
+        for item in items
+    ]
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_DISCOVER_SHA256))
+def test_discover_bytes_are_pinned(tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    spec = ScenarioSpec.from_dict(SPEC)
+    services, users = generate(spec)
+    distance_mode = DistanceMode.PLANAR_EUCLIDEAN
+    if mode == "haversine":
+        services, users = to_lonlat(services), to_lonlat(users)
+        distance_mode = DistanceMode.HAVERSINE
+    write_scenario_bundle(
+        "scen", services, users, QosParams.defaults_for(spec.r_s_meters), spec.w,
+        distance_mode, seed=spec.seed,
+    )
+    args = ["discover", "--scenario", "scen/scenario.json", "--out", "d.json", "--quiet"]
+    assert dispatch(args) == 0
+    payload = json.loads((tmp_path / "d.json").read_text())
+    assert any(step["candidates"] for u in payload["users"] for step in u["steps"])
+    assert sha256_file("d.json") == PINNED_DISCOVER_SHA256[mode]
 
 
 def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):

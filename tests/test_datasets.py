@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mobicomp.datasets import (
 )
 from mobicomp.environment import RewardScheme
 from mobicomp.errors import InvalidInputError
-from mobicomp.oracle import ServiceColumns, discover_parallel
+from mobicomp.oracle import ServiceColumns, discover
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode, dump_trajectories_csv, load_trajectories_csv
 
@@ -47,7 +48,7 @@ class TestGenerate:
                 tmp_path / d, services, users, qos, spec.w,
                 DistanceMode.PLANAR_EUCLIDEAN, seed=spec.seed,
             )
-        for name in ("services.csv", "users.csv", "scenario.json", "manifest.json"):
+        for name in ("services.csv", "users.csv", "scenario.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_zero_speed_random_waypoint_is_stationary(self):
@@ -65,11 +66,11 @@ class TestGenerate:
         qos = QosParams.defaults_for(spec.r_s_meters)
         universe = ServiceColumns(services)
         for user in users:
-            table = discover_parallel(
+            table = discover(
                 universe, user, qos, w=1, mode=DistanceMode.PLANAR_EUCLIDEAN
             )
             covered = {
-                t for pairs in table.per_timestep.values() for t in [pairs[0].user_timestep]
+                p.user_timestep for pairs in table.per_timestep.values() for p in pairs.values()
             }
             expected = {int(p.t) for p in user.trajectory.points}
             assert covered == expected
@@ -95,7 +96,7 @@ class TestGenerate:
 
     def test_spec_round_trips_through_dict(self):
         spec = small_spec()
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestScenarioBundle:

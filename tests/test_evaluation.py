@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestAccuracy:
 
     def test_report_round_trips_through_json(self):
         rep = AccuracyReport(93, 100, 0.93, 0.07, {"user:u": {"accuracy": 0.93}})
-        restored = AccuracyReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        restored = AccuracyReport(**json.loads(json.dumps(asdict(rep))))
         assert restored == rep
 
 
@@ -141,7 +142,7 @@ class TestSweep:
         scenario = tiny_scenario()
         cfg = AgentConfig(repetition=8, seed=3, **FAST)
         a = run_accuracy_sweep(scenario, [2, 2], cfg)
-        assert a[0].report.to_dict() == a[1].report.to_dict()
+        assert asdict(a[0].report) == asdict(a[1].report)
 
     def test_counts_must_be_ascending_and_in_range(self):
         scenario = tiny_scenario()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobicomp import oracle
 from mobicomp.errors import InvalidInputError, OutOfRangeError
 from mobicomp.oracle import (
     DISK_MARGIN,
@@ -12,7 +13,6 @@ from mobicomp.oracle import (
     ServiceColumns,
     SpatialCandidatePair,
     consecutive_runs,
-    discover_parallel,
     optimal_plan,
     reduce_validate,
     spatial_map,
@@ -46,7 +46,7 @@ SYDNEY = (151.2093, -33.8688)  # lon, lat
 
 
 def discover(services, user, w=2, mode=PLANAR, qos=QOS):
-    return discover_parallel(ServiceColumns(services), user, qos, w=w, mode=mode)
+    return oracle.discover(ServiceColumns(services), user, qos, w=w, mode=mode)
 
 
 def joined_pairs(services, user):
@@ -252,7 +252,7 @@ class TestDiscoverParallel:
         got_pairs = {
             (p.user_timestep, p.service_id)
             for pairs in table.per_timestep.values()
-            for p in pairs
+            for p in pairs.values()
         }
         assert got_pairs == surviving
 
@@ -270,6 +270,21 @@ class TestJsonEmission:
         cand = rows[0]["candidates"][0]
         assert set(cand) == {"service_id", "distance_m", "strength", "capacity_bps"}
         assert rows[2]["candidates"] == []
+
+    def test_one_candidate_per_service_and_timestep(self):
+        # two samples of one service fall on integer timestep 1: the emitted
+        # candidate is the one the plan and the environment price
+        user = line_user(3)
+        svc = MovingService(
+            id="a", trajectory=traj([(1, 10, 1), (1.5, 15, 1), (2, 20, 1), (3, 30, 1)]),
+            bandwidth_b=4e6, max_concurrent_k=2,
+        )
+        table = discover([svc], user)
+        plan = optimal_plan(table, user)
+        rows = table_plan_json(table, plan, user)
+        assert [len(r["candidates"]) for r in rows] == [1, 1, 1]
+        assert rows[0]["candidates"][0]["distance_m"] == table.validated_at(1)["a"].distance
+        assert plan.steps[0].capacity == rows[0]["candidates"][0]["capacity_bps"]
 
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
@@ -298,7 +313,6 @@ def universes(draw, gps=False):
         MovingService(
             id=f"s{i}",
             trajectory=trajectory(draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))),
-            coverage_radius=15.0,
             bandwidth_b=draw(st.floats(1e6, 9e6)),
             max_concurrent_k=draw(st.integers(1, 4)),
         )
@@ -321,7 +335,7 @@ def assert_scalar_qos(pairs, services, user, mode):
 
 
 def surviving_pairs(table):
-    return {(p.user_timestep, p.service_id) for ps in table.per_timestep.values() for p in ps}
+    return {(p.user_timestep, p.service_id) for ps in table.per_timestep.values() for p in ps.values()}
 
 
 def stationary(x, y, n=2):
@@ -379,13 +393,13 @@ class TestColumnarOracle:
         (x0, y0), x_in, x_out = edge_offsets(mode, dy)
         user = UserTrajectory(id="user:o", trajectory=stationary(x0, y0))
         services = [
-            MovingService(id=sid, trajectory=stationary(x, y0 + dy), coverage_radius=15.0,
+            MovingService(id=sid, trajectory=stationary(x, y0 + dy),
                           bandwidth_b=4e6, max_concurrent_k=2)
             for sid, x in (("in", x_in), ("out", x_out))
         ]
         table = discover(services, user, mode=mode)
         assert table.validated == {"in": ((1, 2),)}
-        assert all(p.distance < 15.0 for ps in table.per_timestep.values() for p in ps)
+        assert all(p.distance < 15.0 for ps in table.per_timestep.values() for p in ps.values())
 
     @pytest.mark.parametrize("mode", [PLANAR, GPS])
     def test_margin_covers_numpy_rounding(self, mode):
@@ -424,24 +438,24 @@ class TestColumnarOracle:
 
     def test_timestep_beyond_int64_rejected(self):
         user = line_user(3)
-        svc = MovingService(id="a", trajectory=traj([(1, 0, 0), (1e19, 0, 0)]), coverage_radius=15.0,
+        svc = MovingService(id="a", trajectory=traj([(1, 0, 0), (1e19, 0, 0)]),
                             bandwidth_b=4e6, max_concurrent_k=2)
         with pytest.raises(InvalidInputError, match="64-bit"):
             discover([svc], user)
 
     def test_gps_range_checked_on_every_joined_pair(self):
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
-        far = MovingService(id="far", trajectory=traj([(2, 200.0, 0.0)]), coverage_radius=15.0,
+        far = MovingService(id="far", trajectory=traj([(2, 200.0, 0.0)]),
                             bandwidth_b=4e6, max_concurrent_k=2)
         with pytest.raises(InvalidInputError, match="200.0"):
             discover([far], user, mode=GPS)
         unjoined = MovingService(id="later", trajectory=traj([(9, 200.0, 0.0)]),
-                                 coverage_radius=15.0, bandwidth_b=4e6, max_concurrent_k=2)
+                                 bandwidth_b=4e6, max_concurrent_k=2)
         assert discover([unjoined], user, mode=GPS).validated == {}
 
     def test_joined_timestep_without_exact_user_sample(self):
         user = UserTrajectory(id="user:f", trajectory=traj([(1.5, 0, 0), (2.5, 0, 0)]))
-        svc = MovingService(id="a", trajectory=traj([(1, 100, 0)]), coverage_radius=15.0,
+        svc = MovingService(id="a", trajectory=traj([(1, 100, 0)]),
                             bandwidth_b=4e6, max_concurrent_k=2)
         with pytest.raises(OutOfRangeError, match="timestep 1$"):
             discover([svc], user)
