@@ -10,10 +10,8 @@ input hashes) for provenance; no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +20,7 @@ from . import evaluation as eval_mod
 from . import oracle as oracle_mod
 from .agent import AgentConfig
 from .datasets import (
+    DEFAULT_SERVICE_QOS,
     ScenarioSpec,
     Scenario,
     default_scenario_spec,
@@ -41,6 +40,7 @@ from .ioutil import (
     read_input,
     read_json_object,
     sha256_file,
+    write_csv,
 )
 from .qos import QosParams
 from .trajectories import (
@@ -48,6 +48,7 @@ from .trajectories import (
     DistanceMode,
     MovingService,
     UserTrajectory,
+    load_trajectories_csv,
 )
 
 DEFAULT_SEED = 7
@@ -164,12 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.spec:
+        doc = read_json_object(args.spec)
         try:
-            spec = ScenarioSpec.from_dict(read_json_object(args.spec))
-        except TypeError as exc:  # missing or unknown fields, or values of the wrong type
+            spec = ScenarioSpec.from_dict(doc)
+        except (TypeError, InvalidInputError) as exc:  # missing, unknown or bad fields
             raise InvalidInputError(f"{args.spec}: bad scenario spec: {exc}") from None
         if args.seed is not None:
-            spec.seed = args.seed
+            spec = replace(spec, seed=args.seed)
         inputs = [args.spec]
     else:
         spec = default_scenario_spec(seed=DEFAULT_SEED if args.seed is None else args.seed)
@@ -211,8 +213,8 @@ def _cmd_ingest(args) -> int:
         MovingService(
             id=sid,
             trajectory=by_id[sid],
-            bandwidth_b=5_000_000.0,
-            max_concurrent_k=2,
+            bandwidth_b=DEFAULT_SERVICE_QOS["bandwidth_bps"],
+            max_concurrent_k=DEFAULT_SERVICE_QOS["max_concurrent"],
         )
         for sid in service_ids
     ]
@@ -255,8 +257,6 @@ def _select_users(scenario: Scenario, user_arg: str | None):
         return matches
     candidate = Path(user_arg)
     if candidate.exists():
-        from .trajectories import load_trajectories_csv
-
         return [UserTrajectory(id=i, trajectory=t) for i, t in load_trajectories_csv(candidate)]
     raise InvalidInputError(f"user {user_arg!r} not in scenario and not a readable CSV")
 
@@ -289,12 +289,9 @@ def _cmd_train(args) -> int:
     result, env, test_users = eval_mod.train_on_scenario(scenario, config)
     atomic_write_bytes(args.out, agent_mod.save_model(result.model))
     log_path = args.log or f"{args.out}.log.csv"
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["episode", "cum_reward", "epsilon", "loss"])
-    for row in result.log:
-        w.writerow([row.episode, repr(row.cum_reward), repr(row.epsilon), repr(row.loss)])
-    atomic_write_text(log_path, buf.getvalue())
+    rows = [["episode", "cum_reward", "epsilon", "loss"]]
+    rows += ([r.episode, r.cum_reward, r.epsilon, r.loss] for r in result.log)
+    write_csv(log_path, rows)
     if not args.quiet:
         _summary(
             "train",
@@ -339,17 +336,15 @@ def _cmd_compose(args) -> int:
 def _series_csv_rows(mode: str, payload) -> list[list]:
     if mode == "accuracy":
         rows = [["trajectory_count", "accuracy", "error"]]
-        rows += [
-            [p.trajectory_count, repr(p.report.accuracy), repr(p.report.error)] for p in payload
-        ]
+        rows += [[p.trajectory_count, p.report.accuracy, p.report.error] for p in payload]
         return rows
     if mode == "timing":
         rows = [["n_services", "phase", "wall_seconds"]]
-        rows += [[r.n_services, r.phase, repr(r.wall_seconds)] for r in payload]
+        rows += [[r.n_services, r.phase, r.wall_seconds] for r in payload]
         return rows
     rows = [["n_services", "round", "moving_average"]]
     for rep in payload:
-        rows += [[rep.n_services, rnd, repr(v)] for rnd, v in rep.series]
+        rows += [[rep.n_services, rnd, v] for rnd, v in rep.series]
     return rows
 
 
@@ -392,9 +387,7 @@ def _cmd_evaluate(args) -> int:
         )
 
     atomic_write_text(out, dump_json(payload))
-    buf = io.StringIO()
-    csv.writer(buf).writerows(series)
-    atomic_write_text(out.with_name(f"{out.stem}.series.csv"), buf.getvalue())
+    write_csv(out.with_name(f"{out.stem}.series.csv"), series)
     if not args.quiet:
         _summary("evaluate", **summary_kv, out=out)
     return exit_code

@@ -20,7 +20,7 @@ import numpy as np
 
 from .environment import RewardScheme
 from .errors import InvalidInputError
-from .ioutil import atomic_write_text, dump_json, read_json_object
+from .ioutil import atomic_write_text, dump_json, open_text, read_json_object
 from .qos import QosParams
 from .trajectories import (
     USER_ID_PREFIX,
@@ -35,6 +35,33 @@ from .trajectories import (
 )
 
 DEFAULT_SERVICE_QOS = {"bandwidth_bps": 5_000_000.0, "max_concurrent": 2}
+
+
+def _is_real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _reals(values, size: int) -> bool:
+    return len(values) == size and all(map(_is_real, values))
+
+
+# ScenarioSpec's fields and the test each value must pass
+_SPEC_RULES = (
+    ("n_services", lambda v: type(v) is int and v >= 0),
+    ("n_users", lambda v: type(v) is int and v >= 1),
+    ("timestep_count", lambda v: type(v) is int and v >= 2),
+    ("corridor_count", lambda v: type(v) is int and v >= 1),
+    ("w", lambda v: type(v) is int and v >= 1),
+    ("seed", lambda v: type(v) is int and v >= 0),
+    ("area", lambda a: _reals(a, 4) and a[0] < a[2] and a[1] < a[3]),
+    ("speed_range", lambda r: _reals(r, 2) and 0 <= r[0] <= r[1]),
+    ("bandwidth_range_bps", lambda r: _reals(r, 2) and 0 < r[0] <= r[1]),
+    ("max_concurrent_choices", lambda ks: len(ks) > 0 and all(type(k) is int and k >= 1 for k in ks)),
+    ("coroute_fraction", lambda v: _is_real(v) and 0 <= v <= 1),
+    ("jitter_m", lambda v: _is_real(v) and v >= 0),
+    ("r_s_meters", lambda v: _is_real(v) and v > 0),
+    ("mobility_model", lambda m: m in ("random_waypoint", "corridor_flow")),
+)
 
 
 @dataclass
@@ -57,12 +84,10 @@ class ScenarioSpec:
     w: int = 2
 
     def __post_init__(self):
-        if self.n_services < 0 or self.n_users < 1 or self.timestep_count < 2:
-            raise InvalidInputError("need n_services >= 0, n_users >= 1, timesteps >= 2")
-        if self.speed_range[0] < 0 or self.speed_range[1] < self.speed_range[0]:
-            raise InvalidInputError(f"bad speed_range {self.speed_range}")
-        if self.mobility_model not in ("random_waypoint", "corridor_flow"):
-            raise InvalidInputError(f"unknown mobility model {self.mobility_model!r}")
+        for name, ok in _SPEC_RULES:
+            value = getattr(self, name)
+            if not ok(value):
+                raise InvalidInputError(f"bad {name}: {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
@@ -239,15 +264,21 @@ class Scenario:
     seed: int
 
 
-def _scenario_config(
+def write_scenario_bundle(
+    out_dir: str | Path,
     services: list[MovingService],
+    users: list[UserTrajectory],
     qos_params: QosParams,
     w: int,
     mode: DistanceMode,
-    rewards: RewardScheme,
-    seed: int,
-) -> dict:
-    return {
+    rewards: RewardScheme = RewardScheme(),
+    seed: int = 0,
+) -> Path:
+    """Write services.csv, users.csv and scenario.json, each atomically."""
+    out = Path(out_dir)
+    dump_trajectories_csv([(s.id, s.trajectory) for s in services], out / "services.csv")
+    dump_trajectories_csv([(u.id, u.trajectory) for u in users], out / "users.csv")
+    config = {
         "services_csv": "services.csv",
         "users_csv": "users.csv",
         "distance_mode": mode.value,
@@ -265,24 +296,6 @@ def _scenario_config(
         },
         "seed": seed,
     }
-
-
-def write_scenario_bundle(
-    out_dir: str | Path,
-    services: list[MovingService],
-    users: list[UserTrajectory],
-    qos_params: QosParams,
-    w: int,
-    mode: DistanceMode,
-    rewards: RewardScheme = RewardScheme(),
-    seed: int = 0,
-) -> Path:
-    """Write services.csv, users.csv and scenario.json, each atomically."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_trajectories_csv([(s.id, s.trajectory) for s in services], out / "services.csv")
-    dump_trajectories_csv([(u.id, u.trajectory) for u in users], out / "users.csv")
-    config = _scenario_config(services, qos_params, w, mode, rewards, seed)
     atomic_write_text(out / "scenario.json", dump_json(config))
     return out / "scenario.json"
 
@@ -314,15 +327,12 @@ def load_scenario(path: str | Path) -> Scenario:
         raise InvalidInputError(f"{path}: {exc}") from None
     qos_cfg = cfg.get("qos", {})
     r_s = _number(path, qos_cfg, "r_s_meters", 20.0)
-    if "r_c_meters" in qos_cfg or "decay_k" in qos_cfg:
-        defaults = QosParams.defaults_for(r_s)
-        qos_params = QosParams(
-            confident_radius_rc=_number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc),
-            decay_k=_number(path, qos_cfg, "decay_k", defaults.decay_k),
-            sensing_radius_rs=r_s,
-        )
-    else:
-        qos_params = QosParams.defaults_for(r_s)
+    defaults = QosParams.defaults_for(r_s)
+    qos_params = QosParams(
+        confident_radius_rc=_number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc),
+        decay_k=_number(path, qos_cfg, "decay_k", defaults.decay_k),
+        sensing_radius_rs=r_s,
+    )
     rewards_cfg = cfg.get("rewards", {})
     rewards = RewardScheme(
         dummy=_number(path, rewards_cfg, "dummy", -1.0),
@@ -390,11 +400,33 @@ class IngestResult:
     rejected_ids: list[str] = field(default_factory=list)
 
 
-def _open_rows(path: str | Path):
-    with open(path, newline="", encoding="utf-8") as fh:
+def _read_traces(
+    path: str | Path, in_range
+) -> tuple[dict[str, list[tuple[float, float, float]]], int, float]:
+    """Samples (time, x, y) of a raw ``id,time,x,y`` file per id in file order,
+    the count of skipped rows (rows that do not parse, but for a header: the
+    first non-empty row; rows not ``in_range(x, y)``) and the earliest time."""
+    raw: dict[str, list[tuple[float, float, float]]] = {}
+    skipped = 0
+    first = True
+    with open_text(path) as fh:
         for row in csv.reader(fh):
-            if row:
-                yield row
+            if not row:
+                continue
+            try:
+                ident, t, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
+            except (ValueError, IndexError):
+                if not first:
+                    skipped += 1
+            else:
+                if in_range(x, y):
+                    raw.setdefault(ident, []).append((t, x, y))
+                else:
+                    skipped += 1
+            first = False
+    if not raw:
+        raise InvalidInputError(f"no usable rows in {path}")
+    return raw, skipped, min(t for samples in raw.values() for t, _, _ in samples)
 
 
 def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
@@ -408,32 +440,11 @@ def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
     """
     if rate <= 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
-    raw: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    skipped = 0
-    first = True
-    for row in _open_rows(path):
-        try:
-            pid, wall, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
-        except (ValueError, IndexError):
-            if not first:
-                skipped += 1
-            first = False
-            continue  # header or malformed row
-        first = False
-        if pid not in raw:
-            order.append(pid)
-            raw[pid] = []
-        raw[pid].append((wall, x, y))
-    if not raw:
-        raise InvalidInputError(f"no usable rows in {path}")
-
-    origin = min(wall for rows in raw.values() for (wall, _, _) in rows)
+    raw, skipped, origin = _read_traces(path, lambda x, y: True)
     result = IngestResult(trajectories=[], skipped_rows=skipped)
-    for pid in order:
-        samples = sorted(raw[pid])
+    for pid, samples in raw.items():
         pts, prev = [], None
-        for wall, x, y in samples:
+        for wall, x, y in sorted(samples):
             if prev is not None and wall <= prev:
                 result.skipped_rows += 1
                 continue
@@ -457,37 +468,11 @@ def ingest_gps(path: str | Path) -> IngestResult:
     time share timesteps. Trips whose timestamps are not strictly increasing
     in file order are rejected.
     """
-    raw: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    skipped = 0
-    first = True
-    for row in _open_rows(path):
-        try:
-            tid, epoch, lon, lat = row[0], float(row[1]), float(row[2]), float(row[3])
-        except (ValueError, IndexError):
-            if not first:
-                skipped += 1
-            first = False
-            continue
-        first = False
-        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-            skipped += 1
-            continue
-        if tid not in raw:
-            order.append(tid)
-            raw[tid] = []
-        raw[tid].append((epoch, lon, lat))
-    if not raw:
-        raise InvalidInputError(f"no usable rows in {path}")
-
-    origin = min(epoch for rows in raw.values() for (epoch, _, _) in rows)
+    raw, skipped, origin = _read_traces(
+        path, lambda lon, lat: -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
+    )
     result = IngestResult(trajectories=[], skipped_rows=skipped)
-    for tid in order:
-        samples = raw[tid]
-        epochs = [s[0] for s in samples]
-        if any(b <= a for a, b in zip(epochs, epochs[1:])):
-            result.rejected_ids.append(tid)
-            continue
+    for tid, samples in raw.items():
         try:
             traj = Trajectory(
                 tuple(
@@ -495,7 +480,7 @@ def ingest_gps(path: str | Path) -> IngestResult:
                     for e, lon, lat in samples
                 )
             )
-        except InvalidInputError:  # sub-second spacing collapses onto one timestep
+        except InvalidInputError:  # epochs that do not increase or round onto one timestep
             result.rejected_ids.append(tid)
             continue
         result.trajectories.append((tid, traj))

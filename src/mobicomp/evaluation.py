@@ -227,30 +227,16 @@ def run_timing(
             select_times.append(time.perf_counter() - t0)
 
         info = dict(n_services=len(services), n_users=len(sub.users), n_timesteps=n_steps)
-        reports.append(
-            TimingReport(
-                phase="oracle_discovery",
-                wall_seconds=statistics.median(oracle_times),
-                samples=oracle_times,
-                **info,
+        for phase, samples in (
+            ("oracle_discovery", oracle_times),
+            ("model_training", [train_time]),
+            ("agent_selection", select_times),
+        ):
+            reports.append(
+                TimingReport(
+                    phase=phase, wall_seconds=statistics.median(samples), samples=samples, **info
+                )
             )
-        )
-        reports.append(
-            TimingReport(
-                phase="model_training",
-                wall_seconds=train_time,
-                samples=[train_time],
-                **info,
-            )
-        )
-        reports.append(
-            TimingReport(
-                phase="agent_selection",
-                wall_seconds=statistics.median(select_times),
-                samples=select_times,
-                **info,
-            )
-        )
     return reports
 
 

@@ -1,4 +1,5 @@
-"""Small file helpers: atomic writes, hashing, canonical JSON.
+"""The one place input files are opened and CSVs are written; also atomic
+writes, hashing and canonical JSON.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"``; ``dump_json`` produces it in one pass (see there).
@@ -6,10 +7,14 @@ sort_keys=True) + "\\n"``; ``dump_json`` produces it in one pass (see there).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -44,6 +49,14 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, rows: Iterable[Iterable]) -> None:
+    """Atomically write ``rows`` as UTF-8 CSV in ``csv``'s default dialect,
+    which writes every float, ``np.float64`` too, as ``float.__repr__``."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 class _Indents(dict):
@@ -206,6 +219,20 @@ def read_input(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
+    """A UTF-8 input file opened for ``csv``. A missing, unreadable or non-UTF-8
+    file is an ``InvalidInputError`` naming it, also when the failing read is
+    one made inside the ``with`` block."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_json_object(path: str | Path) -> dict:

@@ -13,7 +13,7 @@ Checkpoint byte layout (little-endian, no trailing bytes):
     output_dim   u32
     dropout_p    f64
     seed         u64
-    optimizer    u8   (0 = sgd, 1 = adam)
+    optimizer    u8   always 1 (adam)
     adam_t       u64
     per layer, in declaration order:
         rows u32, cols u32,
@@ -73,15 +73,12 @@ class NetworkState:
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
     seed: int
-    optimizer: str = "adam"
     adam_t: int = 0
     rng: np.random.Generator = field(default=None, repr=False)
 
 
-def init_network(spec: NetworkSpec, seed: int, optimizer: str = "adam") -> NetworkState:
+def init_network(spec: NetworkSpec, seed: int) -> NetworkState:
     """He-style uniform init for the ReLU stack, zero biases, zero moments."""
-    if optimizer not in ("sgd", "adam"):
-        raise InvalidInputError(f"unknown optimizer {optimizer!r}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in spec.layer_dims:
@@ -98,7 +95,6 @@ def init_network(spec: NetworkSpec, seed: int, optimizer: str = "adam") -> Netwo
         m_b=zeros(biases),
         v_b=zeros(biases),
         seed=int(seed),
-        optimizer=optimizer,
         rng=rng,
     )
 
@@ -180,11 +176,6 @@ def _loss_and_grads(state: NetworkState, X: np.ndarray, Y: np.ndarray, train_mod
 
 
 def _apply_update(state: NetworkState, grads_w, grads_b, lr: float) -> None:
-    if state.optimizer == "sgd":
-        for i in range(len(state.weights)):
-            state.weights[i] -= lr * grads_w[i]
-            state.biases[i] -= lr * grads_b[i]
-        return
     state.adam_t += 1
     t = state.adam_t
     bc1 = 1.0 - ADAM_BETA1**t
@@ -272,7 +263,7 @@ def save(state: NetworkState) -> bytes:
         struct.pack("<I", spec.output_dim),
         struct.pack("<d", spec.dropout_p),
         struct.pack("<Q", state.seed),
-        struct.pack("<B", 1 if state.optimizer == "adam" else 0),
+        struct.pack("<B", 1),  # optimizer: adam
         struct.pack("<Q", state.adam_t),
     ]
     for i in range(len(state.weights)):
@@ -311,11 +302,11 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def load(data: bytes, expected_spec: NetworkSpec | None = None) -> NetworkState:
+def load(data: bytes) -> NetworkState:
     """Rebuild a NetworkState from checkpoint bytes.
 
-    Raises CheckpointError on bad magic/version, truncation, trailing bytes,
-    or (when ``expected_spec`` is given) an architecture mismatch.
+    Raises CheckpointError on bad magic/version, an optimizer other than
+    Adam, truncation or trailing bytes.
     """
     r = _Reader(data)
     if r.take(4) != _MAGIC:
@@ -329,6 +320,8 @@ def load(data: bytes, expected_spec: NetworkSpec | None = None) -> NetworkState:
     (dropout_p,) = r.unpack("<d")
     (seed,) = r.unpack("<Q")
     (opt_flag,) = r.unpack("<B")
+    if opt_flag != 1:
+        raise CheckpointError(f"unsupported optimizer byte {opt_flag}, expected 1 (adam)")
     (adam_t,) = r.unpack("<Q")
     spec = NetworkSpec(
         input_dim=input_dim,
@@ -336,10 +329,6 @@ def load(data: bytes, expected_spec: NetworkSpec | None = None) -> NetworkState:
         output_dim=output_dim,
         dropout_p=dropout_p,
     )
-    if expected_spec is not None and spec != expected_spec:
-        raise CheckpointError(
-            f"checkpoint spec mismatch: file has {spec}, expected {expected_spec}"
-        )
     weights, biases = [], []
     m_w, v_w, m_b, v_b = [], [], [], []
     for fan_in, fan_out in spec.layer_dims:
@@ -365,7 +354,6 @@ def load(data: bytes, expected_spec: NetworkSpec | None = None) -> NetworkState:
         m_b=m_b,
         v_b=v_b,
         seed=int(seed),
-        optimizer="adam" if opt_flag else "sgd",
         adam_t=int(adam_t),
         rng=np.random.default_rng(int(seed)),
     )

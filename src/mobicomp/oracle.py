@@ -228,10 +228,11 @@ def spatial_map(
 
 
 def consecutive_runs(timesteps: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of strictly consecutive integers, as inclusive spans."""
+    """Maximal runs of strictly consecutive integers, as inclusive spans; a
+    timestep listed twice (two samples in one integer timestep) counts once."""
     if not timesteps:
         return []
-    ts = sorted(timesteps)
+    ts = sorted(set(timesteps))
     runs = []
     start = prev = ts[0]
     for t in ts[1:]:

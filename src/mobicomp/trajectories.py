@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError
-from .ioutil import atomic_write_bytes
+from .ioutil import open_text, write_csv
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
 
@@ -201,26 +200,21 @@ def resample(traj: Trajectory, rate: float, origin: float | None = None) -> Traj
 
 def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path) -> None:
     """Atomically write the canonical ``id,t,x,y`` CSV (UTF-8, '.' decimal
-    separator)."""
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(["id", "t", "x", "y"])
+    separator, a whole-number ``t`` as an integer)."""
+    write_csv(path, _csv_rows(items))
+
+
+def _csv_rows(items: list[tuple[str, Trajectory]]):
+    yield ["id", "t", "x", "y"]
     for ident, traj in items:
         for p in traj.points:
-            t = int(p.t) if float(p.t).is_integer() else p.t
-            w.writerow([ident, repr(t) if isinstance(t, float) else t, repr(p.x), repr(p.y)])
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+            yield [ident, int(p.t) if float(p.t).is_integer() else p.t, p.x, p.y]
 
 
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
     """Read a canonical trajectory CSV; one entry per id, in file order."""
-    order: list[str] = []
     buckets: dict[str, list[TrajectoryPoint]] = {}
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
-    with fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -237,13 +231,12 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
                     f"malformed row {row!r} in {path} line {reader.line_num}"
                 ) from None
             if ident not in buckets:
-                order.append(ident)
                 buckets[ident] = []
             buckets[ident].append(TrajectoryPoint(t=t, x=x, y=y))
-    if not order:
+    if not buckets:
         raise InvalidInputError(f"no trajectory rows in {path}")
     out = []
-    for ident in order:
-        pts = sorted(buckets[ident], key=lambda p: p.t)
+    for ident, pts in buckets.items():
+        pts = sorted(pts, key=lambda p: p.t)
         out.append((ident, Trajectory(tuple(pts))))
     return out

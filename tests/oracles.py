@@ -35,7 +35,9 @@ def nested_loop_join(services, user):
 
 def brute_force_pairs(services, user, r_s):
     """All (timestep, service) pairs strictly inside the search disk, found by
-    scanning every combination with a from-scratch planar distance."""
+    scanning every combination with a from-scratch planar distance. A service
+    with two samples in one integer timestep (t and t + 0.5) gives one pair
+    there when either sample is inside."""
     pairs = set()
     user_at = {int(p.t): p for p in user.trajectory.points}
     for svc in services:
@@ -88,7 +90,9 @@ def rle_runs(timesteps):
 
 
 def brute_force_validated(services, user, r_s, w):
-    """Validated runs per service: brute-force pairs + RLE + length filter."""
+    """Validated runs per service: brute-force pairs + RLE + length filter.
+    Pairs are a set, so a timestep with two samples of a service counts once
+    towards a run."""
     pairs = brute_force_pairs(services, user, r_s)
     per_service = {}
     for t, sid in pairs:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -152,6 +153,7 @@ def assert_one_error_line(capsys, kind, path):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
     assert str(path) in err[0]
+    return err[0]
 
 
 BAD_SPECS = {
@@ -183,6 +185,52 @@ def test_missing_model_is_one_line_error(bundle, tmp_path, capsys):
     )
     assert code == 1
     assert_one_error_line(capsys, "InvalidInputError", missing)
+
+
+# a spec of the right shape whose one field holds a value generation cannot use
+BAD_SPEC_VALUES = {
+    "fractional_timesteps": ("timestep_count", 2.5),
+    "no_concurrency_choices": ("max_concurrent_choices", []),
+    "no_corridors": ("corridor_count", 0),
+    "zero_bandwidth": ("bandwidth_range_bps", [0, 1e6]),
+    "inverted_area": ("area", [50, 50, 0, 0]),
+    "short_area": ("area", [0, 0]),
+    "zero_w": ("w", 0),
+    "coroute_above_one": ("coroute_fraction", 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPEC_VALUES))
+def test_bad_spec_value_is_one_line_error_naming_the_field(tmp_path, capsys, case):
+    field, value = BAD_SPEC_VALUES[case]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, field: value}))
+    code = dispatch(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "b"), "--quiet"])
+    assert code == 1
+    assert field in assert_one_error_line(capsys, "InvalidInputError", spec_path)
+
+
+UNREADABLE_INPUTS = ["ingest_missing", "ingest_not_utf8", "services_not_utf8", "user_not_utf8"]
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_input_file_is_one_line_error(bundle, tmp_path, capsys, case):
+    scenario = str(bundle / "scenario.json")
+    bad = tmp_path / "bad.csv"
+    if case.startswith("ingest"):
+        if case == "ingest_not_utf8":
+            bad.write_bytes(b"person,time,x,y\np1,0.0,0.0,0.0\np\xe9,0.04,1.0,0.0\n")
+        args = ["ingest", "--format", "indoor", "--in", str(bad), "--out", str(tmp_path / "i")]
+    elif case == "services_not_utf8":
+        bad = bundle / "services.csv"
+        bad.write_bytes(bad.read_bytes() + b"s\xff,1,0.0,0.0\n")
+        args = ["discover", "--scenario", scenario, "--out", str(tmp_path / "d.json")]
+    else:
+        bad.write_bytes(b"id,t,x,y\nuser:\xe9,1,0.0,0.0\nuser:\xe9,2,1.0,0.0\n")
+        args = ["discover", "--scenario", scenario, "--user", str(bad),
+                "--out", str(tmp_path / "d.json")]
+    assert dispatch([*args, "--quiet"]) == 1
+    assert_one_error_line(capsys, "InvalidInputError", bad)
 
 
 # sha256 of `mobicomp discover` on SPEC's scenario, run from the bundle's
@@ -226,6 +274,56 @@ def test_discover_bytes_are_pinned(tmp_path, monkeypatch, mode):
     payload = json.loads((tmp_path / "d.json").read_text())
     assert any(step["candidates"] for u in payload["users"] for step in u["steps"])
     assert sha256_file("d.json") == PINNED_DISCOVER_SHA256[mode]
+
+
+def raw_traces(fmt):
+    """A small raw file of six traces with a header, a malformed row, and a
+    repeated wall-clock time (indoor) or an off-Earth row and a trip whose
+    epochs go backwards (gps)."""
+    rows = ["person,time,x,y" if fmt == "indoor" else "trip,epoch,lon,lat"]
+    for i in range(6):
+        for k in range(12):
+            if fmt == "indoor":
+                rows.append(f"p{i},{0.013 * i + 0.05 * k:.3f},{1.5 * k + i:.2f},{0.7 * i:.2f}")
+            else:
+                rows.append(
+                    f"t{i},{1_600_000_000 + 3 * i + k},{151.2 + 1e-5 * (k + i):.6f},"
+                    f"{-33.87 + 1e-5 * i:.6f}"
+                )
+    if fmt == "indoor":
+        rows += ["p1,0.063,9.0,9.0", "p2,soon,1.0,1.0"]
+    else:
+        rows += ["t3,1600000005,200.0,0.0", "t4,1600000000,151.2,-33.87", "t5,later,1,1"]
+    return "\n".join(rows) + "\n"
+
+
+# sha256 over the names and sha256s of the bundle files `mobicomp ingest`
+# writes from raw_traces, run from their directory with relative paths, and
+# the summary line it prints.
+PINNED_INGEST = {
+    "indoor": (
+        "4105e15a88ff1236fc77d29be90cb27b7ae5d5387f6abebfec2082d332180ed5",
+        "ingest ok services=4 users=2 skipped_rows=2 rejected=0 scenario=bundle/scenario.json",
+    ),
+    "gps": (
+        "11d7290423be5b4982e72932d4f1bb21b69c7a2ee257536d28054ac0c52b820a",
+        "ingest ok services=3 users=2 skipped_rows=2 rejected=1 scenario=bundle/scenario.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_INGEST))
+def test_ingest_bytes_are_pinned(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text(raw_traces(fmt))
+    args = ["ingest", "--format", fmt, "--in", "raw.csv", "--out", "bundle"]
+    assert dispatch([*args, "--user-fraction", "0.5"]) == 0
+    listing = "".join(
+        f"{name} {sha256_file(tmp_path / 'bundle' / name)}\n"
+        for name in sorted(os.listdir(tmp_path / "bundle"))
+    )
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert (digest, capsys.readouterr().out.strip()) == PINNED_INGEST[fmt]
 
 
 def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):

@@ -1,16 +1,21 @@
+import ast
 import enum
 import json
 import math
 import os
+import re
 from collections import OrderedDict, namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobicomp
 from mobicomp import oracle
-from mobicomp.ioutil import atomic_write_bytes, atomic_write_text, dump_json
+from mobicomp.errors import InvalidInputError
+from mobicomp.ioutil import atomic_write_bytes, atomic_write_text, dump_json, open_text, write_csv
 
 from conftest import line_user, make_env, service_tracking
 
@@ -182,3 +187,48 @@ class TestAtomicWrite:
         atomic_write_text(path, "new")
         assert path.read_text() == "new"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class TestFileEdge:
+    def test_only_ioutil_opens_files_or_writes_csv(self):
+        offenders = []
+        for path in sorted(Path(mobicomp.__file__).parent.glob("*.py")):
+            if path.name == "ioutil.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                opens = (isinstance(f, ast.Name) and f.id == "open") or (
+                    isinstance(f, ast.Attribute) and f.attr == "open"
+                )
+                csv_writer = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr in ("writer", "DictWriter")
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "csv"
+                )
+                if opens or csv_writer:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_open_text_names_a_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(InvalidInputError, match=re.escape(f"{missing}: cannot read")):
+            with open_text(missing):
+                pass
+
+    def test_open_text_names_a_file_whose_later_bytes_are_not_utf8(self, tmp_path):
+        # the bad byte lies beyond the first buffered read, so it is met
+        # inside the with block
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"id,t,x,y\n" + b"a,1,0.0,0.0\n" * 2000 + b"\xff,2,0.0,0.0\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: not UTF-8")):
+            with open_text(path) as fh:
+                assert fh.readline() == "id,t,x,y\n"
+                fh.read()
+
+    def test_write_csv_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, [["id", "t"], ["a,b", 1, 0.1, np.float64(1e-300), math.nan]])
+        assert path.read_bytes() == b'id,t\r\n"a,b",1,0.1,1e-300,nan\r\n'

@@ -13,8 +13,8 @@ from mobicomp.network import (
 )
 
 
-def zeroed(spec, seed=0, optimizer="sgd"):
-    state = init_network(spec, seed=seed, optimizer=optimizer)
+def zeroed(spec, seed=0):
+    state = init_network(spec, seed=seed)
     for w in state.weights:
         w[:] = 0.0
     for b in state.biases:
@@ -85,7 +85,7 @@ class TestForward:
 class TestTrainBatch:
     def test_fixed_point_when_targets_equal_outputs(self):
         spec = NetworkSpec(input_dim=2, hidden_layers=(4,), output_dim=2)
-        state = init_network(spec, seed=1, optimizer="sgd")
+        state = init_network(spec, seed=1)
         X = np.array([[0.3, -0.7], [1.2, 0.4]])
         Y = forward(state, X)
         before = [w.copy() for w in state.weights]
@@ -94,18 +94,19 @@ class TestTrainBatch:
         assert all(np.array_equal(b, w) for b, w in zip(before, state.weights))
 
     def test_one_step_plain_gradient(self):
-        # y = w*x, one sample (x=1, target=1), w=0: d/dw (w-1)^2 = -2,
-        # so one sgd step at lr=0.1 moves w to 0.2
+        # y = w*x, one sample (x=1, target=1), w=0: g = d/dw (w-1)^2 = -2.
+        # Adam's first step: m/(1-b1) = g and v/(1-b2) = g^2, so w moves by
+        # lr * 2 / (2 + eps) at lr=0.1
         spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=1)
-        state = zeroed(spec, optimizer="sgd")
+        state = zeroed(spec)
         loss = train_batch(state, np.array([[1.0]]), np.array([[1.0]]), lr=0.1)
         assert loss == 1.0
-        assert state.weights[0][0, 0] == pytest.approx(0.2, abs=1e-15)
+        assert state.weights[0][0, 0] == pytest.approx(0.1 * 2 / (2 + 1e-8), abs=1e-15)
 
     def test_loss_decreases_on_small_regression(self):
         rng = np.random.default_rng(2)
         spec = NetworkSpec(input_dim=2, hidden_layers=(16,), output_dim=1)
-        state = init_network(spec, seed=2, optimizer="adam")
+        state = init_network(spec, seed=2)
         X = rng.standard_normal((32, 2))
         Y = (X[:, :1] * 0.5 - X[:, 1:] * 0.25) ** 2
         losses = [train_batch(state, X, Y, lr=0.01) for _ in range(100)]
@@ -115,7 +116,7 @@ class TestTrainBatch:
 
     def test_divergence_raises(self):
         spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=1)
-        state = zeroed(spec, optimizer="sgd")
+        state = zeroed(spec)
         with pytest.raises(TrainingDivergenceError):
             train_batch(state, np.array([[1.0]]), np.array([[1e200]]), lr=1.0)
 
@@ -183,7 +184,7 @@ class TestDropout:
 class TestCheckpoint:
     def _trained_state(self):
         spec = NetworkSpec(input_dim=2, hidden_layers=(5,), output_dim=3, dropout_p=0.25)
-        state = init_network(spec, seed=9, optimizer="adam")
+        state = init_network(spec, seed=9)
         rng = np.random.default_rng(9)
         for _ in range(3):
             train_batch(state, rng.standard_normal((4, 2)), rng.standard_normal((4, 3)), lr=0.01)
@@ -214,18 +215,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load(b"NOPE" + b"\x00" * 64)
 
-    def test_spec_mismatch_rejected(self):
-        state = self._trained_state()
-        other = NetworkSpec(input_dim=2, hidden_layers=(6,), output_dim=3)
-        with pytest.raises(CheckpointError):
-            load(save(state), expected_spec=other)
+    @pytest.mark.parametrize("byte", [0, 2])
+    def test_optimizer_other_than_adam_rejected(self, byte):
+        blob = bytearray(save(self._trained_state()))
+        # magic, version, input_dim, n_hidden, one hidden width, output_dim,
+        # dropout_p and seed precede the optimizer byte
+        at = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8
+        assert blob[at] == 1
+        blob[at] = byte
+        with pytest.raises(CheckpointError, match="optimizer"):
+            load(bytes(blob))
 
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical_training(self):
         def run():
             spec = NetworkSpec(input_dim=3, hidden_layers=(16, 16), output_dim=2, dropout_p=0.3)
-            state = init_network(spec, seed=10, optimizer="adam")
+            state = init_network(spec, seed=10)
             rng = np.random.default_rng(10)
             for _ in range(20):
                 train_batch(state, rng.standard_normal((8, 3)), rng.standard_normal((8, 2)), lr=0.005)

@@ -279,7 +279,8 @@ class TestJsonEmission:
             id="a", trajectory=traj([(1, 10, 1), (1.5, 15, 1), (2, 20, 1), (3, 30, 1)]),
             bandwidth_b=4e6, max_concurrent_k=2,
         )
-        table = discover([svc], user)
+        table = discover([svc], user, w=1)
+        assert table.validated == {"a": ((1, 3),)}
         plan = optimal_plan(table, user)
         rows = table_plan_json(table, plan, user)
         assert [len(r["candidates"]) for r in rows] == [1, 1, 1]
@@ -291,11 +292,13 @@ M_PER_DEG = math.pi * 6_371_000.0 / 180.0
 
 
 @st.composite
-def universes(draw, gps=False):
+def universes(draw, gps=False, half_steps=False):
     """One user and up to six services on sparse integer timesteps: gaps,
     services that start before, end after or sit inside the user's span,
     and absolute timesteps up to 10^12. Coordinates are metres in a 40 m
-    square, placed around Sydney as lon/lat when ``gps`` is set."""
+    square, placed around Sydney as lon/lat when ``gps`` is set. With
+    ``half_steps``, services also have samples at some t + 0.5, a second
+    sample within integer timestep t."""
     offset = draw(st.sampled_from([0, 1_000, 10**6, 10**12]))
     coord = st.floats(0.0, 40.0)
 
@@ -309,10 +312,16 @@ def universes(draw, gps=False):
     user = UserTrajectory(
         id="user:h", trajectory=trajectory(draw(st.sets(st.integers(1, 40), min_size=1, max_size=25)))
     )
+    def service_steps():
+        steps = draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))
+        if half_steps:
+            steps |= {t + 0.5 for t in draw(st.sets(st.sampled_from(sorted(steps))))}
+        return steps
+
     services = [
         MovingService(
             id=f"s{i}",
-            trajectory=trajectory(draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))),
+            trajectory=trajectory(service_steps()),
             bandwidth_b=draw(st.floats(1e6, 9e6)),
             max_concurrent_k=draw(st.integers(1, 4)),
         )
@@ -374,6 +383,20 @@ class TestColumnarOracle:
         assert_scalar_qos(pairs, services, user, PLANAR)
         validated, surviving = brute_force_validated(services, user, 15.0, w=2)
         table = discover(services, user)
+        assert table.validated == validated
+        assert surviving_pairs(table) == surviving
+
+    @given(universes(half_steps=True))
+    @settings(max_examples=150, deadline=None)
+    def test_two_samples_in_one_timestep_match_brute_force(self, universe):
+        services, user = universe
+        assert joined_pairs(services, user) == nested_loop_join(services, user)
+        pairs = run_spatial(services, user)
+        assert {(p.user_timestep, p.service_id) for p in pairs} == brute_force_pairs(
+            services, user, 15.0
+        )
+        validated, surviving = brute_force_validated(services, user, 15.0, w=1)
+        table = discover(services, user, w=1)
         assert table.validated == validated
         assert surviving_pairs(table) == surviving
 
