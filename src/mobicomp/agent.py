@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import network
-from .environment import Environment, Extents, encode_state
+from .environment import Environment, Extents, encode_states
 from .errors import CheckpointError, ConfigError, InvalidInputError
 from .network import NetworkSpec, NetworkState
 from .oracle import CompositionPlan, PlanStep
@@ -58,6 +58,8 @@ class AgentConfig:
             raise InvalidInputError(f"repetition must be >= 1, got {self.repetition}")
         if self.train_interval < 1:
             raise InvalidInputError(f"train_interval must be >= 1, got {self.train_interval}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,16 +251,15 @@ def compose(model: PolicyModel, env: Environment, user: UserTrajectory) -> Compo
             "model action space does not match environment "
             f"({len(model.action_ids)} vs {len(env.action_ids)} actions)"
         )
-    points = user.trajectory.points
-    states = np.stack([encode_state(p, model.extents) for p in points])
+    states = encode_states(user.trajectory, model.extents)
     q = network.forward(model.network, states, train_mode=False)
     greedy = np.argmax(q, axis=1)
 
     env.reset(user)
     steps = []
-    for i, p in enumerate(points):
-        t = int(p.t)
-        action_id = model.action_ids[int(greedy[i])]
+    for t, a in zip(user.trajectory.t.tolist(), greedy.tolist()):
+        t = int(t)
+        action_id = model.action_ids[a]
         pair = env.validated_at(t).get(action_id)
         outcome = env.step(action_id)
         steps.append(

@@ -200,6 +200,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    if args.w < 1:
+        raise InvalidInputError(f"--w must be >= 1, got {args.w}")
+    qos_params = QosParams.defaults_for(args.r_s)
     if args.format == "indoor":
         result = ingest_indoor(args.input, rate=args.rate)
         mode = DistanceMode.PLANAR_EUCLIDEAN
@@ -231,7 +234,7 @@ def _cmd_ingest(args) -> int:
         out,
         services,
         users,
-        qos_params=QosParams.defaults_for(args.r_s),
+        qos_params=qos_params,
         w=args.w,
         mode=mode,
         seed=args.seed,

@@ -31,6 +31,7 @@ from .trajectories import (
     UserTrajectory,
     dump_trajectories_csv,
     load_trajectories_csv,
+    parse_row,
     resample,
 )
 
@@ -327,7 +328,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise InvalidInputError(f"{path}: {exc}") from None
     qos_cfg = cfg.get("qos", {})
     r_s = _number(path, qos_cfg, "r_s_meters", 20.0)
-    defaults = QosParams.defaults_for(r_s)
+    try:
+        defaults = QosParams.defaults_for(r_s)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     qos_params = QosParams(
         confident_radius_rc=_number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc),
         decay_k=_number(path, qos_cfg, "decay_k", defaults.decay_k),
@@ -404,8 +408,9 @@ def _read_traces(
     path: str | Path, in_range
 ) -> tuple[dict[str, list[tuple[float, float, float]]], int, float]:
     """Samples (time, x, y) of a raw ``id,time,x,y`` file per id in file order,
-    the count of skipped rows (rows that do not parse, but for a header: the
-    first non-empty row; rows not ``in_range(x, y)``) and the earliest time."""
+    the count of skipped rows (rows that do not parse or hold a non-finite
+    number, but for a header: the first non-empty row; rows not
+    ``in_range(x, y)``) and the earliest time."""
     raw: dict[str, list[tuple[float, float, float]]] = {}
     skipped = 0
     first = True
@@ -414,7 +419,7 @@ def _read_traces(
             if not row:
                 continue
             try:
-                ident, t, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
+                ident, t, x, y = parse_row(row)
             except (ValueError, IndexError):
                 if not first:
                     skipped += 1
@@ -438,7 +443,7 @@ def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
     interpolation. Coordinates are treated as planar metres; that unit choice
     is a configuration of this ingester, not a property of the format.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
     raw, skipped, origin = _read_traces(path, lambda x, y: True)
     result = IngestResult(trajectories=[], skipped_rows=skipped)

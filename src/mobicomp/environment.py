@@ -12,9 +12,7 @@ import numpy as np
 from .errors import InvalidInputError, ProtocolError
 from .oracle import DUMMY_SERVICE, CandidateTable, ServiceColumns, discover
 from .qos import QosParams, reward_scale
-from .trajectories import DistanceMode, MovingService, TrajectoryPoint, UserTrajectory
-
-STATE_DIM = 3  # encoded (t, x, y)
+from .trajectories import DistanceMode, MovingService, Trajectory, UserTrajectory
 
 
 @dataclass(frozen=True)
@@ -33,38 +31,29 @@ class Extents:
     def from_universe(
         cls, services: list[MovingService], users: list[UserTrajectory]
     ) -> "Extents":
-        pts = [p for s in services for p in s.trajectory.points]
-        pts += [p for u in users for p in u.trajectory.points]
-        if not pts:
+        trajs = [s.trajectory for s in services] + [u.trajectory for u in users]
+        if not trajs:
             raise InvalidInputError("cannot compute extents of an empty universe")
-        return cls(
-            t_min=float(min(p.t for p in pts)),
-            t_max=float(max(p.t for p in pts)),
-            x_min=float(min(p.x for p in pts)),
-            x_max=float(max(p.x for p in pts)),
-            y_min=float(min(p.y for p in pts)),
-            y_max=float(max(p.y for p in pts)),
-        )
+        cols = [np.concatenate([getattr(tr, c) for tr in trajs]) for c in "txy"]
+        # fields in order: t_min, t_max, x_min, x_max, y_min, y_max
+        return cls(*(float(f(col)) for col in cols for f in (np.min, np.max)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Extents":
         return cls(**{k: float(v) for k, v in d.items()})
 
 
-def _norm(v: float, lo: float, hi: float) -> float:
-    # degenerate extent encodes as 0
-    return 0.0 if hi <= lo else (v - lo) / (hi - lo)
-
-
-def encode_state(sample: TrajectoryPoint, extents: Extents) -> np.ndarray:
-    """Min-max normalized [t, x, y] feature vector."""
-    return np.array(
-        [
-            _norm(sample.t, extents.t_min, extents.t_max),
-            _norm(sample.x, extents.x_min, extents.x_max),
-            _norm(sample.y, extents.y_min, extents.y_max),
-        ]
-    )
+def encode_states(traj: Trajectory, extents: Extents) -> np.ndarray:
+    """Min-max normalized [t, x, y] feature rows, one per sample; a
+    degenerate extent encodes as 0."""
+    e = extents
+    cols = [
+        np.zeros(len(v)) if hi <= lo else (v - lo) / (hi - lo)
+        for v, lo, hi in (
+            (traj.t, e.t_min, e.t_max), (traj.x, e.x_min, e.x_max), (traj.y, e.y_min, e.y_max)
+        )
+    ]
+    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,6 +109,7 @@ class Environment:
         self._tables: dict[UserTrajectory, CandidateTable] = {}
         self._user: UserTrajectory | None = None
         self._table: CandidateTable | None = None
+        self._states: np.ndarray | None = None
         self._cursor = 0
         self._done = True
 
@@ -139,9 +129,10 @@ class Environment:
             raise InvalidInputError("environment has no normalisation extents set")
         self._user = user
         self._table = self.table_for(user)
+        self._states = encode_states(user.trajectory, self.extents)
         self._cursor = 0
         self._done = False
-        return encode_state(user.trajectory.points[0], self.extents)
+        return self._states[0]
 
     def validated_at(self, t: int):
         return self._table.validated_at(t)
@@ -155,8 +146,8 @@ class Environment:
         """
         if self._done or self._user is None:
             raise ProtocolError("step() called on a finished episode; call reset() first")
-        points = self._user.trajectory.points
-        t = int(points[self._cursor].t)
+        n = len(self._states)
+        t = int(self._user.trajectory.t[self._cursor])
         if action_id == DUMMY_SERVICE:
             rew = self.rewards.dummy
         else:
@@ -166,8 +157,7 @@ class Environment:
             else:
                 rew = pair.qos.capacity / self.reward_scale
         self._cursor += 1
-        self._done = self._cursor >= len(points)
-        nxt = points[min(self._cursor, len(points) - 1)]
+        self._done = self._cursor >= n
         return StepOutcome(
-            reward=rew, next_state=encode_state(nxt, self.extents), done=self._done
+            reward=rew, next_state=self._states[min(self._cursor, n - 1)], done=self._done
         )

@@ -1,14 +1,16 @@
 """Ground-truth discovery of co-moving services and the optimal composition.
 
 A map-reduce over one user trajectory against ``ServiceColumns``, the service
-universe held as flat arrays with one row per service sample, sorted by
-integer timestep. The temporal join finds each user timestep's block of rows
-by binary search. The spatial filter tests every joined row against the
-search disk with numpy, widened by a small relative margin, and passes only
-the survivors to the scalar ``distance`` (which makes the strict ``< r_s``
-decision), perpendicular distance, strength and capacity, so every emitted
-float comes from the scalar functions. The reduce phase keeps services paired
-over at least ``w`` strictly consecutive timesteps.
+universe as the concatenation of every service trajectory's ``t``/``x``/``y``
+columns, one row per service sample, sorted by integer timestep. The temporal
+join finds each user timestep's block of rows by binary search. The spatial
+filter tests every joined row against the search disk with numpy, widened by
+a small relative margin, and passes only the survivors, as plain floats read
+from the user's and the universe's columns, to the scalar ``distance`` (which
+makes the strict ``< r_s`` decision), perpendicular distance, strength and
+capacity, so every emitted float comes from the scalar functions. The reduce
+phase keeps services paired over at least ``w`` strictly consecutive
+timesteps.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ import numpy as np
 from .errors import InvalidInputError, OutOfRangeError
 from .qos import QosParams, QosValue, capacity, perpendicular_distance, strength
 from .trajectories import (
-    DistanceMode,
-    MovingService,
-    TrajectoryPoint,
-    UserTrajectory,
-    check_gps,
-    distance,
-    distances,
+    DistanceMode, MovingService, UserTrajectory, check_gps, distance, distances
 )
 
 DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
@@ -84,36 +80,36 @@ class CompositionPlan:
 DISK_MARGIN = 1e-6
 
 
-def _int_timesteps(points: Sequence[TrajectoryPoint]) -> np.ndarray:
-    try:
-        return np.fromiter((int(p.t) for p in points), dtype=np.int64, count=len(points))
-    except OverflowError:
-        raise InvalidInputError("timestep beyond the 64-bit integer range") from None
+def _int_timesteps(t: np.ndarray) -> np.ndarray:
+    """Integer timesteps ``int(t)`` of a column of non-negative times."""
+    if t.size and t.max() >= 2.0**63:
+        raise InvalidInputError("timestep beyond the 64-bit integer range")
+    return t.astype(np.int64)
 
 
 class ServiceColumns:
-    """The service universe as flat columns, one row per service sample.
+    """The service universe as flat columns, one row per service sample: the
+    services' trajectory columns concatenated.
 
     Rows are stably sorted by integer timestep ``int(t)``, so within one
     timestep they keep service order, then sample order; the rows of
     ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``. ``row`` indexes
-    ``services`` and ``sample`` the sample within that service's trajectory.
-    Built once per scenario and read-only afterwards.
+    ``services``, and ``x``/``y`` are the sample's position. Built once per
+    scenario and read-only afterwards.
     """
 
     def __init__(self, services: Sequence[MovingService]):
         self.services = tuple(services)
-        lengths = np.array([len(s.trajectory) for s in self.services], dtype=np.int64)
-        n = int(lengths.sum())
-        points = [p for s in self.services for p in s.trajectory.points]
-        t = _int_timesteps(points)
-        order = np.argsort(t, kind="stable")
-        self.timesteps, first = np.unique(t[order], return_index=True)
-        self.bounds = np.append(first, n)
+        trajs = [s.trajectory for s in self.services]
+        lengths = np.array([len(tr) for tr in trajs], dtype=np.int64)
+        # the empty column keeps concatenate defined for an empty universe
+        t, x, y = (np.concatenate([np.empty(0)] + [getattr(tr, c) for tr in trajs]) for c in "txy")
+        steps = _int_timesteps(t)
+        order = np.argsort(steps, kind="stable")
+        self.timesteps, first = np.unique(steps[order], return_index=True)
+        self.bounds = np.append(first, len(t))
         self.row = np.repeat(np.arange(len(self.services), dtype=np.int32), lengths)[order]
-        self.sample = (order - (np.cumsum(lengths) - lengths)[self.row]).astype(np.int32)
-        self.x = np.fromiter((p.x for p in points), dtype=np.float64, count=n)[order]
-        self.y = np.fromiter((p.y for p in points), dtype=np.float64, count=n)[order]
+        self.x, self.y = x[order], y[order]
 
 
 class JoinedSamples(Mapping):
@@ -146,7 +142,7 @@ def temporal_map(universe: ServiceColumns, user: UserTrajectory) -> JoinedSample
     search over the universe's distinct timesteps, so the cost follows the
     rows joined and the user's sample count, never the timestep values.
     """
-    timesteps = np.unique(_int_timesteps(user.trajectory.points))
+    timesteps = np.unique(_int_timesteps(user.trajectory.t))
     lo = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="left")]
     counts = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="right")] - lo
     bounds = np.zeros(len(timesteps) + 1, dtype=np.int64)
@@ -177,17 +173,15 @@ def spatial_map(
     counts = np.diff(joined.bounds)
     # index of the user sample at each joined timestep; a timestep with
     # joined rows needs a user sample at exactly that timestep
-    user_t = np.fromiter((p.t for p in traj.points), dtype=np.float64, count=len(traj))
-    at = np.minimum(np.searchsorted(user_t, joined.timesteps), len(traj) - 1)
-    absent = (user_t[at] != joined.timesteps) & (counts > 0)
+    at = np.minimum(np.searchsorted(traj.t, joined.timesteps), len(traj) - 1)
+    absent = (traj.t[at] != joined.timesteps) & (counts > 0)
     if absent.any():
         raise OutOfRangeError(f"no sample at timestep {joined.timesteps[np.argmax(absent)]}")
-    ux = np.repeat(np.fromiter((p.x for p in traj.points), np.float64, len(traj))[at], counts)
-    uy = np.repeat(np.fromiter((p.y for p in traj.points), np.float64, len(traj))[at], counts)
+    # index of the user sample at t + 1, or at t where there is none
+    nxt = np.minimum(at + 1, len(traj) - 1)
+    nxt = np.where(traj.t[nxt] == joined.timesteps + 1, nxt, at)
+    ux, uy = np.repeat(traj.x[at], counts), np.repeat(traj.y[at], counts)
     sx, sy = universe.x[rows], universe.y[rows]
-
-    def step_of(j):  # index into joined.timesteps of joined row j
-        return np.searchsorted(joined.bounds, j, side="right") - 1
 
     if mode is DistanceMode.HAVERSINE:
         # every joined pair is range-checked, inside the disk or not
@@ -195,25 +189,21 @@ def spatial_map(
         valid &= (np.abs(sx) <= 180.0) & (np.abs(sy) <= 90.0)
         if not valid.all():
             j = int(np.argmin(valid))
-            check_gps(traj.points[at[step_of(j)]])
-            i = rows[j]
-            check_gps(universe.services[universe.row[i]].trajectory.points[universe.sample[i]])
+            check_gps(float(ux[j]), float(uy[j]))
+            check_gps(float(sx[j]), float(sy[j]))
     near = np.flatnonzero(distances(ux, uy, sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
-    step = step_of(near)
-    near_rows = rows[near]
+    step = np.searchsorted(joined.bounds, near, side="right") - 1
+    a, b = at[step], nxt[step]
 
     pairs: list[SpatialCandidatePair] = []
-    for t, i, svc_index, k in zip(
-        joined.timesteps[step].tolist(),
-        at[step].tolist(),
-        universe.row[near_rows].tolist(),
-        universe.sample[near_rows].tolist(),
-    ):
-        svc = universe.services[svc_index]
-        svc_pt = svc.trajectory.points[k]
-        d = distance(traj.points[i], svc_pt, mode)
+    for t, svc_index, px, py, ax, ay, bx, by in zip(*(col.tolist() for col in (
+        joined.timesteps[step], universe.row[rows[near]], sx[near], sy[near],
+        traj.x[a], traj.y[a], traj.x[b], traj.y[b],
+    ))):
+        d = distance(ax, ay, px, py, mode)
         if d < r_s:
-            pdis = perpendicular_distance(svc_pt, traj, t, mode)
+            svc = universe.services[svc_index]
+            pdis = perpendicular_distance(px, py, ax, ay, bx, by, mode)
             s = strength(pdis, qos_params)
             cap = capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
             pairs.append(
@@ -291,8 +281,7 @@ def optimal_plan(
     the per-step argmax maximises the plan total.
     """
     steps = []
-    for p in user.trajectory.points:
-        t = int(p.t)
+    for t in _int_timesteps(user.trajectory.t).tolist():
         cands = table.validated_at(t)
         if not cands:
             steps.append(
@@ -332,8 +321,7 @@ def table_plan_json(
     """Per-timestep JSON rows combining the candidate table and the plan."""
     chosen_by_t = {s.user_timestep: s.chosen for s in plan.steps}
     rows = []
-    for p in user.trajectory.points:
-        t = int(p.t)
+    for t in _int_timesteps(user.trajectory.t).tolist():
         cands = [
             {
                 "service_id": c.service_id,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvalidInputError
-from .trajectories import DistanceMode, Trajectory, TrajectoryPoint, distance
+from .trajectories import DistanceMode, distance
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,10 @@ class QosParams:
     def defaults_for(cls, sensing_radius_rs: float) -> "QosParams":
         """Defaults when a scenario omits them: R_c = 0.25 * R_s and a decay
         factor chosen so strength falls to 0.01 at the sensing edge."""
+        if not (math.isfinite(sensing_radius_rs) and sensing_radius_rs > 0):
+            raise InvalidInputError(
+                f"sensing radius must be finite and > 0, got {sensing_radius_rs}"
+            )
         rc = 0.25 * sensing_radius_rs
         k = math.log(100.0) / (sensing_radius_rs - rc)
         return cls(confident_radius_rc=rc, decay_k=k, sensing_radius_rs=sensing_radius_rs)
@@ -54,51 +58,28 @@ class QosValue:
             raise InvalidInputError(f"capacity must be >= 0, got {self.capacity}")
 
 
-def _planar_foot(sp: TrajectoryPoint, a: TrajectoryPoint, b: TrajectoryPoint) -> tuple[float, float]:
-    """Foot of the perpendicular from sp onto segment a->b, clamped to it."""
-    vx, vy = b.x - a.x, b.y - a.y
-    den = vx * vx + vy * vy
-    if den == 0.0:
-        return a.x, a.y
-    s = ((sp.x - a.x) * vx + (sp.y - a.y) * vy) / den
-    s = min(1.0, max(0.0, s))
-    return a.x + s * vx, a.y + s * vy
-
-
 def perpendicular_distance(
-    service_pt: TrajectoryPoint,
-    user_traj: Trajectory,
-    t: float,
-    mode: DistanceMode,
+    sx: float, sy: float, ax: float, ay: float, bx: float, by: float, mode: DistanceMode
 ) -> float:
-    """Distance from a service sample to the user's path segment at timestep t.
+    """Distance from the service at (sx, sy) to the user's path segment from
+    (ax, ay), the user's sample at timestep t, to (bx, by), its sample at t+1.
 
-    The foot of the perpendicular is clamped to the segment between the user
-    samples at t and t+1; the final timestep (no successor) degenerates to the
-    point-to-point distance.
+    The foot of the perpendicular is clamped to the segment. At the final
+    timestep (no sample at t+1) the caller passes b = a, and the zero-length
+    segment degenerates to the point-to-point distance.
     """
-    i = user_traj.index_of(t)
-    a = user_traj.points[i]
-    if i + 1 >= len(user_traj) or user_traj.points[i + 1].t != t + 1:
-        return distance(service_pt, a, mode)
-    b = user_traj.points[i + 1]
+    # GPS finds the foot in a local equirectangular frame around the segment
+    # start, then measures great-circle distance to it
+    scale = 1.0 if mode is DistanceMode.PLANAR_EUCLIDEAN else math.cos(math.radians(ay))
+    vx, vy = bx - ax, by - ay
+    wx = vx * scale
+    den = wx * wx + vy * vy
+    s = 0.0 if den == 0.0 else min(1.0, max(0.0, ((sx - ax) * scale * wx + (sy - ay) * vy) / den))
+    d = distance(sx, sy, ax + s * vx, ay + s * vy, mode)
     if mode is DistanceMode.PLANAR_EUCLIDEAN:
-        fx, fy = _planar_foot(service_pt, a, b)
-        return math.hypot(service_pt.x - fx, service_pt.y - fy)
-    # GPS: project in a local equirectangular frame around the segment start,
-    # then measure great-circle distance to the clamped foot. Never worse than
-    # the segment endpoints, which bounds frame-approximation error.
-    scale = math.cos(math.radians(a.y))
-    sx, sy = (service_pt.x - a.x) * scale, service_pt.y - a.y
-    vx, vy = (b.x - a.x) * scale, b.y - a.y
-    den = vx * vx + vy * vy
-    s = 0.0 if den == 0.0 else min(1.0, max(0.0, (sx * vx + sy * vy) / den))
-    foot = TrajectoryPoint(t=t, x=a.x + s * (b.x - a.x), y=a.y + s * (b.y - a.y))
-    return min(
-        distance(service_pt, foot, mode),
-        distance(service_pt, a, mode),
-        distance(service_pt, b, mode),
-    )
+        return d
+    # never worse than the segment endpoints, which bounds the frame's error
+    return min(d, distance(sx, sy, ax, ay, mode), distance(sx, sy, bx, by, mode))
 
 
 def strength(pdis: float, params: QosParams) -> float:

@@ -2,15 +2,21 @@
 fixed-rate resampling, and the planar/great-circle distance metrics every
 other module builds on.
 
+A ``Trajectory`` is stored as three read-only float64 columns, ``t``, ``x``
+and ``y``, one entry per sample; discovery, state encoding and composition
+read the columns directly. ``TrajectoryPoint``, the per-sample form, is kept
+for the I/O edges: generators and readers build trajectories from points,
+and ``Trajectory.points`` rebuilds them.
+
 Timesteps are global integer sequence indices once data has been ingested;
 fractional ``t`` values only appear on interpolated query results.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,42 +51,61 @@ class TrajectoryPoint:
             raise InvalidInputError(f"timestep must be non-negative, got {self.t}")
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Non-empty sequence of samples, strictly ascending in ``t``."""
+    """Non-empty sequence of finite samples, strictly ascending in ``t``, held
+    as the read-only float64 columns ``t``, ``x`` and ``y``. Immutable, and
+    equal and hashed by value."""
 
-    points: tuple[TrajectoryPoint, ...]
+    __slots__ = ("t", "x", "y")
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
+    def __init__(self, points: Sequence[TrajectoryPoint]):
+        pts = tuple(points)
+        cols = np.array([[p.t for p in pts], [p.x for p in pts], [p.y for p in pts]], np.float64)
+        if not cols.shape[1]:
             raise InvalidInputError("trajectory must contain at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if b.t <= a.t:
-                raise InvalidInputError(
-                    f"timesteps must be strictly ascending, got {a.t} then {b.t}"
-                )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_ts", tuple(p.t for p in pts))
+        if not np.isfinite(cols).all():
+            raise InvalidInputError("trajectory samples must be finite numbers")
+        t = cols[0]
+        back = t[1:] <= t[:-1]
+        if back.any():
+            i = int(back.argmax())
+            raise InvalidInputError(
+                f"timesteps must be strictly ascending, got {t[i]} then {t[i + 1]}"
+            )
+        cols.flags.writeable = False
+        for name, col in zip(self.__slots__, cols):
+            object.__setattr__(self, name, col)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return Trajectory, (self.points,)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash(b"".join((getattr(self, c) + 0.0).tobytes() for c in self.__slots__))
+
+    @property
+    def points(self) -> tuple[TrajectoryPoint, ...]:
+        """The samples as points, the per-sample form of the I/O edges."""
+        return tuple(map(TrajectoryPoint, self.t.tolist(), self.x.tolist(), self.y.tolist()))
 
     @property
     def t_min(self) -> float:
-        return self.points[0].t
+        return float(self.t[0])
 
     @property
     def t_max(self) -> float:
-        return self.points[-1].t
-
-    def index_of(self, t: float) -> int:
-        """Index of the stored sample at exactly ``t``; OutOfRangeError if absent."""
-        ts = self._ts
-        i = bisect.bisect_left(ts, t)
-        if i == len(ts) or ts[i] != t:
-            raise OutOfRangeError(f"no sample at timestep {t}")
-        return i
+        return float(self.t[-1])
 
 
 @dataclass(frozen=True)
@@ -108,9 +133,9 @@ class MovingService:
             raise InvalidInputError("max_concurrent_k must be >= 1")
 
 
-def check_gps(p: TrajectoryPoint) -> None:
-    if not (-180.0 <= p.x <= 180.0 and -90.0 <= p.y <= 90.0):
-        raise InvalidInputError(f"GPS coordinates out of range: ({p.x}, {p.y})")
+def check_gps(x: float, y: float) -> None:
+    if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
+        raise InvalidInputError(f"GPS coordinates out of range: ({x}, {y})")
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -122,13 +147,14 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def distance(a: TrajectoryPoint, b: TrajectoryPoint, mode: DistanceMode) -> float:
-    """Distance in metres between two samples under the given mode."""
+def distance(ax: float, ay: float, bx: float, by: float, mode: DistanceMode) -> float:
+    """Distance in metres between positions (ax, ay) and (bx, by) under the
+    given mode."""
     if mode is DistanceMode.PLANAR_EUCLIDEAN:
-        return math.hypot(a.x - b.x, a.y - b.y)
-    check_gps(a)
-    check_gps(b)
-    return haversine_m(a.x, a.y, b.x, b.y)
+        return math.hypot(ax - bx, ay - by)
+    check_gps(ax, ay)
+    check_gps(bx, by)
+    return haversine_m(ax, ay, bx, by)
 
 
 def distances(
@@ -149,24 +175,22 @@ def distances(
 def position_at(traj: Trajectory, t_query: float) -> TrajectoryPoint:
     """Position at ``t_query`` under the constant-speed-between-samples model.
 
-    Exact stored samples are returned unchanged; queries outside the recorded
-    span raise OutOfRangeError (a trajectory does not exist beyond its span).
+    A query at a stored sample returns that sample's position unchanged;
+    queries outside the recorded span raise OutOfRangeError (a trajectory does
+    not exist beyond its span).
     """
-    ts = traj._ts
-    if t_query < ts[0] or t_query > ts[-1]:
+    if t_query < traj.t_min or t_query > traj.t_max:
         raise OutOfRangeError(
-            f"t={t_query} outside trajectory span [{ts[0]}, {ts[-1]}]"
+            f"t={t_query} outside trajectory span [{traj.t_min}, {traj.t_max}]"
         )
-    i = bisect.bisect_left(ts, t_query)
-    if i < len(ts) and ts[i] == t_query:
-        return traj.points[i]
-    lo, hi = traj.points[i - 1], traj.points[i]
-    frac = (t_query - lo.t) / (hi.t - lo.t)
-    return TrajectoryPoint(
-        t=t_query,
-        x=lo.x + frac * (hi.x - lo.x),
-        y=lo.y + frac * (hi.y - lo.y),
-    )
+    i = int(np.searchsorted(traj.t, t_query))
+    if traj.t[i] == t_query:
+        return TrajectoryPoint(t=t_query, x=float(traj.x[i]), y=float(traj.y[i]))
+    t0, t1 = traj.t[i - 1 : i + 1].tolist()
+    x0, x1 = traj.x[i - 1 : i + 1].tolist()
+    y0, y1 = traj.y[i - 1 : i + 1].tolist()
+    frac = (t_query - t0) / (t1 - t0)
+    return TrajectoryPoint(t=t_query, x=x0 + frac * (x1 - x0), y=y0 + frac * (y1 - y0))
 
 
 def resample(traj: Trajectory, rate: float, origin: float | None = None) -> Trajectory:
@@ -178,7 +202,7 @@ def resample(traj: Trajectory, rate: float, origin: float | None = None) -> Traj
     sequence. Gaps are filled by linear interpolation; there is no
     extrapolation beyond the recorded span.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
     if origin is None:
         origin = traj.t_min
@@ -207,8 +231,17 @@ def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path)
 def _csv_rows(items: list[tuple[str, Trajectory]]):
     yield ["id", "t", "x", "y"]
     for ident, traj in items:
-        for p in traj.points:
-            yield [ident, int(p.t) if float(p.t).is_integer() else p.t, p.x, p.y]
+        for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()):
+            yield [ident, int(t) if t.is_integer() else t, x, y]
+
+
+def parse_row(row: list[str]) -> tuple[str, float, float, float]:
+    """The ``id, t, x, y`` of one CSV row: IndexError for a short row,
+    ValueError for a value that is not a finite number."""
+    t, x, y = float(row[1]), float(row[2]), float(row[3])
+    if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite value in {row!r}")
+    return row[0], t, x, y
 
 
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
@@ -225,14 +258,12 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
             if not row:
                 continue
             try:
-                ident, t, x, y = row[0], float(row[1]), float(row[2]), float(row[3])
+                ident, t, x, y = parse_row(row)
             except (IndexError, ValueError):
                 raise InvalidInputError(
                     f"malformed row {row!r} in {path} line {reader.line_num}"
                 ) from None
-            if ident not in buckets:
-                buckets[ident] = []
-            buckets[ident].append(TrajectoryPoint(t=t, x=x, y=y))
+            buckets.setdefault(ident, []).append(TrajectoryPoint(t=t, x=x, y=y))
     if not buckets:
         raise InvalidInputError(f"no trajectory rows in {path}")
     out = []

@@ -21,7 +21,8 @@ def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
 
 
 def nested_loop_join(services, user):
-    """Timestep join by exhaustive pairwise comparison."""
+    """Timestep join by exhaustive pairwise comparison; each joined service
+    sample as (service id, (x, y))."""
     out = {}
     for up in user.trajectory.points:
         out[int(up.t)] = []
@@ -29,7 +30,7 @@ def nested_loop_join(services, user):
         for sp in svc.trajectory.points:
             for up in user.trajectory.points:
                 if int(sp.t) == int(up.t):
-                    out[int(up.t)].append((svc.id, sp))
+                    out[int(up.t)].append((svc.id, (sp.x, sp.y)))
     return out
 
 

@@ -233,6 +233,11 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train(env, [], AgentConfig())
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            AgentConfig(seed=seed)
+
 
 class TestCompose:
     def test_deterministic(self):

@@ -233,6 +233,71 @@ def test_unreadable_input_file_is_one_line_error(bundle, tmp_path, capsys, case)
     assert_one_error_line(capsys, "InvalidInputError", bad)
 
 
+def append_line(path, line):
+    path.write_text(path.read_text() + line + "\n")
+
+
+# a value the program cannot use, on the command line or in an input file;
+# each case gives the argument list and the text the error line must name
+def bad_value_case(case, bundle, tmp_path):
+    scenario = str(bundle / "scenario.json")
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw_traces("indoor"))
+    ingest = ["ingest", "--format", "indoor", "--in", str(raw), "--out", str(tmp_path / "out")]
+    train = ["train", "--scenario", scenario, "--out", str(tmp_path / "out" / "m.ckpt")]
+    discover = ["discover", "--scenario", scenario, "--out", str(tmp_path / "out" / "d.json")]
+    if case == "ingest_r_s_zero":
+        return [*ingest, "--r-s", "0"], "sensing radius"
+    if case == "ingest_rate_nan":
+        return [*ingest, "--rate", "nan"], "rate"
+    if case == "ingest_w_zero":
+        return [*ingest, "--w", "0"], "--w"
+    if case == "scenario_r_s_zero":
+        cfg = json.loads((bundle / "scenario.json").read_text())
+        cfg["qos"] = {"r_s_meters": 0}
+        (bundle / "scenario.json").write_text(json.dumps(cfg))
+        return discover, str(bundle / "scenario.json")
+    if case == "train_negative_seed":
+        return [*train, *FAST_FLAGS, "--seed", "-1"], "seed"
+    if case == "evaluate_negative_seed":
+        return ["evaluate", "--scenario", scenario, "--mode", "accuracy",
+                "--out", str(tmp_path / "out" / "r.json"), *FAST_FLAGS, "--seed", "-1"], "seed"
+    if case == "services_t_nan":
+        append_line(bundle / "services.csv", "s0000,nan,1.0,1.0")
+        return discover, f"{bundle / 'services.csv'} line "
+    assert case == "users_x_inf"
+    append_line(bundle / "users.csv", "user:u0000,26,inf,1.0")
+    return [*train, *FAST_FLAGS], f"{bundle / 'users.csv'} line "
+
+
+BAD_VALUES = [
+    "evaluate_negative_seed", "ingest_r_s_zero", "ingest_rate_nan", "ingest_w_zero",
+    "scenario_r_s_zero", "services_t_nan", "train_negative_seed", "users_x_inf",
+]
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_value_is_one_line_error_and_writes_nothing(bundle, tmp_path, capsys, case):
+    args, named = bad_value_case(case, bundle, tmp_path)
+    assert dispatch([*args, "--quiet"]) == 1
+    assert_one_error_line(capsys, "InvalidInputError", named)
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_skips_a_row_with_a_non_finite_time(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text(raw_traces("indoor"))
+    (tmp_path / "raw_nan.csv").write_text(raw_traces("indoor") + "p1,nan,1.0,1.0\np2,inf,2.0,2.0\n")
+    for raw, out in (("raw.csv", "clean"), ("raw_nan.csv", "nan")):
+        args = ["ingest", "--format", "indoor", "--in", raw, "--out", out, "--user-fraction", "0.5"]
+        assert dispatch(args) == 0
+    # the two rows are counted as skipped and leave the bundle as it was
+    clean, nan = capsys.readouterr().out.splitlines()
+    assert nan.replace("skipped_rows=4", "skipped_rows=2") == clean.replace("clean/", "nan/")
+    for name in ("services.csv", "users.csv", "scenario.json"):
+        assert (tmp_path / "nan" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 # sha256 of `mobicomp discover` on SPEC's scenario, run from the bundle's
 # parent directory so the output names the scenario by a relative path. A
 # change to these bytes is a change to the ground truth the composer is

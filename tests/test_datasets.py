@@ -80,8 +80,8 @@ class TestGenerate:
             services, users = generate(small_spec(mobility_model=model))
             assert len(services) == 10 and len(users) == 4
             for item in services + users:
-                ts = [p.t for p in item.trajectory.points]
-                assert all(isinstance(t, int) for t in ts)
+                ts = item.trajectory.t.tolist()
+                assert all(t.is_integer() for t in ts)
                 assert all(b - a == 1 for a, b in zip(ts, ts[1:]))
             for svc in services:
                 assert svc.bandwidth_b > 0 and svc.max_concurrent_k >= 1

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mobicomp.environment import Environment, Extents, RewardScheme, encode_state
+from mobicomp.environment import Environment, Extents, RewardScheme, encode_states
 from mobicomp.errors import InvalidInputError, ProtocolError
 from mobicomp.oracle import DUMMY_SERVICE
-from mobicomp.trajectories import TrajectoryPoint, UserTrajectory
+from mobicomp.trajectories import UserTrajectory
 
 from conftest import line_user, make_env, service_tracking, traj
 
@@ -13,20 +13,20 @@ class TestEncodeState:
     extents = Extents(t_min=1, t_max=11, x_min=0, x_max=100, y_min=-50, y_max=50)
 
     def test_lower_corner(self):
-        v = encode_state(TrajectoryPoint(t=1, x=0, y=-50), self.extents)
+        v = encode_states(traj([(1, 0, -50)]), self.extents)[0]
         assert np.array_equal(v, [0.0, 0.0, 0.0])
 
     def test_upper_corner(self):
-        v = encode_state(TrajectoryPoint(t=11, x=100, y=50), self.extents)
+        v = encode_states(traj([(11, 100, 50)]), self.extents)[0]
         assert np.array_equal(v, [1.0, 1.0, 1.0])
 
     def test_midpoint_hand_normalized(self):
-        v = encode_state(TrajectoryPoint(t=6, x=50, y=0), self.extents)
+        v = encode_states(traj([(6, 50, 0)]), self.extents)[0]
         assert np.allclose(v, [0.5, 0.5, 0.5], atol=1e-15)
 
     def test_degenerate_extent_encodes_zero(self):
         flat = Extents(t_min=1, t_max=1, x_min=0, x_max=10, y_min=0, y_max=0)
-        v = encode_state(TrajectoryPoint(t=1, x=5, y=0), flat)
+        v = encode_states(traj([(1, 5, 0)]), flat)[0]
         assert np.array_equal(v, [0.0, 0.5, 0.0])
 
 

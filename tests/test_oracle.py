@@ -23,7 +23,6 @@ from mobicomp.qos import QosParams, QosValue, capacity, perpendicular_distance, 
 from mobicomp.trajectories import (
     DistanceMode,
     MovingService,
-    TrajectoryPoint,
     UserTrajectory,
     distance,
     distances,
@@ -50,16 +49,13 @@ def discover(services, user, w=2, mode=PLANAR, qos=QOS):
 
 
 def joined_pairs(services, user):
-    """temporal_map's result as {t: [(service id, sample)]}, for comparison
+    """temporal_map's result as {t: [(service id, (x, y))]}, for comparison
     with the nested-loop reference."""
     universe = ServiceColumns(services)
     joined = temporal_map(universe, user)
     return {
         t: [
-            (
-                universe.services[universe.row[i]].id,
-                universe.services[universe.row[i]].trajectory.points[universe.sample[i]],
-            )
+            (universe.services[universe.row[i]].id, (universe.x[i], universe.y[i]))
             for i in rows
         ]
         for t, rows in joined.items()
@@ -100,11 +96,7 @@ class TestTemporalMap:
         services, user = random_universe(rng, n_services=50, n_steps=20)
         got = joined_pairs(services, user)
         expected = nested_loop_join(services, user)
-        assert set(got) == set(expected)
-        for t in got:
-            assert [(sid, (p.t, p.x, p.y)) for sid, p in got[t]] == [
-                (sid, (p.t, p.x, p.y)) for sid, p in expected[t]
-            ]
+        assert got == expected
 
 
 class TestSpatialMap:
@@ -336,9 +328,12 @@ def assert_scalar_qos(pairs, services, user, mode):
     user_at = {int(p.t): p for p in user.trajectory.points}
     for pair in pairs:
         t, svc = pair.user_timestep, by_id[pair.service_id]
-        svc_pt = svc.trajectory.points[svc.trajectory.index_of(t)]
-        assert pair.distance == distance(user_at[t], svc_pt, mode)
-        s = strength(perpendicular_distance(svc_pt, user.trajectory, t, mode), QOS)
+        sp = next(p for p in svc.trajectory.points if p.t == t)
+        up = user_at[t]
+        nxt = user_at.get(t + 1, up)
+        assert pair.distance == distance(up.x, up.y, sp.x, sp.y, mode)
+        pdis = perpendicular_distance(sp.x, sp.y, up.x, up.y, nxt.x, nxt.y, mode)
+        s = strength(pdis, QOS)
         assert pair.qos.strength == s
         assert pair.qos.capacity == capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
 
@@ -358,7 +353,7 @@ def edge_offsets(mode, dy):
     r_s = QOS.sensing_radius_rs
 
     def d(x):
-        return distance(TrajectoryPoint(1, x0, y0), TrajectoryPoint(1, x, y0 + dy), mode)
+        return distance(x0, y0, x, y0 + dy, mode)
 
     lo, hi = x0, x0 + (1.0 if mode is GPS else 2.0 * r_s)
     assert d(lo) < r_s <= d(hi)
@@ -439,7 +434,7 @@ class TestColumnarOracle:
             bx, by = ax + rng.normal(0, 1, n) * scale, ay + rng.normal(0, 1, n) * scale
         got = distances(ax, ay, bx, by, mode)
         scalar = np.array([
-            distance(TrajectoryPoint(0, *a), TrajectoryPoint(0, *b), mode)
+            distance(*a, *b, mode)
             for a, b in zip(zip(ax.tolist(), ay.tolist()), zip(bx.tolist(), by.tolist()))
         ])
         assert np.all(np.abs(got - scalar) <= 1e-3 * DISK_MARGIN * scalar)

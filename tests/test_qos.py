@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobicomp.errors import ContractViolationError, InvalidInputError, OutOfRangeError
+from mobicomp.errors import ContractViolationError, InvalidInputError
 from mobicomp.qos import (
     QosParams,
     QosValue,
@@ -15,42 +15,32 @@ from mobicomp.qos import (
     strength,
     unit_capacity,
 )
-from mobicomp.trajectories import DistanceMode, TrajectoryPoint
-
-from conftest import traj
+from mobicomp.trajectories import DistanceMode
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
 
 
-def sp(x, y):
-    return TrajectoryPoint(t=0, x=x, y=y)
-
-
 class TestPerpendicularDistance:
-    # user walks (0,0) -> (10,0) -> (20,0) at t = 1, 2, 3
-    user = traj([(1, 0, 0), (2, 10, 0), (3, 20, 0)])
+    # user walks (0,0) -> (10,0) -> (20,0) at t = 1, 2, 3; the segment at
+    # t = 1 runs from (0,0) to (10,0), and the final one is the point (20,0)
+    segment_1 = (0.0, 0.0, 10.0, 0.0)
 
     def test_axis_aligned_perpendicular(self):
-        assert perpendicular_distance(sp(0, 5), self.user, 1, PLANAR) == 5.0
+        assert perpendicular_distance(0, 5, *self.segment_1, PLANAR) == 5.0
 
     def test_service_on_sample(self):
-        assert perpendicular_distance(sp(0, 0), self.user, 1, PLANAR) == 0.0
+        assert perpendicular_distance(0, 0, *self.segment_1, PLANAR) == 0.0
 
     def test_foot_clamped_to_segment_end(self):
-        got = perpendicular_distance(sp(12, 3), self.user, 1, PLANAR)
+        got = perpendicular_distance(12, 3, *self.segment_1, PLANAR)
         assert got == pytest.approx(math.sqrt(13), abs=1e-12)
 
     def test_final_timestep_uses_point_distance(self):
-        assert perpendicular_distance(sp(20, 7), self.user, 3, PLANAR) == 7.0
-
-    def test_unknown_timestep_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            perpendicular_distance(sp(0, 0), self.user, 4, PLANAR)
+        assert perpendicular_distance(20, 7, 20.0, 0.0, 20.0, 0.0, PLANAR) == 7.0
 
     def test_never_exceeds_point_distance(self):
-        svc = sp(7.3, 4.1)
-        point_d = math.hypot(svc.x - 0.0, svc.y - 0.0)
-        assert perpendicular_distance(svc, self.user, 1, PLANAR) <= point_d
+        point_d = math.hypot(7.3 - 0.0, 4.1 - 0.0)
+        assert perpendicular_distance(7.3, 4.1, *self.segment_1, PLANAR) <= point_d
 
 
 class TestStrength:
@@ -153,6 +143,11 @@ class TestParamsAndValues:
         p = QosParams.defaults_for(20.0)
         assert p.confident_radius_rc == 5.0
         assert strength(p.sensing_radius_rs, p) == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("r_s", [0.0, -5.0, math.inf, math.nan])
+    def test_defaults_need_a_finite_positive_radius(self, r_s):
+        with pytest.raises(InvalidInputError, match="sensing radius"):
+            QosParams.defaults_for(r_s)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidInputError):

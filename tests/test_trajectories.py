@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -25,25 +27,21 @@ GPS = DistanceMode.HAVERSINE
 
 # frozen before the build from an independent Vincenty-sphere computation at
 # 50-digit precision (mpmath): Sydney pair 1e-4 degrees of longitude apart
-SYDNEY_A = TrajectoryPoint(t=0, x=151.2093, y=-33.8688)
-SYDNEY_B = TrajectoryPoint(t=0, x=151.2094, y=-33.8688)
+SYDNEY_A = (151.2093, -33.8688)  # lon, lat
+SYDNEY_B = (151.2094, -33.8688)
 SYDNEY_EXPECTED_M = 9.232691315294941
-
-
-def p(x, y, t=0):
-    return TrajectoryPoint(t=t, x=x, y=y)
 
 
 class TestDistance:
     def test_planar_3_4_5(self):
-        assert distance(p(0, 0), p(3, 4), PLANAR) == 5.0
+        assert distance(0, 0, 3, 4, PLANAR) == 5.0
 
     def test_identity_both_modes(self):
-        assert distance(p(2.5, -7.25), p(2.5, -7.25), PLANAR) == 0.0
-        assert distance(SYDNEY_A, SYDNEY_A, GPS) == 0.0
+        assert distance(2.5, -7.25, 2.5, -7.25, PLANAR) == 0.0
+        assert distance(*SYDNEY_A, *SYDNEY_A, GPS) == 0.0
 
     def test_haversine_matches_independent_great_circle(self):
-        got = distance(SYDNEY_A, SYDNEY_B, GPS)
+        got = distance(*SYDNEY_A, *SYDNEY_B, GPS)
         assert got == pytest.approx(SYDNEY_EXPECTED_M, rel=1e-6)
         # the in-test oracle re-derives the frozen constant up to float64
         # rounding of this near-degenerate angle
@@ -53,9 +51,9 @@ class TestDistance:
 
     def test_gps_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            distance(p(181.0, 0.0), p(0.0, 0.0), GPS)
+            distance(181.0, 0.0, 0.0, 0.0, GPS)
         with pytest.raises(InvalidInputError):
-            distance(p(0.0, 0.0), p(0.0, -90.5), GPS)
+            distance(0.0, 0.0, 0.0, -90.5, GPS)
 
     @given(
         st.tuples(
@@ -66,8 +64,8 @@ class TestDistance:
     @settings(max_examples=150)
     def test_haversine_symmetric(self, coords):
         x1, y1, x2, y2 = coords
-        a, b = p(x1, y1), p(x2, y2)
-        assert distance(a, b, GPS) == pytest.approx(distance(b, a, GPS), abs=1e-9)
+        dab, dba = distance(x1, y1, x2, y2, GPS), distance(x2, y2, x1, y1, GPS)
+        assert dab == pytest.approx(dba, abs=1e-9)
 
     @given(
         st.lists(
@@ -80,9 +78,9 @@ class TestDistance:
     def test_symmetry_and_triangle_inequality(self, pts, mode):
         if mode is GPS:  # shrink into valid GPS ranges
             pts = [(x / 100.0, y / 150.0) for x, y in pts]
-        a, b, c = (p(x, y) for x, y in pts)
-        dab, dba = distance(a, b, mode), distance(b, a, mode)
-        dac, dcb = distance(a, c, mode), distance(c, b, mode)
+        a, b, c = pts
+        dab, dba = distance(*a, *b, mode), distance(*b, *a, mode)
+        dac, dcb = distance(*a, *c, mode), distance(*c, *b, mode)
         assert dab >= 0.0
         assert dab == pytest.approx(dba, abs=1e-9)
         assert dab <= dac + dcb + 1e-7
@@ -96,7 +94,7 @@ class TestPositionAt:
 
     def test_exact_sample_returned_unchanged(self):
         tr = traj([(0, 0, 0), (2, 4, 0), (5, 1, 9)])
-        assert position_at(tr, 2) is tr.points[1]
+        assert position_at(tr, 2) == tr.points[1] == TrajectoryPoint(t=2, x=4.0, y=0.0)
 
     def test_hand_interpolation(self):
         tr = traj([(0, 0, 0), (10, 10, 20)])
@@ -141,7 +139,7 @@ class TestResample:
 
     def test_nonpositive_rate_rejected(self):
         tr = traj([(0, 0, 0), (1, 1, 1)])
-        for rate in (0.0, -0.5):
+        for rate in (0.0, -0.5, math.nan):
             with pytest.raises(InvalidInputError):
                 resample(tr, rate)
 
@@ -163,8 +161,8 @@ class TestResample:
         if (n - 1) * 0.37 < rate:
             return
         out = resample(tr, rate)
-        ts = [pt.t for pt in out.points]
-        assert all(isinstance(t, int) for t in ts)
+        ts = out.t.tolist()
+        assert all(t.is_integer() for t in ts)
         assert all(b - a == 1 for a, b in zip(ts, ts[1:]))
 
 
@@ -183,6 +181,24 @@ class TestInvariants:
         with pytest.raises(InvalidInputError):
             traj([(1, 0, 0), (1, 1, 1)])
 
+    @pytest.mark.parametrize("sample", [(math.nan, 0, 0), (1, math.inf, 0), (1, 0, -math.inf)])
+    def test_non_finite_sample_rejected(self, sample):
+        with pytest.raises(InvalidInputError, match="finite"):
+            traj([sample])
+
+    def test_columns_are_read_only_and_compare_by_value(self):
+        a = traj([(1, 0.0, 2.0), (2, 1.5, -3.0)])
+        assert a.t.tolist() == [1.0, 2.0] and a.x.tolist() == [0.0, 1.5]
+        with pytest.raises(ValueError):
+            a.x[0] = 9.0
+        with pytest.raises(AttributeError):
+            a.x = a.y
+        b = traj([(1.0, -0.0, 2.0), (2.0, 1.5, -3.0)])
+        assert a == b and hash(a) == hash(b)
+        assert a != traj([(1, 0.0, 2.0), (2, 1.5, -3.5)])
+        assert a.points == (TrajectoryPoint(1, 0.0, 2.0), TrajectoryPoint(2, 1.5, -3.0))
+        assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
+
 
 class TestCsvRoundTrip:
     def test_round_trip_identical(self, tmp_path):
@@ -199,7 +215,9 @@ class TestCsvRoundTrip:
         dump_trajectories_csv(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    @pytest.mark.parametrize("row", ["a,1,2", "a,1,zz,3", "a,,2,3"])
+    @pytest.mark.parametrize(
+        "row", ["a,1,2", "a,1,zz,3", "a,,2,3", "a,nan,2,3", "a,1,inf,3", "a,1,2,-inf"]
+    )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"id,t,x,y\na,0,1,1\n{row}\n")
