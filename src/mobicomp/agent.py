@@ -258,16 +258,14 @@ def compose(model: PolicyModel, env: Environment, user: UserTrajectory) -> Compo
     env.reset(user)
     steps = []
     for t, a in zip(user.trajectory.t.tolist(), greedy.tolist()):
-        t = int(t)
         action_id = model.action_ids[a]
-        pair = env.validated_at(t).get(action_id)
         outcome = env.step(action_id)
         steps.append(
             PlanStep(
-                user_timestep=t,
+                user_timestep=int(t),
                 chosen=action_id,
                 reward=outcome.reward,
-                capacity=pair.qos.capacity if pair is not None else 0.0,
+                capacity=outcome.capacity,
             )
         )
     return CompositionPlan(user_id=user.id, steps=tuple(steps))

@@ -20,6 +20,7 @@ from . import evaluation as eval_mod
 from . import oracle as oracle_mod
 from .agent import AgentConfig
 from .datasets import (
+    DEFAULT_SEED,
     DEFAULT_SERVICE_QOS,
     ScenarioSpec,
     Scenario,
@@ -51,8 +52,6 @@ from .trajectories import (
     load_trajectories_csv,
 )
 
-DEFAULT_SEED = 7
-
 
 def _meta(seed: int, inputs: list[str | Path]) -> dict:
     return {
@@ -74,16 +73,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _agent_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--epsilon-decay", type=float, default=0.995)
-    p.add_argument("--epsilon-min", type=float, default=0.05)
-    p.add_argument("--memory", type=int, default=1024)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--repetition", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--train-interval", type=int, default=128)
-    p.add_argument("--hidden", type=int, nargs="+", default=[512, 512, 512])
-    p.add_argument("--dropout", type=float, default=0.5)
+    d = AgentConfig()
+    p.add_argument("--gamma", type=float, default=d.gamma)
+    p.add_argument("--epsilon-decay", type=float, default=d.epsilon_decay)
+    p.add_argument("--epsilon-min", type=float, default=d.epsilon_min)
+    p.add_argument("--memory", type=int, default=d.memory_capacity)
+    p.add_argument("--batch", type=int, default=d.batch_size)
+    p.add_argument("--repetition", type=int, default=d.repetition)
+    p.add_argument("--lr", type=float, default=d.lr)
+    p.add_argument("--train-interval", type=int, default=d.train_interval)
+    p.add_argument("--hidden", type=int, nargs="+", default=d.hidden_layers)
+    p.add_argument("--dropout", type=float, default=d.dropout_p)
 
 
 def _config_from(args: argparse.Namespace) -> AgentConfig:
@@ -121,8 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="raw CSV path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--user-fraction", type=float, default=0.3)
-    p.add_argument("--r-s", type=float, default=20.0, help="search/sensing radius, metres")
-    p.add_argument("--w", type=int, default=2, help="minimum consecutive pairing length")
+    p.add_argument(
+        "--r-s", type=float, default=ScenarioSpec.r_s_meters, help="search/sensing radius, metres"
+    )
+    p.add_argument(
+        "--w", type=int, default=ScenarioSpec.w, help="minimum consecutive pairing length"
+    )
     _add_common(p)
 
     p = sub.add_parser("discover", help="oracle discovery: candidate table + optimal plan")
@@ -152,10 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True,
         help="report JSON path; its per-point series goes beside it as <stem>.series.csv",
     )
-    p.add_argument("--counts", type=int, nargs="+", help="sweep points (trajectories or services)")
+    p.add_argument(
+        "--counts", type=int, nargs="+",
+        help="sweep points. accuracy: training trajectories, each in 1..(70%% split size), "
+        "ascending; timing and convergence: services, each in 0..(universe size). "
+        "Default: the whole split or universe",
+    )
     p.add_argument("--require-accuracy", type=float, help="exit non-zero below this accuracy")
     p.add_argument("--lenient-validity", action="store_true", help="count any valid pick as correct")
-    p.add_argument("--repeats", type=int, default=5, help="timing repetitions")
+    p.add_argument("--repeats", type=int, default=5, help="timing repetitions, >= 1")
     _agent_flags(p)
     _add_common(p)
 
@@ -289,7 +298,8 @@ def _cmd_discover(args) -> int:
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
-    result, env, test_users = eval_mod.train_on_scenario(scenario, config)
+    train_users, _ = split_train_test(scenario.users, seed=config.seed)
+    result, _ = eval_mod.train_on_scenario(scenario, train_users, config)
     atomic_write_bytes(args.out, agent_mod.save_model(result.model))
     log_path = args.log or f"{args.out}.log.csv"
     rows = [["episode", "cum_reward", "epsilon", "loss"]]
@@ -299,7 +309,7 @@ def _cmd_train(args) -> int:
         _summary(
             "train",
             episodes=len(result.log),
-            train_users=len(scenario.users) - len(test_users),
+            train_users=len(train_users),
             model=args.out,
             log=log_path,
         )
@@ -336,21 +346,6 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _series_csv_rows(mode: str, payload) -> list[list]:
-    if mode == "accuracy":
-        rows = [["trajectory_count", "accuracy", "error"]]
-        rows += [[p.trajectory_count, p.report.accuracy, p.report.error] for p in payload]
-        return rows
-    if mode == "timing":
-        rows = [["n_services", "phase", "wall_seconds"]]
-        rows += [[r.n_services, r.phase, r.wall_seconds] for r in payload]
-        return rows
-    rows = [["n_services", "round", "moving_average"]]
-    for rep in payload:
-        rows += [[rep.n_services, rnd, v] for rnd, v in rep.series]
-    return rows
-
-
 def _cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
@@ -359,9 +354,9 @@ def _cmd_evaluate(args) -> int:
     exit_code = 0
 
     if args.mode == "accuracy":
-        train_users, _ = split_train_test(scenario.users, seed=config.seed)
-        counts = args.counts or [len(train_users)]
-        points = eval_mod.run_accuracy_sweep(scenario, counts, config, lenient=args.lenient_validity)
+        points = eval_mod.run_accuracy_sweep(
+            scenario, args.counts, config, lenient=args.lenient_validity
+        )
         headline = points[-1].report
         payload = {
             "meta": meta,
@@ -369,21 +364,22 @@ def _cmd_evaluate(args) -> int:
             "points": [asdict(p) for p in points],
             "accuracy": headline.accuracy,
         }
-        series = _series_csv_rows("accuracy", points)
+        series = [["trajectory_count", "accuracy", "error"]]
+        series += ([p.trajectory_count, p.report.accuracy, p.report.error] for p in points)
         if args.require_accuracy is not None and headline.accuracy < args.require_accuracy:
             exit_code = 1
         summary_kv = dict(mode="accuracy", accuracy=f"{headline.accuracy:.4f}")
     elif args.mode == "timing":
-        counts = args.counts or [len(scenario.services)]
-        reports = eval_mod.run_timing(scenario, counts, config, repeats=args.repeats)
+        reports = eval_mod.run_timing(scenario, args.counts, config, repeats=args.repeats)
         payload = {"meta": meta, "mode": "timing", "reports": [asdict(r) for r in reports]}
-        series = _series_csv_rows("timing", reports)
+        series = [["n_services", "phase", "wall_seconds"]]
+        series += ([r.n_services, r.phase, r.wall_seconds] for r in reports)
         summary_kv = dict(mode="timing", points=len(reports))
     else:
-        counts = args.counts or [len(scenario.services)]
-        reports = eval_mod.run_convergence(scenario, counts, config)
+        reports = eval_mod.run_convergence(scenario, args.counts, config)
         payload = {"meta": meta, "mode": "convergence", "reports": [asdict(r) for r in reports]}
-        series = _series_csv_rows("convergence", reports)
+        series = [["n_services", "round", "moving_average"]]
+        series += ([r.n_services, rnd, v] for r in reports for rnd, v in r.series)
         summary_kv = dict(
             mode="convergence",
             rounds=",".join(str(r.convergence_round) for r in reports),

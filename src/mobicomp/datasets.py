@@ -99,7 +99,10 @@ class ScenarioSpec:
         return cls(**d)
 
 
-def default_scenario_spec(seed: int = 7) -> ScenarioSpec:
+DEFAULT_SEED = 7  # the default scenario's seed and every command's default --seed
+
+
+def default_scenario_spec(seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """Desk-scale default: sized so the exhaustive oracle finishes in seconds."""
     return ScenarioSpec(
         n_services=200,
@@ -327,7 +330,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
     qos_cfg = cfg.get("qos", {})
-    r_s = _number(path, qos_cfg, "r_s_meters", 20.0)
+    r_s = _number(path, qos_cfg, "r_s_meters", ScenarioSpec.r_s_meters)
     try:
         defaults = QosParams.defaults_for(r_s)
     except InvalidInputError as exc:
@@ -339,8 +342,8 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     rewards_cfg = cfg.get("rewards", {})
     rewards = RewardScheme(
-        dummy=_number(path, rewards_cfg, "dummy", -1.0),
-        invalid=_number(path, rewards_cfg, "invalid", -10.0),
+        dummy=_number(path, rewards_cfg, "dummy", RewardScheme.dummy),
+        invalid=_number(path, rewards_cfg, "invalid", RewardScheme.invalid),
     )
     default_qos = cfg.get("default_service_qos", DEFAULT_SERVICE_QOS)
     service_qos = cfg.get("service_qos", {})
@@ -365,7 +368,7 @@ def load_scenario(path: str | Path) -> Scenario:
         services=services,
         users=users,
         qos_params=qos_params,
-        w=_number(path, cfg, "w", 2, kind=int),
+        w=_number(path, cfg, "w", ScenarioSpec.w, kind=int),
         mode=mode,
         rewards=rewards,
         seed=_number(path, cfg, "seed", 0, kind=int),

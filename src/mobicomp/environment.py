@@ -72,6 +72,7 @@ class RewardScheme:
 @dataclass(frozen=True)
 class StepOutcome:
     reward: float
+    capacity: float  # the picked pair's capacity; 0.0 for dummy and invalid picks
     next_state: np.ndarray
     done: bool
 
@@ -134,20 +135,19 @@ class Environment:
         self._done = False
         return self._states[0]
 
-    def validated_at(self, t: int):
-        return self._table.validated_at(t)
-
     def step(self, action_id: str) -> StepOutcome:
         """Apply one action at the current sample and advance the cursor.
 
         Rewards: normalized capacity in (0, 1] for a validated candidate
         covering this timestep, the dummy penalty for the dummy action, and
-        the invalid penalty for anything else.
+        the invalid penalty for anything else. The outcome also carries the
+        capacity delivered, 0.0 unless the pick is a validated candidate.
         """
         if self._done or self._user is None:
             raise ProtocolError("step() called on a finished episode; call reset() first")
         n = len(self._states)
         t = int(self._user.trajectory.t[self._cursor])
+        cap = 0.0
         if action_id == DUMMY_SERVICE:
             rew = self.rewards.dummy
         else:
@@ -155,9 +155,13 @@ class Environment:
             if pair is None:
                 rew = self.rewards.invalid
             else:
-                rew = pair.qos.capacity / self.reward_scale
+                cap = pair.capacity
+                rew = cap / self.reward_scale
         self._cursor += 1
         self._done = self._cursor >= n
         return StepOutcome(
-            reward=rew, next_state=self._states[min(self._cursor, n - 1)], done=self._done
+            reward=rew,
+            capacity=cap,
+            next_state=self._states[min(self._cursor, n - 1)],
+            done=self._done,
         )

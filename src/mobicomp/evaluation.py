@@ -1,8 +1,12 @@
 """Evaluation harness: per-timestep accuracy against the oracle plan, wall
 clock timing of discovery vs. agent selection, and convergence detection on
-training logs. Reports are dataclasses of scalars that serialize to JSON
-through ``dataclasses.asdict``, with companion CSV series ready for any
-plotting tool.
+training logs.
+
+Every model is trained by ``train_on_scenario`` on an explicit user list. The
+accuracy sweep trains on prefixes of the seeded 70% split and scores on the
+held-out 30%; timing and convergence run on ``service_subsets``, the scenario
+over its first ``count`` services by id. Counts of ``None`` mean the whole
+split or universe. Reports are dataclasses that serialize through ``asdict``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,23 @@ class ConvergenceReport:
     final_value: float
 
 
-def _count_plan(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool):
+def _report(cs: int, ns: int, per_trajectory: dict) -> AccuracyReport:
+    """A report of ``cs`` correct picks out of ``ns`` oracle-valid steps."""
+    acc = cs / ns if ns else 1.0
+    return AccuracyReport(
+        correct_selections=cs,
+        valid_samples=ns,
+        accuracy=acc,
+        error=1.0 - acc,
+        per_trajectory=per_trajectory,
+    )
+
+
+def accuracy(
+    agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool = False
+) -> AccuracyReport:
+    """Fraction of oracle-valid timesteps where the agent picked an optimal
+    validated candidate (``lenient=True`` relaxes optimal to merely valid)."""
     a_steps = {s.user_timestep: s for s in agent_plan.steps}
     o_steps = {s.user_timestep: s for s in oracle_plan.steps}
     if set(a_steps) != set(o_steps):
@@ -73,39 +93,21 @@ def _count_plan(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenie
             cs += 1  # any validated candidate counts under the weaker reading
         elif a.capacity == o.capacity:
             cs += 1  # optimal pick; capacity ties count as correct
-    return cs, ns
-
-
-def accuracy(
-    agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool = False
-) -> AccuracyReport:
-    """Fraction of oracle-valid timesteps where the agent picked an optimal
-    validated candidate (``lenient=True`` relaxes optimal to merely valid)."""
-    cs, ns = _count_plan(agent_plan, oracle_plan, lenient)
-    acc = cs / ns if ns else 1.0
-    return AccuracyReport(
-        correct_selections=cs,
-        valid_samples=ns,
-        accuracy=acc,
-        error=1.0 - acc,
-        per_trajectory={
-            agent_plan.user_id: {"correct_selections": cs, "valid_samples": ns, "accuracy": acc}
-        },
-    )
+    rep = _report(cs, ns, {})
+    rep.per_trajectory[agent_plan.user_id] = {
+        "correct_selections": cs, "valid_samples": ns, "accuracy": rep.accuracy
+    }
+    return rep
 
 
 def combine_reports(reports: list[AccuracyReport]) -> AccuracyReport:
     if not reports:
         raise InvalidInputError("cannot combine an empty report list")
-    cs = sum(r.correct_selections for r in reports)
-    ns = sum(r.valid_samples for r in reports)
-    acc = cs / ns if ns else 1.0
     per = {}
     for r in reports:
         per.update(r.per_trajectory)
-    return AccuracyReport(
-        correct_selections=cs, valid_samples=ns, accuracy=acc, error=1.0 - acc, per_trajectory=per
-    )
+    cs = sum(r.correct_selections for r in reports)
+    return _report(cs, sum(r.valid_samples for r in reports), per)
 
 
 def evaluate_model(
@@ -128,7 +130,8 @@ def evaluate_model(
 
 
 def build_environment(scenario: Scenario, train_users=None) -> Environment:
-    """Environment over a scenario; extents come from the training split only."""
+    """Environment over a scenario; extents come from the training users
+    (all of the scenario's users when none are given)."""
     universe_users = train_users if train_users is not None else scenario.users
     extents = Extents.from_universe(scenario.services, universe_users)
     return Environment(
@@ -143,18 +146,26 @@ def build_environment(scenario: Scenario, train_users=None) -> Environment:
 
 def train_on_scenario(
     scenario: Scenario,
+    train_users: list,
     config: AgentConfig,
-    train_users=None,
-) -> tuple[TrainResult, Environment, list]:
-    """Train over the scenario's 70% split (or an explicit user list)."""
-    if train_users is None:
-        train_users, test_users = split_train_test(scenario.users, seed=config.seed)
-    else:
-        train_ids = {u.id for u in train_users}
-        test_users = [u for u in scenario.users if u.id not in train_ids]
+) -> tuple[TrainResult, Environment]:
+    """Train on ``train_users`` in an environment whose extents they set."""
     env = build_environment(scenario, train_users=train_users)
-    result = agent_mod.train(env, train_users, config)
-    return result, env, test_users
+    return agent_mod.train(env, train_users, config), env
+
+
+def service_subsets(scenario: Scenario, counts: list[int] | None) -> list[tuple[int, Scenario]]:
+    """``(count, the scenario over its first count services by id)`` for each
+    count, every count checked first; ``None`` means the whole universe."""
+    services = sorted(scenario.services, key=lambda s: s.id)
+    n = len(services)
+    counts = [n] if counts is None else counts
+    for count in counts:
+        if not 0 <= count <= n:
+            raise InvalidInputError(
+                f"service count {count} outside 0..{n}: the scenario has {n} services"
+            )
+    return [(c, replace(scenario, services=services[:c])) for c in counts]
 
 
 @dataclass
@@ -165,22 +176,26 @@ class SweepPoint:
 
 def run_accuracy_sweep(
     scenario: Scenario,
-    trajectory_counts: list[int],
+    trajectory_counts: list[int] | None,
     config: AgentConfig,
     lenient: bool = False,
 ) -> list[SweepPoint]:
-    """Train one model per training-set size and score it on the held-out 30%."""
+    """Train one model per training-set size (the first ``count`` users of
+    the seeded 70% split; ``None`` means the whole split) and score it on the
+    held-out 30%."""
+    train_users, test_users = split_train_test(scenario.users, seed=config.seed)
+    if trajectory_counts is None:
+        trajectory_counts = [len(train_users)]
     if sorted(trajectory_counts) != list(trajectory_counts):
         raise InvalidInputError("trajectory_counts must be ascending")
-    train_users, test_users = split_train_test(scenario.users, seed=config.seed)
-    points = []
-    for count in trajectory_counts:
+    for count in trajectory_counts:  # every count checked before any training
         if not (1 <= count <= len(train_users)):
             raise InvalidInputError(
                 f"count {count} outside the training split size {len(train_users)}"
             )
-        env = build_environment(scenario, train_users=train_users[:count])
-        result = agent_mod.train(env, train_users[:count], config)
+    points = []
+    for count in trajectory_counts:
+        result, env = train_on_scenario(scenario, train_users[:count], config)
         report = evaluate_model(result.model, env, test_users, lenient=lenient)
         points.append(SweepPoint(trajectory_count=count, report=report))
     return points
@@ -188,20 +203,20 @@ def run_accuracy_sweep(
 
 def run_timing(
     scenario: Scenario,
-    service_counts: list[int],
+    service_counts: list[int] | None,
     config: AgentConfig,
-    repeats: int = 5,
+    repeats: int,
 ) -> list[TimingReport]:
-    """Median wall time of oracle discovery, training, and agent selection.
+    """Median wall time over ``repeats`` runs of oracle discovery and agent
+    selection, and the time of one training, per service count.
 
     Selection is the greedy composition of one held-out user with an already
     loaded model; model load time is excluded by construction.
     """
+    if repeats < 1:
+        raise InvalidInputError(f"repeats must be >= 1, got {repeats}")
     reports = []
-    all_services = sorted(scenario.services, key=lambda s: s.id)
-    for count in service_counts:
-        services = all_services[:count]
-        sub = replace(scenario, services=services)
+    for count, sub in service_subsets(scenario, service_counts):
         train_users, test_users = split_train_test(sub.users, seed=config.seed)
         probe = (test_users or train_users)[0]
         n_steps = len(probe.trajectory)
@@ -211,12 +226,12 @@ def run_timing(
             # a cold discovery builds the columnar universe too
             t0 = time.perf_counter()
             oracle_mod.discover(
-                oracle_mod.ServiceColumns(services), probe, sub.qos_params, sub.w, sub.mode
+                oracle_mod.ServiceColumns(sub.services), probe, sub.qos_params, sub.w, sub.mode
             )
             oracle_times.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        result, env, _ = train_on_scenario(sub, config, train_users=train_users)
+        result, env = train_on_scenario(sub, train_users, config)
         train_time = time.perf_counter() - t0
 
         env.table_for(probe)  # selection timing should not pay oracle costs
@@ -226,7 +241,7 @@ def run_timing(
             agent_mod.compose(result.model, env, probe)
             select_times.append(time.perf_counter() - t0)
 
-        info = dict(n_services=len(services), n_users=len(sub.users), n_timesteps=n_steps)
+        info = dict(n_services=count, n_users=len(sub.users), n_timesteps=n_steps)
         for phase, samples in (
             ("oracle_discovery", oracle_times),
             ("model_training", [train_time]),
@@ -251,38 +266,36 @@ def moving_average(values: list[float], window: int = MA_WINDOW) -> list[float]:
     return out
 
 
-def detect_convergence(cum_rewards: list[float]) -> tuple[int, bool, float]:
-    """First round whose moving average stays inside the +/-5% band around the
-    final value (mean of the last FINAL_TAIL episodes) through the end."""
+def detect_convergence(cum_rewards: list[float], ma: list[float]) -> tuple[int, bool, float]:
+    """First round whose moving average ``ma`` (of ``cum_rewards``) stays
+    inside the +/-5% band around the final value (mean of the last FINAL_TAIL
+    episodes) through the end: one backward scan finds the last round outside
+    the band, where NaN always is."""
     if not cum_rewards:
         raise InvalidInputError("empty reward series")
-    ma = moving_average(cum_rewards)
     final = float(np.mean(cum_rewards[-min(FINAL_TAIL, len(cum_rewards)) :]))
     band = BAND_FRACTION * max(abs(final), 1e-12)
-    converged_at = None
-    for i in range(len(ma)):
-        if all(abs(v - final) <= band for v in ma[i:]):
-            converged_at = i
-            break
-    if converged_at is None:
+    first = len(ma)
+    while first > 0 and abs(ma[first - 1] - final) <= band:
+        first -= 1
+    if first == len(ma):
         return len(ma), False, final
-    return converged_at + 1, True, final  # rounds are 1-based
+    return first + 1, True, final  # rounds are 1-based
 
 
 def run_convergence(
     scenario: Scenario,
-    service_counts: list[int],
+    service_counts: list[int] | None,
     config: AgentConfig,
 ) -> list[ConvergenceReport]:
-    """Convergence round per service-universe size, all else shared."""
+    """Convergence round per service-universe size, training on every user;
+    ``None`` means the whole universe."""
     reports = []
-    all_services = sorted(scenario.services, key=lambda s: s.id)
-    for count in service_counts:
-        sub = replace(scenario, services=all_services[:count])
-        result, _, _ = train_on_scenario(sub, config, train_users=sub.users)
+    for count, sub in service_subsets(scenario, service_counts):
+        result, _ = train_on_scenario(sub, sub.users, config)
         rewards = [row.cum_reward for row in result.log]
         ma = moving_average(rewards)
-        round_, converged, final = detect_convergence(rewards)
+        round_, converged, final = detect_convergence(rewards, ma)
         reports.append(
             ConvergenceReport(
                 n_services=count,

@@ -8,9 +8,10 @@ filter tests every joined row against the search disk with numpy, widened by
 a small relative margin, and passes only the survivors, as plain floats read
 from the user's and the universe's columns, to the scalar ``distance`` (which
 makes the strict ``< r_s`` decision), perpendicular distance, strength and
-capacity, so every emitted float comes from the scalar functions. The reduce
-phase keeps services paired over at least ``w`` strictly consecutive
-timesteps.
+capacity, so every emitted float comes from the scalar functions, into one
+flat ``SpatialCandidatePair`` per pair. The reduce phase groups the pairs once,
+by service, and keeps services paired over at least ``w`` strictly
+consecutive timesteps; a ``CandidateTable`` holds the survivors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError
-from .qos import QosParams, QosValue, capacity, perpendicular_distance, strength
+from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
     DistanceMode, MovingService, UserTrajectory, check_gps, distance, distances
 )
@@ -31,22 +32,25 @@ DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
 
 @dataclass(frozen=True)
 class SpatialCandidatePair:
-    """A service strictly inside the search disk at one user timestep."""
+    """A service strictly inside the search disk at one user timestep, with
+    its point distance and the strength and capacity it would deliver."""
 
     user_timestep: int
     service_id: str
     distance: float
-    qos: QosValue
+    strength: float
+    capacity: float
 
 
 @dataclass(frozen=True)
 class CandidateTable:
     """Validated pairing of services against one user trajectory.
 
-    ``per_timestep`` maps each user timestep with at least one surviving pair
-    to those pairs keyed by service id, in service-id order; ``validated``
+    ``per_timestep`` maps each user timestep covered by a validated run to
+    the pairs there, keyed by service id in service-id order; ``validated``
     maps service id to its maximal consecutive runs [start, end], each of
-    length >= w.
+    length >= w. Every pair is a flat ``SpatialCandidatePair`` that carries
+    its own strength and capacity.
     """
 
     per_timestep: dict[int, dict[str, SpatialCandidatePair]]
@@ -59,6 +63,8 @@ class CandidateTable:
 
 @dataclass(frozen=True)
 class PlanStep:
+    """One composed step: the pick, its reward and the capacity it delivers."""
+
     user_timestep: int
     chosen: str  # service id or DUMMY_SERVICE
     reward: float
@@ -208,10 +214,7 @@ def spatial_map(
             cap = capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
             pairs.append(
                 SpatialCandidatePair(
-                    user_timestep=t,
-                    service_id=svc.id,
-                    distance=d,
-                    qos=QosValue(strength=s, capacity=cap),
+                    user_timestep=t, service_id=svc.id, distance=d, strength=s, capacity=cap
                 )
             )
     return pairs
@@ -236,36 +239,30 @@ def consecutive_runs(timesteps: list[int]) -> list[tuple[int, int]]:
 
 
 def reduce_validate(pairs: list[SpatialCandidatePair], w: int) -> CandidateTable:
-    """Group pairs by timestep and keep services paired over runs of >= w steps."""
+    """Keep services paired over runs of >= w consecutive timesteps.
+
+    Pairs are grouped once, by service and then timestep; of two samples in
+    one integer timestep the later replaces the earlier. Walking the services
+    in id order fills each timestep's pairs already in id order.
+    """
     if w < 1:
         raise InvalidInputError(f"w must be >= 1, got {w}")
-    by_service: dict[str, list[SpatialCandidatePair]] = {}
+    by_service: dict[str, dict[int, SpatialCandidatePair]] = {}
     for p in pairs:
-        by_service.setdefault(p.service_id, []).append(p)
+        by_service.setdefault(p.service_id, {})[p.user_timestep] = p
 
     validated: dict[str, tuple[tuple[int, int], ...]] = {}
-    surviving: list[SpatialCandidatePair] = []
+    per_timestep: dict[int, dict[str, SpatialCandidatePair]] = {}
     for sid in sorted(by_service):
-        svc_pairs = by_service[sid]
-        runs = [
-            r
-            for r in consecutive_runs([p.user_timestep for p in svc_pairs])
-            if r[1] - r[0] + 1 >= w
-        ]
+        at = by_service[sid]
+        runs = tuple(r for r in consecutive_runs(list(at)) if r[1] - r[0] + 1 >= w)
         if not runs:
             continue
-        validated[sid] = tuple(runs)
-        keep = {t for a, b in runs for t in range(a, b + 1)}
-        surviving.extend(p for p in svc_pairs if p.user_timestep in keep)
-
-    per_timestep: dict[int, list[SpatialCandidatePair]] = {}
-    for p in surviving:
-        per_timestep.setdefault(p.user_timestep, []).append(p)
-    grouped = {
-        t: {p.service_id: p for p in sorted(per_timestep[t], key=lambda p: p.service_id)}
-        for t in sorted(per_timestep)
-    }
-    return CandidateTable(per_timestep=grouped, validated=validated)
+        validated[sid] = runs
+        for a, b in runs:
+            for t in range(a, b + 1):
+                per_timestep.setdefault(t, {})[sid] = at[t]
+    return CandidateTable(per_timestep=per_timestep, validated=validated)
 
 
 def optimal_plan(
@@ -288,13 +285,13 @@ def optimal_plan(
                 PlanStep(user_timestep=t, chosen=DUMMY_SERVICE, reward=dummy_reward, capacity=0.0)
             )
             continue
-        best = min(cands.values(), key=lambda c: (-c.qos.capacity, c.service_id))
+        best = min(cands.values(), key=lambda c: (-c.capacity, c.service_id))
         steps.append(
             PlanStep(
                 user_timestep=t,
                 chosen=best.service_id,
-                reward=best.qos.capacity / reward_scale,
-                capacity=best.qos.capacity,
+                reward=best.capacity / reward_scale,
+                capacity=best.capacity,
             )
         )
     return CompositionPlan(user_id=user.id, steps=tuple(steps))
@@ -326,8 +323,8 @@ def table_plan_json(
             {
                 "service_id": c.service_id,
                 "distance_m": c.distance,
-                "strength": c.qos.strength,
-                "capacity_bps": c.qos.capacity,
+                "strength": c.strength,
+                "capacity_bps": c.capacity,
             }
             for c in table.validated_at(t).values()
         ]

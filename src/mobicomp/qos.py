@@ -30,8 +30,8 @@ class QosParams:
                 "require 0 < confident_radius_rc <= sensing_radius_rs, got "
                 f"R_c={self.confident_radius_rc}, R_s={self.sensing_radius_rs}"
             )
-        if self.decay_k < 0:
-            raise InvalidInputError(f"decay_k must be >= 0, got {self.decay_k}")
+        if not (math.isfinite(self.decay_k) and self.decay_k >= 0):
+            raise InvalidInputError(f"decay_k must be finite and >= 0, got {self.decay_k}")
 
     @classmethod
     def defaults_for(cls, sensing_radius_rs: float) -> "QosParams":
@@ -44,18 +44,6 @@ class QosParams:
         rc = 0.25 * sensing_radius_rs
         k = math.log(100.0) / (sensing_radius_rs - rc)
         return cls(confident_radius_rc=rc, decay_k=k, sensing_radius_rs=sensing_radius_rs)
-
-
-@dataclass(frozen=True)
-class QosValue:
-    strength: float
-    capacity: float
-
-    def __post_init__(self):
-        if not (0.0 < self.strength <= 1.0):
-            raise InvalidInputError(f"strength must be in (0, 1], got {self.strength}")
-        if self.capacity < 0:
-            raise InvalidInputError(f"capacity must be >= 0, got {self.capacity}")
 
 
 def perpendicular_distance(
@@ -98,9 +86,9 @@ def strength(pdis: float, params: QosParams) -> float:
 
 def capacity(strength_value: float, bandwidth_b: float, max_concurrent_k: int) -> float:
     """Transmission capacity (B/K) * log2(1 + str) in bits/second."""
-    if strength_value <= 0:
+    if not strength_value > 0:
         raise InvalidInputError(f"strength must be positive, got {strength_value}")
-    if bandwidth_b <= 0:
+    if not bandwidth_b > 0:
         raise InvalidInputError(f"bandwidth must be positive, got {bandwidth_b}")
     if max_concurrent_k < 1:
         raise InvalidInputError(f"max concurrent requests must be >= 1, got {max_concurrent_k}")

@@ -127,8 +127,10 @@ class MovingService:
     max_concurrent_k: int
 
     def __post_init__(self):
-        if self.bandwidth_b <= 0:
-            raise InvalidInputError("bandwidth_b must be positive")
+        if not (math.isfinite(self.bandwidth_b) and self.bandwidth_b > 0):
+            raise InvalidInputError(
+                f"bandwidth_b must be finite and positive, got {self.bandwidth_b}"
+            )
         if self.max_concurrent_k < 1:
             raise InvalidInputError("max_concurrent_k must be >= 1")
 

@@ -6,6 +6,8 @@ helpers, so the production pipeline is checked against a second derivation.
 
 import math
 
+import numpy as np
+
 
 def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
     """Great-circle distance via the Vincenty sphere (atan2) formula; an
@@ -135,3 +137,17 @@ def value_iteration_chain(rewards_by_state, gamma, sweeps=200):
                 best_a, best_q = a, q
         policy[i] = best_a
     return policy
+
+
+def quadratic_convergence(cum_rewards, ma, final_tail, band_fraction):
+    """Convergence detection by testing, for every round in turn, the whole
+    rest of the moving average ``ma`` against the band (O(n^2)): the first
+    round from which every value lies within ``band_fraction`` of the final
+    value, the mean of the last ``final_tail`` rewards. A NaN is never in the
+    band. Returns (1-based round, converged, final value)."""
+    final = float(np.mean(cum_rewards[-min(final_tail, len(cum_rewards)) :]))
+    band = band_fraction * max(abs(final), 1e-12)
+    for i in range(len(ma)):
+        if all(abs(v - final) <= band for v in ma[i:]):
+            return i + 1, True, final
+    return len(ma), False, final

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import mobicomp
 from mobicomp import __version__
-from mobicomp.cli import dispatch
+from mobicomp.agent import AgentConfig
+from mobicomp.cli import DEFAULT_SEED, _config_from, build_parser, dispatch
 from mobicomp.datasets import ScenarioSpec, generate, write_scenario_bundle
 from mobicomp.ioutil import sha256_file
 from mobicomp.qos import QosParams
@@ -53,20 +55,25 @@ def test_version_prints_and_exits_zero(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-def test_unknown_flag_is_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobicomp.cli", "version", "--bogus"],
+def run_cli(*args):
+    """``python -m mobicomp.cli`` in a child process that imports the same
+    ``mobicomp`` as this one, however the test run found it."""
+    src = os.path.dirname(os.path.dirname(mobicomp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mobicomp.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 2
+
+
+def test_unknown_flag_is_usage_error():
+    assert run_cli("version", "--bogus").returncode == 2
 
 
 def test_missing_subcommand_is_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobicomp.cli"], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
+    assert run_cli().returncode == 2
 
 
 def test_gen_writes_bundle_with_meta(bundle):
@@ -282,6 +289,66 @@ def test_bad_value_is_one_line_error_and_writes_nothing(bundle, tmp_path, capsys
     assert dispatch([*args, "--quiet"]) == 1
     assert_one_error_line(capsys, "InvalidInputError", named)
     assert not (tmp_path / "out").exists()
+
+
+# an evaluate run the program cannot make: its flags and the texts the error
+# line must name (SPEC's universe has 6 services)
+BAD_EVALUATE = {
+    "accuracy_count_above_split": (
+        ["--mode", "accuracy", "--counts", "2", "500"], ["count 500", "training split"]
+    ),
+    "timing_repeats_zero": (["--mode", "timing", "--repeats", "0"], ["repeats", "got 0"]),
+    "timing_negative_count": (["--mode", "timing", "--counts", "-2"], ["count -2", "6 services"]),
+    "convergence_count_above_universe": (
+        ["--mode", "convergence", "--counts", "500"], ["count 500", "6 services"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVALUATE))
+def test_bad_evaluate_run_is_one_line_error_and_writes_nothing(bundle, tmp_path, capsys, case):
+    flags, named = BAD_EVALUATE[case]
+    args = ["evaluate", "--scenario", str(bundle / "scenario.json"), *flags,
+            "--out", str(tmp_path / "out" / "r.json"), *FAST_FLAGS, "--quiet"]
+    assert dispatch(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidInputError: "), err
+    assert all(text in err[0] for text in named), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_underflowing_strength_is_one_line_error(bundle, tmp_path, capsys):
+    # strength exp(-k (pdis - R_c)) rounds to 0.0 beyond R_c, which capacity rejects
+    cfg = json.loads((bundle / "scenario.json").read_text())
+    cfg["qos"]["decay_k"] = 1e6
+    (bundle / "scenario.json").write_text(json.dumps(cfg))
+    args = ["discover", "--scenario", str(bundle / "scenario.json"),
+            "--out", str(tmp_path / "d.json"), "--quiet"]
+    assert dispatch(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: InvalidInputError: strength must be positive, got 0.0"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["decay_k", "bandwidth_bps"])
+def test_non_finite_qos_constant_is_one_line_error(bundle, tmp_path, capsys, key, value):
+    # json reads NaN and Infinity; neither may reach strength, capacity or rewards
+    cfg = json.loads((bundle / "scenario.json").read_text())
+    section = cfg["qos"] if key == "decay_k" else cfg["service_qos"][min(cfg["service_qos"])]
+    section[key] = value
+    (bundle / "scenario.json").write_text(json.dumps(cfg))
+    args = ["discover", "--scenario", str(bundle / "scenario.json"),
+            "--out", str(tmp_path / "d.json"), "--quiet"]
+    assert dispatch(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidInputError: "), err
+    assert key.split("_")[0] in err[0] and str(value) in err[0], err
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_bare_agent_flags_are_the_agent_config_defaults():
+    args = build_parser().parse_args(["train", "--scenario", "s.json", "--out", "m.ckpt"])
+    assert _config_from(args) == AgentConfig(seed=DEFAULT_SEED)
 
 
 def test_ingest_skips_a_row_with_a_non_finite_time(tmp_path, monkeypatch, capsys):

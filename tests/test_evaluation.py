@@ -1,10 +1,13 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobicomp import oracle
+from mobicomp import evaluation, oracle
 from mobicomp.agent import AgentConfig, train
 from mobicomp.datasets import (
     Scenario,
@@ -15,6 +18,8 @@ from mobicomp.datasets import (
 from mobicomp.environment import RewardScheme
 from mobicomp.errors import InvalidInputError, ProtocolError
 from mobicomp.evaluation import (
+    BAND_FRACTION,
+    FINAL_TAIL,
     AccuracyReport,
     accuracy,
     build_environment,
@@ -32,6 +37,7 @@ from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode
 
 from conftest import line_user, make_env, service_tracking
+from oracles import quadratic_convergence
 
 FAST = dict(
     memory_capacity=128,
@@ -152,6 +158,14 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             run_accuracy_sweep(scenario, [500], cfg)
 
+    def test_out_of_range_count_rejected_before_any_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(evaluation, "train_on_scenario", lambda *a: trained.append(a))
+        cfg = AgentConfig(repetition=2, seed=3, **FAST)
+        with pytest.raises(InvalidInputError, match="count 500"):
+            run_accuracy_sweep(tiny_scenario(), [1, 2, 500], cfg)
+        assert trained == []
+
 
 class TestTiming:
     def test_empty_universe_does_not_crash(self):
@@ -181,6 +195,35 @@ class TestTiming:
         assert len(sel.samples) == 5
         assert sel.wall_seconds == sorted(sel.samples)[2]
 
+    def test_fewer_than_one_repeat_rejected(self):
+        cfg = AgentConfig(repetition=2, seed=5, **FAST)
+        with pytest.raises(InvalidInputError, match="repeats must be >= 1, got 0"):
+            run_timing(tiny_scenario(), [4], cfg, repeats=0)
+
+
+class TestServiceCounts:
+    @pytest.mark.parametrize("count", [-2, 7, 500])
+    def test_count_outside_the_universe_rejected(self, count):
+        scenario = tiny_scenario()  # 6 services
+        cfg = AgentConfig(repetition=2, seed=5, **FAST)
+        match = f"count {count} outside 0..6: the scenario has 6 services"
+        with pytest.raises(InvalidInputError, match=match):
+            run_timing(scenario, [count], cfg, repeats=1)
+        with pytest.raises(InvalidInputError, match=match):
+            run_convergence(scenario, [2, count], cfg)
+
+    def test_reports_state_the_size_they_ran(self):
+        scenario = tiny_scenario()
+        cfg = AgentConfig(repetition=2, seed=5, **FAST)
+        assert {r.n_services for r in run_timing(scenario, [0, 6], cfg, repeats=1)} == {0, 6}
+        assert [r.n_services for r in run_convergence(scenario, [0, 3], cfg)] == [0, 3]
+
+    def test_no_counts_means_the_whole_universe(self):
+        scenario = tiny_scenario()
+        cfg = AgentConfig(repetition=2, seed=5, **FAST)
+        assert {r.n_services for r in run_timing(scenario, None, cfg, repeats=1)} == {6}
+        assert [r.n_services for r in run_convergence(scenario, None, cfg)] == [6]
+
 
 class TestConvergence:
     def test_moving_average_window(self):
@@ -192,11 +235,29 @@ class TestConvergence:
 
     def test_detector_on_synthetic_series(self):
         flat = [10.0] * 100
-        rnd, converged, final = detect_convergence(flat)
+        rnd, converged, final = detect_convergence(flat, moving_average(flat))
         assert converged and rnd == 1 and final == 10.0
         rising = [float(i) for i in range(100)]
-        rnd, converged, final = detect_convergence(rising)
+        rnd, converged, final = detect_convergence(rising, moving_average(rising))
         assert rnd > 50  # only the tail sits inside the band
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            # small whole numbers put moving averages exactly on the band's edge
+            st.one_of(st.integers(-30, 30).map(float), st.floats(-100.0, 100.0), st.just(math.nan)),
+            min_size=1,
+            max_size=80,
+        ),
+        st.integers(-30, 30).map(float),
+        st.integers(0, 120),
+    )
+    def test_detector_matches_quadratic_reference(self, head, tail_value, tail_length):
+        rewards = head + [tail_value] * tail_length  # a flat tail converges
+        got = detect_convergence(rewards, moving_average(rewards))
+        ref = quadratic_convergence(rewards, moving_average(rewards), FINAL_TAIL, BAND_FRACTION)
+        assert got[:2] == ref[:2]
+        assert got[2] == ref[2] or (math.isnan(got[2]) and math.isnan(ref[2]))
 
     def test_single_count_report(self):
         scenario = tiny_scenario()
@@ -228,7 +289,7 @@ class TestConvergence:
         )
         result = train(env, [user], cfg)
         rewards = [r.cum_reward for r in result.log]
-        rnd, converged, _final = detect_convergence(rewards)
+        rnd, converged, _final = detect_convergence(rewards, moving_average(rewards))
         assert converged
         table = env.table_for(user)
         oracle_plan = oracle.optimal_plan(table, user, reward_scale=env.reward_scale)
@@ -254,8 +315,13 @@ class TestEvaluateModel:
         assert "user:b" in report.per_trajectory
 
     def test_train_on_scenario_splits_70_30(self):
+        # the 70% split trains: one episode per user and repetition, and the
+        # environment's extents come from those users alone
         scenario = tiny_scenario(n_users=10)
         cfg = AgentConfig(repetition=2, seed=7, **FAST)
-        result, env, test_users = train_on_scenario(scenario, cfg)
-        assert len(test_users) == 3
+        train_users, test_users = split_train_test(scenario.users, seed=cfg.seed)
+        assert (len(train_users), len(test_users)) == (7, 3)
+        result, env = train_on_scenario(scenario, train_users, cfg)
         assert len(result.log) == 7 * 2
+        assert env.extents == build_environment(scenario, train_users=train_users).extents
+        assert result.model.extents == env.extents

@@ -19,7 +19,7 @@ from mobicomp.oracle import (
     table_plan_json,
     temporal_map,
 )
-from mobicomp.qos import QosParams, QosValue, capacity, perpendicular_distance, strength
+from mobicomp.qos import QosParams, capacity, perpendicular_distance, strength
 from mobicomp.trajectories import (
     DistanceMode,
     MovingService,
@@ -69,10 +69,7 @@ def run_spatial(services, user, mode=PLANAR, qos=QOS):
 
 def pair(t, sid, distance=1.0, capacity=1.0):
     return SpatialCandidatePair(
-        user_timestep=t,
-        service_id=sid,
-        distance=distance,
-        qos=QosValue(strength=1.0, capacity=capacity),
+        user_timestep=t, service_id=sid, distance=distance, strength=1.0, capacity=capacity
     )
 
 
@@ -125,7 +122,7 @@ class TestSpatialMap:
         rng = np.random.default_rng(6)
         services, user = random_universe(rng, n_services=30, n_steps=10)
         for p in self._run(services, user):
-            assert 0.0 < p.qos.strength <= 1.0
+            assert 0.0 < p.strength <= 1.0
             assert p.distance < 15.0
 
 
@@ -207,7 +204,7 @@ class TestOptimalPlan:
         expected = 0.0
         for t in (int(p.t) for p in user.trajectory.points):
             cands = table.validated_at(t)
-            expected += max((c.qos.capacity for c in cands.values()), default=0.0)
+            expected += max((c.capacity for c in cands.values()), default=0.0)
         assert sum(s.capacity for s in plan.steps) == pytest.approx(expected, rel=1e-12)
 
     def test_dominance(self):
@@ -218,7 +215,7 @@ class TestOptimalPlan:
         for step in plan.steps:
             cands = table.validated_at(step.user_timestep)
             for c in cands.values():
-                assert c.qos.capacity <= step.capacity or step.chosen == DUMMY_SERVICE
+                assert c.capacity <= step.capacity or step.chosen == DUMMY_SERVICE
 
 
 class TestDiscoverParallel:
@@ -334,8 +331,8 @@ def assert_scalar_qos(pairs, services, user, mode):
         assert pair.distance == distance(up.x, up.y, sp.x, sp.y, mode)
         pdis = perpendicular_distance(sp.x, sp.y, up.x, up.y, nxt.x, nxt.y, mode)
         s = strength(pdis, QOS)
-        assert pair.qos.strength == s
-        assert pair.qos.capacity == capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
+        assert pair.strength == s
+        assert pair.capacity == capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
 
 
 def surviving_pairs(table):

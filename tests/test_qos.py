@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mobicomp.errors import ContractViolationError, InvalidInputError
 from mobicomp.qos import (
     QosParams,
-    QosValue,
     capacity,
     composite_qos,
     perpendicular_distance,
@@ -154,16 +153,25 @@ class TestParamsAndValues:
             QosParams(confident_radius_rc=0.0, decay_k=0.1, sensing_radius_rs=10.0)
         with pytest.raises(InvalidInputError):
             QosParams(confident_radius_rc=11.0, decay_k=0.1, sensing_radius_rs=10.0)
-        with pytest.raises(InvalidInputError):
-            QosParams(confident_radius_rc=1.0, decay_k=-0.1, sensing_radius_rs=10.0)
+        for k in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="decay_k"):
+                QosParams(confident_radius_rc=1.0, decay_k=k, sensing_radius_rs=10.0)
+        with pytest.raises(InvalidInputError, match="strength must be positive, got nan"):
+            capacity(math.nan, 1e6, 2)
+        with pytest.raises(InvalidInputError, match="bandwidth must be positive, got nan"):
+            capacity(1.0, math.nan, 2)
 
     def test_qos_value_range_enforced(self):
-        with pytest.raises(InvalidInputError):
-            QosValue(strength=0.0, capacity=1.0)
-        with pytest.raises(InvalidInputError):
-            QosValue(strength=1.1, capacity=1.0)
-        with pytest.raises(InvalidInputError):
-            QosValue(strength=0.5, capacity=-1.0)
+        # a candidate's strength is in (0, 1] and its capacity non-negative,
+        # or pricing raises: a strength that underflows to 0 is rejected
+        params = QosParams(confident_radius_rc=1.0, decay_k=1e6, sensing_radius_rs=10.0)
+        assert strength(0.5, params) == 1.0
+        assert strength(9.0, params) == 0.0
+        with pytest.raises(InvalidInputError, match="strength must be positive, got 0.0"):
+            capacity(strength(9.0, params), 1e6, 2)
+        with pytest.raises(ContractViolationError):
+            strength(10.5, params)
+        assert capacity(1e-300, 1e6, 2) >= 0.0  # log2(1 + s) rounds to 0.0 here
 
     def test_reward_scale_is_max_unit_capacity(self):
         class Svc:
