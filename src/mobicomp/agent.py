@@ -145,7 +145,10 @@ def q_targets(
 
     The taken action's slot becomes reward + gamma * max_a' Q(next, a'), or
     just the reward on terminal transitions; every other slot copies the
-    current prediction so its error (and gradient) is zero.
+    current eval-mode prediction. Their error is zero only when the training
+    forward pass also runs without dropout: ``network.train_batch`` runs it in
+    train mode, so with dropout the other slots are pulled towards the
+    eval-mode values too.
     """
     if not batch:
         raise InvalidInputError("q_targets needs a non-empty batch")

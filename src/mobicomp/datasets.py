@@ -116,23 +116,29 @@ def default_scenario_spec(seed: int = DEFAULT_SEED) -> ScenarioSpec:
 
 def _random_waypoint_points(
     rng: np.random.Generator, spec: ScenarioSpec, t_start: int, t_end: int
-) -> list[TrajectoryPoint]:
+) -> tuple[list[int], list[float], list[float]]:
+    """The (t, x, y) columns of one wanderer. The walk is sequential, so it
+    runs on Python floats; ``np.hypot`` stays because ``math.hypot`` may
+    differ from it in the last bit, and that would change every bundle."""
     x_min, y_min, x_max, y_max = spec.area
-    pos = np.array([rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)])
-    target = np.array([rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)])
+    px, py = rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)
+    tx, ty = rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)
     speed = rng.uniform(*spec.speed_range)
-    points = []
-    for t in range(t_start, t_end + 1):
-        points.append(TrajectoryPoint(t=t, x=float(pos[0]), y=float(pos[1])))
-        delta = target - pos
-        dist = float(np.hypot(*delta))
+    ts = list(range(t_start, t_end + 1))
+    xs, ys = [], []
+    for _ in ts:
+        xs.append(px)
+        ys.append(py)
+        dx, dy = tx - px, ty - py
+        dist = float(np.hypot(dx, dy))
         if dist <= speed or dist == 0.0:
-            pos = target
-            target = np.array([rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)])
+            px, py = tx, ty
+            tx, ty = rng.uniform(x_min, x_max), rng.uniform(y_min, y_max)
             speed = rng.uniform(*spec.speed_range)
         elif speed > 0.0:
-            pos = pos + delta * (speed / dist)
-    return points
+            step = speed / dist
+            px, py = px + dx * step, py + dy * step
+    return ts, xs, ys
 
 
 @dataclass
@@ -141,9 +147,10 @@ class _Corridor:
     end: np.ndarray
     normal: np.ndarray
 
-    def base(self, t: int, t_count: int) -> np.ndarray:
-        frac = (t - 1) / (t_count - 1) if t_count > 1 else 0.0
-        return self.start + frac * (self.end - self.start)
+    def base(self, t: np.ndarray, t_count: int) -> np.ndarray:
+        """Positions on the corridor at timesteps ``t``, one row each."""
+        frac = (t - 1) / (t_count - 1)
+        return self.start + frac[:, None] * (self.end - self.start)
 
 
 def _make_corridors(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Corridor]:
@@ -176,17 +183,19 @@ def _corridor_points(
     spec: ScenarioSpec,
     t_start: int,
     t_end: int,
-) -> list[TrajectoryPoint]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (t, x, y) columns of one walk along ``corridor``: a uniform lateral
+    offset plus, when the band has a width, a clipped normal jitter at each
+    step. One ``normal`` draw for the whole window gives the same stream as
+    one draw a step."""
     half = spec.jitter_m / 2.0
     offset = rng.uniform(-half, half)
-    points = []
-    for t in range(t_start, t_end + 1):
-        lateral = offset
-        if half > 0:
-            lateral = float(np.clip(offset + rng.normal(0.0, spec.jitter_m / 8.0), -half, half))
-        p = corridor.base(t, spec.timestep_count) + lateral * corridor.normal
-        points.append(TrajectoryPoint(t=t, x=float(p[0]), y=float(p[1])))
-    return points
+    t = np.arange(t_start, t_end + 1)
+    lateral = np.full(len(t), offset)
+    if half > 0:
+        lateral = np.clip(offset + rng.normal(0.0, spec.jitter_m / 8.0, size=len(t)), -half, half)
+    p = corridor.base(t, spec.timestep_count) + lateral[:, None] * corridor.normal
+    return t, p[:, 0], p[:, 1]
 
 
 def _service_windows(
@@ -221,10 +230,11 @@ def generate(spec: ScenarioSpec) -> tuple[list[MovingService], list[UserTrajecto
     for i in range(spec.n_users):
         if spec.mobility_model == "corridor_flow":
             corridor = corridors[i % len(corridors)]
-            pts = _corridor_points(rng, corridor, spec, 1, t_count)
+            cols = _corridor_points(rng, corridor, spec, 1, t_count)
         else:
-            pts = _random_waypoint_points(rng, spec, 1, t_count)
-        users.append(UserTrajectory(id=f"{USER_ID_PREFIX}u{i:04d}", trajectory=Trajectory(tuple(pts))))
+            cols = _random_waypoint_points(rng, spec, 1, t_count)
+        traj = Trajectory.from_columns(*cols)
+        users.append(UserTrajectory(id=f"{USER_ID_PREFIX}u{i:04d}", trajectory=traj))
 
     window_plan: dict[int, tuple[_Corridor, tuple[int, int]]] = {}
     if n_co:
@@ -239,15 +249,15 @@ def generate(spec: ScenarioSpec) -> tuple[list[MovingService], list[UserTrajecto
     for j in range(spec.n_services):
         if j in window_plan:
             corridor, (w_start, w_end) = window_plan[j]
-            pts = _corridor_points(rng, corridor, spec, w_start, w_end)
+            cols = _corridor_points(rng, corridor, spec, w_start, w_end)
         else:
-            pts = _random_waypoint_points(rng, spec, 1, t_count)
+            cols = _random_waypoint_points(rng, spec, 1, t_count)
         bw = float(np.exp(rng.uniform(*map(math.log, spec.bandwidth_range_bps))))
         k = int(rng.choice(list(spec.max_concurrent_choices)))
         services.append(
             MovingService(
                 id=f"s{j:04d}",
-                trajectory=Trajectory(tuple(pts)),
+                trajectory=Trajectory.from_columns(*cols),
                 bandwidth_b=bw,
                 max_concurrent_k=k,
             )

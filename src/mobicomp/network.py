@@ -145,8 +145,10 @@ def forward(state: NetworkState, x: np.ndarray, train_mode: bool = False) -> np.
 def _loss_and_grads(state: NetworkState, X: np.ndarray, Y: np.ndarray, train_mode: bool):
     """Loss (mean over rows of the summed squared output error) and gradients.
 
-    With Q-target masking, each row has exactly one non-zero error component,
-    so this equals mean squared error on the selected action's Q-value.
+    ``agent.q_targets`` copies the eval-mode prediction into every slot but
+    the taken action's. With ``train_mode`` and dropout the forward pass here
+    differs from that prediction, so the other slots' errors are not zero and
+    the loss is not the squared error of the taken action alone.
     """
     acts, masks, out = _forward_cached(state, X, train_mode)
     n = X.shape[0]

@@ -3,10 +3,11 @@ fixed-rate resampling, and the planar/great-circle distance metrics every
 other module builds on.
 
 A ``Trajectory`` is stored as three read-only float64 columns, ``t``, ``x``
-and ``y``, one entry per sample; discovery, state encoding and composition
-read the columns directly. ``TrajectoryPoint``, the per-sample form, is kept
-for the I/O edges: generators and readers build trajectories from points,
-and ``Trajectory.points`` rebuilds them.
+and ``y``, one entry per sample; the generator and the CSV reader build it
+from columns (``Trajectory.from_columns``), and discovery, state encoding and
+composition read the columns directly. ``TrajectoryPoint``, the per-sample
+form, is kept for the edges that still work per sample: interpolation,
+resampling, ingestion and ``Trajectory.points``.
 
 Timesteps are global integer sequence indices once data has been ingested;
 fractional ``t`` values only appear on interpolated query results.
@@ -52,20 +53,38 @@ class TrajectoryPoint:
 
 
 class Trajectory:
-    """Non-empty sequence of finite samples, strictly ascending in ``t``, held
-    as the read-only float64 columns ``t``, ``x`` and ``y``. Immutable, and
-    equal and hashed by value."""
+    """Non-empty sequence of finite samples, ``t >= 0`` and strictly ascending
+    in ``t``, held as the read-only float64 columns ``t``, ``x`` and ``y``.
+    Immutable, and equal and hashed by value."""
 
     __slots__ = ("t", "x", "y")
 
     def __init__(self, points: Sequence[TrajectoryPoint]):
         pts = tuple(points)
-        cols = np.array([[p.t for p in pts], [p.x for p in pts], [p.y for p in pts]], np.float64)
+        self._store([p.t for p in pts], [p.x for p in pts], [p.y for p in pts])
+
+    @classmethod
+    def from_columns(cls, t, x, y) -> Trajectory:
+        """Trajectory of the samples ``(t[i], x[i], y[i])``, stored as copies of
+        the three columns."""
+        traj = cls.__new__(cls)
+        traj._store(t, x, y)
+        return traj
+
+    def _store(self, t, x, y) -> None:
+        if not len(t) == len(x) == len(y):
+            raise InvalidInputError(
+                f"trajectory columns must have equal lengths, got {len(t)}, {len(x)} and {len(y)}"
+            )
+        cols = np.array((t, x, y), np.float64)
         if not cols.shape[1]:
             raise InvalidInputError("trajectory must contain at least one point")
+        t = cols[0]
+        below = t < 0
+        if below.any():
+            raise InvalidInputError(f"timestep must be non-negative, got {t[below.argmax()]}")
         if not np.isfinite(cols).all():
             raise InvalidInputError("trajectory samples must be finite numbers")
-        t = cols[0]
         back = t[1:] <= t[:-1]
         if back.any():
             i = int(back.argmax())
@@ -79,8 +98,8 @@ class Trajectory:
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
 
-    def __reduce__(self):  # copy and pickle through the constructor
-        return Trajectory, (self.points,)
+    def __reduce__(self):  # copy and pickle through the column path
+        return Trajectory.from_columns, (self.t, self.x, self.y)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -247,8 +266,9 @@ def parse_row(row: list[str]) -> tuple[str, float, float, float]:
 
 
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
-    """Read a canonical trajectory CSV; one entry per id, in file order."""
-    buckets: dict[str, list[TrajectoryPoint]] = {}
+    """Read a canonical trajectory CSV; one entry per id, in file order, its
+    samples stably sorted by ``t``."""
+    samples: dict[str, list[tuple[float, float, float]]] = {}
     with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -265,11 +285,21 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
                 raise InvalidInputError(
                     f"malformed row {row!r} in {path} line {reader.line_num}"
                 ) from None
-            buckets.setdefault(ident, []).append(TrajectoryPoint(t=t, x=x, y=y))
-    if not buckets:
+            if t < 0:
+                raise InvalidInputError(
+                    f"timestep must be non-negative, got {t} for id {ident!r} "
+                    f"in {path} line {reader.line_num}"
+                )
+            samples.setdefault(ident, []).append((t, x, y))
+    if not samples:
         raise InvalidInputError(f"no trajectory rows in {path}")
     out = []
-    for ident, pts in buckets.items():
-        pts = sorted(pts, key=lambda p: p.t)
-        out.append((ident, Trajectory(tuple(pts))))
+    for ident, rows in samples.items():
+        cols = np.array(rows, np.float64)
+        cols = cols[np.argsort(cols[:, 0], kind="stable")]
+        try:
+            traj = Trajectory.from_columns(cols[:, 0], cols[:, 1], cols[:, 2])
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{exc} for id {ident!r} in {path}") from None
+        out.append((ident, traj))
     return out

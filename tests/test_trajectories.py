@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,37 @@ class TestInvariants:
         assert a != traj([(1, 0.0, 2.0), (2, 1.5, -3.5)])
         assert a.points == (TrajectoryPoint(1, 0.0, 2.0), TrajectoryPoint(2, 1.5, -3.0))
         assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            (([], [], []), "at least one point"),
+            (([1, 2], [0, 0], [0]), "equal lengths, got 2, 2 and 1"),
+            (([1, 2], [0, math.nan], [0, 0]), "finite"),
+            (([1, 2], [0, 0], [math.inf, 0]), "finite"),
+            (([-1, 2], [0, 0], [0, 0]), "non-negative, got -1.0"),
+            (([1, 3, 2], [0, 0, 0], [0, 0, 0]), "strictly ascending, got 3.0 then 2.0"),
+            (([1, 1], [0, 0], [0, 0]), "strictly ascending, got 1.0 then 1.0"),
+        ],
+    )
+    def test_bad_columns_rejected(self, cols, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            Trajectory.from_columns(*cols)
+
+    def test_stores_read_only_copies(self):
+        t, x, y = np.array([1.0, 2.0]), np.array([0.5, 1.5]), np.array([-1.0, 4.0])
+        a = Trajectory.from_columns(t, x, y)
+        t[0], x[0], y[0] = 0.0, 9.0, 9.0
+        assert a == traj([(1, 0.5, -1.0), (2, 1.5, 4.0)])
+        assert not (a.t.flags.writeable or a.x.flags.writeable or a.y.flags.writeable)
+
+    def test_equals_the_point_path(self):
+        a = traj([(0, 0.0, 2.0), (1.5, -0.0, 3.0), (4, 7.25, -1.0)])
+        b = Trajectory.from_columns(a.t, a.x, a.y)
+        assert b == Trajectory(a.points) and hash(b) == hash(a)
+        assert copy.copy(b) == copy.deepcopy(b) == pickle.loads(pickle.dumps(b)) == a
 
 
 class TestCsvRoundTrip:
