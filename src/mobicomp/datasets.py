@@ -345,11 +345,12 @@ def load_scenario(path: str | Path) -> Scenario:
         defaults = QosParams.defaults_for(r_s)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    qos_params = QosParams(
-        confident_radius_rc=_number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc),
-        decay_k=_number(path, qos_cfg, "decay_k", defaults.decay_k),
-        sensing_radius_rs=r_s,
-    )
+    r_c = _number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc)
+    decay_k = _number(path, qos_cfg, "decay_k", defaults.decay_k)
+    try:
+        qos_params = QosParams(confident_radius_rc=r_c, decay_k=decay_k, sensing_radius_rs=r_s)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     rewards_cfg = cfg.get("rewards", {})
     rewards = RewardScheme(
         dummy=_number(path, rewards_cfg, "dummy", RewardScheme.dummy),

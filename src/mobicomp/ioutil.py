@@ -2,7 +2,10 @@
 writes, hashing and canonical JSON.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
-sort_keys=True) + "\\n"``; ``dump_json`` produces it in one pass (see there).
+sort_keys=True) + "\\n"``. ``dump_json`` renders it by columns: the values of
+a list are encoded together, a list of dicts one column per key. Only the
+root and its direct children are written chunk by chunk; each deeper value
+is rendered whole (see there).
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
+from operator import add, itemgetter
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -68,25 +73,8 @@ class _Indents(dict):
 
 
 _INDENT = _Indents()
-# float.__repr__ writes these three; no other scalar's JSON text equals one
+# json's text of the three floats float.__repr__ writes otherwise
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar_fallback(o) -> str:
-    """``json``'s handling of a value whose type is not an exact scalar type:
-    ``""`` marks a container, a subclass of str, int or float is written as
-    its base type (``IntEnum``, ``np.float64``), anything else is refused."""
-    if isinstance(o, (list, tuple, dict)):
-        return ""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 # Encoders of the exact scalar types; bool is found here before int.
 _SCALARS = {
     str: _encode_str,
@@ -95,56 +83,144 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+# Depths written chunk by chunk; a value below them is rendered whole.
+_STREAMED_DEPTHS = 2
 
 
-def _scalars(values) -> list[str]:
-    """JSON text of each value, ``""`` for a list, tuple or dict."""
-    get = _SCALARS.get
-    texts = [get(type(v), _scalar_fallback)(v) for v in values]
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
-        texts = [_NONFINITE.get(t, t) for t in texts]
-    return texts
+def _scalar_fallback(o) -> str | None:
+    """json's text of a scalar of any type, tested in json's order (a str,
+    int or float subclass such as ``IntEnum`` or ``np.float64`` is written
+    as its base type); ``None`` for anything else."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    return None
 
 
-class _Keys(dict):
-    """Encoded dict keys with their separator (``'"w": '``), one entry per
-    distinct str key. Other keys are converted as json does (bool is an int)
-    on every use: 1, 1.0 and True hash alike but are written differently."""
-
-    def __missing__(self, key) -> str:
-        if isinstance(key, str):
-            text = _encode_str(key) + ": "
-        elif key is None or isinstance(key, (int, float)):
-            text = _encode_str(_scalars([key])[0]) + ": "
-        else:
+def _key(key) -> str:
+    """An encoded dict key with its separator (``'"w": '``); a bool, int,
+    float or None key is converted as json converts it."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
             raise TypeError(
                 f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
             )
-        if type(key) is str:
-            self[key] = text
+        key = _scalar_fallback(key)
+    return _encode_str(key) + ": "
+
+
+def _entries(o):
+    """json's view of a list, tuple or dict: its brackets, the key heads of a
+    dict (``None`` for the others) and its values; ``None`` for anything else."""
+    if isinstance(o, (list, tuple)):
+        return "[]", None, list(o)
+    if isinstance(o, dict):
+        # sorted() raises TypeError on mixed key types, as json's does
+        items = sorted(o.items())
+        return "{}", [_key(k) for k, _ in items], [v for _, v in items]
+    return None
+
+
+class _Templates(dict):
+    """The ``%`` template of a dict with the given sorted str keys, written
+    at the given depth with one ``%s`` per value."""
+
+    def __missing__(self, shape: tuple) -> str:
+        ordered, depth = shape
+        nl = _INDENT[depth + 1]
+        heads = (_key(k).replace("%", "%%") + "%s" for k in ordered)
+        text = self[shape] = "{" + nl + ("," + nl).join(heads) + _INDENT[depth] + "}"
         return text
 
 
-class _Shapes(dict):
-    """For a dict's keys in insertion order and its depth: the keys sorted,
-    and the ``%`` template of the dict written with scalar values. Only
-    all-str key sets are kept, for the reason given at ``_Keys``."""
+class _Renderer:
+    """Renders a list of values at one depth by columns (see ``dump_json``),
+    with the dict templates of one document."""
 
-    def __init__(self, keys: _Keys):
-        super().__init__()
-        self.keys = keys
+    def __init__(self):
+        self.templates = _Templates()
 
-    def __missing__(self, shape: tuple) -> tuple[list, str]:
-        key_order, depth = shape
-        # sorted() raises TypeError on mixed key types, as json's
-        # sorted(dct.items()) does; both order distinct keys alike
-        ordered = sorted(key_order)
+    def texts(self, values: list, depth: int) -> list[str]:
+        """The JSON text of each of ``values``, all at ``depth``."""
+        kinds = set(map(type, values))
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            encode = _SCALARS.get(kind)
+            if encode is not None:
+                texts = list(map(encode, values))
+                if kind is float and not all(map(isfinite, values)):
+                    texts = [_NONFINITE.get(t, t) for t in texts]
+                return texts
+            if kind is dict:
+                texts = self.dicts(values, depth)
+                if texts is not None:
+                    return texts
+            elif kind is list:
+                return self.lists(values, depth)
+        return [self.value(v, depth) for v in values]
+
+    def dicts(self, dicts: list[dict], depth: int) -> list[str] | None:
+        """Exact dicts that share one all-str key set, one column per key;
+        ``None`` if they do not share one."""
+        orders = set(map(tuple, dicts))
+        first = orders.pop()
+        keyset = set(first)
+        if not all(type(k) is str for k in first) or any(keyset != set(o) for o in orders):
+            return None
+        if not first:
+            return ["{}"] * len(dicts)
+        ordered = tuple(sorted(first))
+        cols = [self.texts(list(map(itemgetter(k), dicts)), depth + 1) for k in ordered]
+        return list(map(self.templates[ordered, depth].__mod__, zip(*cols)))
+
+    def lists(self, lists: list[list], depth: int) -> list[str]:
+        """Exact lists: their members rendered as one column, then re-joined."""
+        texts = iter(self.texts(list(chain.from_iterable(lists)), depth + 1))
         nl = _INDENT[depth + 1]
-        heads = (self.keys[k].replace("%", "%%") + "%s" for k in ordered)
-        entry = ordered, "{" + nl + ("," + nl).join(heads) + _INDENT[depth] + "}"
-        if all(type(k) is str for k in ordered):
-            self[shape] = entry
-        return entry
+        sep, head, tail = "," + nl, "[" + nl, _INDENT[depth] + "]"
+        return [head + sep.join(islice(texts, n)) + tail if n else "[]" for n in map(len, lists)]
+
+    def value(self, o, depth: int) -> str:
+        """One value of any type; what json refuses raises ``TypeError``."""
+        text = _scalar_fallback(o)
+        if text is not None:
+            return text
+        entries = _entries(o)
+        if entries is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        brackets, heads, values = entries
+        if not values:
+            return brackets
+        texts = self.texts(values, depth + 1)
+        if heads is not None:
+            texts = map(add, heads, texts)
+        nl = _INDENT[depth + 1]
+        return brackets[0] + nl + ("," + nl).join(texts) + _INDENT[depth] + brackets[1]
+
+    def stream(self, o, depth: int, out: list[str]) -> None:
+        """Append the text of ``o`` to ``out``: a non-empty container above
+        ``_STREAMED_DEPTHS`` chunk by chunk, anything else whole."""
+        entries = _entries(o) if depth < _STREAMED_DEPTHS else None
+        if entries is None or not entries[2]:
+            out.append(self.texts([o], depth)[0])
+            return
+        (opening, closing), heads, values = entries
+        nl = _INDENT[depth + 1]
+        out.append(opening)
+        for i, v in enumerate(values):
+            out.append(("," if i else "") + nl + (heads[i] if heads else ""))
+            self.stream(v, depth + 1, out)
+        out.append(_INDENT[depth] + closing)
 
 
 def dump_json(obj) -> str:
@@ -153,62 +229,21 @@ def dump_json(obj) -> str:
     tests compare against; what ``json.dumps`` refuses raises ``TypeError``.
 
     The standard library uses its C encoder only without ``indent``; with it,
-    every chunk passes up through a stack of Python generators. Here one
-    recursive pass appends to one list, and a dict or list holding only
-    scalars (every candidate of a discover payload) becomes one string: a
-    dict through a template kept per key set and depth, a list with a join.
+    every value passes up through a stack of Python generators. Here values
+    are rendered by columns: a list whose values share one exact scalar type
+    is one ``map`` of that type's encoder; a list of exact dicts sharing one
+    all-str key set is split into one column per key, each rendered so, and
+    its rows filled into a ``%`` template kept per key set and depth; a list
+    of lists is rendered as the one column of their members. Any other value
+    (a subclass, a tuple, a non-str key, a mixed list) is rendered one by
+    one. The root and its direct children are written chunk by chunk into one
+    list joined at the end; each deeper value (one user's block of a
+    discover payload) is rendered whole, so the document is built once, by
+    that join, and no column outlives its block.
     """
     out: list[str] = []
-    append = out.append
-    keys = _Keys()
-    shapes = _Shapes(keys)
-
-    def container(o, depth: int, lead: str) -> None:
-        # ``lead`` (what precedes ``o``: separator, indent, key) goes in front
-        # of the first chunk, so a scalar-only container is a single append.
-        is_dict = isinstance(o, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        if not o:
-            append(lead + opening + closing)
-            return
-        if type(o) is dict:
-            ordered, template = shapes[tuple(o), depth]
-            values = [o[k] for k in ordered]
-            texts = _scalars(values)
-            if all(texts):
-                append(lead + template % tuple(texts))
-                return
-            heads = [keys[k] for k in ordered]
-        elif is_dict:  # a subclass: json reads its items()
-            items = sorted(o.items())
-            heads = [keys[k] for k, _ in items]
-            values = [v for _, v in items]
-            texts = _scalars(values)
-        else:
-            values, texts = o, _scalars(o)
-            if all(texts):
-                nl = _INDENT[depth + 1]
-                append(f"{lead}[{nl}{(',' + nl).join(texts)}{_INDENT[depth]}]")
-                return
-            heads = repeat("")
-        nl = _INDENT[depth + 1]
-        sep = "," + nl
-        lead += opening + nl
-        for i, (head, value, text) in enumerate(zip(heads, values, texts)):
-            if i:
-                lead += sep
-            if text:
-                lead += head + text
-            else:
-                container(value, depth + 1, lead + head)
-                lead = ""
-        append(lead + _INDENT[depth] + closing)
-
-    top = _scalars([obj])[0]
-    if top:
-        return top + "\n"
-    container(obj, 0, "")
-    append("\n")
+    _Renderer().stream(obj, 0, out)
+    out.append("\n")
     return "".join(out)
 
 

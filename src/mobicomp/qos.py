@@ -18,7 +18,9 @@ from .trajectories import DistanceMode, distance
 @dataclass(frozen=True)
 class QosParams:
     """Attenuation parameters. The sensing radius doubles as the search radius
-    used for spatial candidacy, so strength is always evaluated inside it."""
+    used for spatial candidacy, so strength is always evaluated inside it. A
+    decay so steep that the capacity at the sensing edge rounds to 0.0 is
+    refused."""
 
     confident_radius_rc: float
     decay_k: float
@@ -32,6 +34,15 @@ class QosParams:
             )
         if not (math.isfinite(self.decay_k) and self.decay_k >= 0):
             raise InvalidInputError(f"decay_k must be finite and >= 0, got {self.decay_k}")
+        # the weakest strength, at the sensing edge, must leave 1 + s above
+        # 1.0, or its capacity (B/K) * log2(1 + s) is 0.0
+        edge = math.exp(-self.decay_k * (self.sensing_radius_rs - self.confident_radius_rc))
+        if not 1.0 + edge > 1.0:
+            raise InvalidInputError(
+                f"decay_k={self.decay_k} too steep: strength {edge} at the sensing edge "
+                f"(R_c={self.confident_radius_rc}, R_s={self.sensing_radius_rs}) "
+                "gives a capacity of 0.0"
+            )
 
     @classmethod
     def defaults_for(cls, sensing_radius_rs: float) -> "QosParams":

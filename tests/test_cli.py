@@ -379,15 +379,20 @@ def test_bad_evaluate_run_is_one_line_error_and_writes_nothing(bundle, tmp_path,
 
 
 def test_underflowing_strength_is_one_line_error(bundle, tmp_path, capsys):
-    # strength exp(-k (pdis - R_c)) rounds to 0.0 beyond R_c, which capacity rejects
-    cfg = json.loads((bundle / "scenario.json").read_text())
-    cfg["qos"]["decay_k"] = 1e6
-    (bundle / "scenario.json").write_text(json.dumps(cfg))
-    args = ["discover", "--scenario", str(bundle / "scenario.json"),
-            "--out", str(tmp_path / "d.json"), "--quiet"]
-    assert dispatch(args) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: InvalidInputError: strength must be positive, got 0.0"]
+    # R_s 20 m, R_c 5 m: decay_k 5.0 gives exp(-75) at the sensing edge, which
+    # log2(1 + s) rounds to a capacity of 0.0; 1e6 rounds the strength itself
+    # to 0.0. Either is refused with the scenario file and the field named.
+    scenario = bundle / "scenario.json"
+    cfg = json.loads(scenario.read_text())
+    for decay_k in (5.0, 1e6):
+        cfg["qos"]["decay_k"] = decay_k
+        scenario.write_text(json.dumps(cfg))
+        out = tmp_path / "d.json"
+        args = ["discover", "--scenario", str(scenario), "--out", str(out), "--quiet"]
+        assert dispatch(args) == 1
+        line = assert_one_error_line(capsys, "InvalidInputError", scenario)
+        assert f"decay_k={decay_k}" in line, line
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

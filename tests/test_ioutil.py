@@ -3,7 +3,9 @@ import enum
 import json
 import math
 import os
+import random
 import re
+import tracemalloc
 from collections import OrderedDict, namedtuple
 from pathlib import Path
 
@@ -91,10 +93,74 @@ values = st.recursive(
 )
 
 
+# A list of dicts that share one key set is rendered by columns; the cells of
+# a column are drawn from one of these, the mixed ones included.
+column_cells = st.sampled_from([
+    st.integers() | st.booleans(),
+    floats,
+    floats | floats.map(np.float64),
+    texts,
+    texts | texts.map(Tag),
+    st.integers() | st.sampled_from(list(Level)),
+    st.none() | texts,
+    scalars,
+    st.lists(st.lists(scalars, max_size=3), max_size=3),
+    st.lists(st.fixed_dictionaries({"x": floats, "%s": st.integers()}), max_size=3),
+])
+column_keys = st.lists(texts | st.sampled_from(["a", "b", "%s", "%%", "%(a)s"]), unique=True, max_size=4)
+
+
+@st.composite
+def dict_columns(draw):
+    """At least two dicts with one key set, each in its own insertion order,
+    sometimes with a dict subclass or a tuple in the list, sometimes nested
+    in a discover-shaped payload."""
+    keys = draw(column_keys)
+    n = draw(st.integers(2, 6))
+    cols = {k: draw(st.lists(draw(column_cells), min_size=n, max_size=n)) for k in keys}
+    rows = [{k: cols[k][i] for k in draw(st.permutations(keys))} for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = draw(st.sampled_from([Bag, lambda d: tuple(d.values())]))(rows[i])
+    if draw(st.booleans()):
+        return {"meta": {}, "users": [{"user_id": "u", "steps": rows}, {"steps": []}]}
+    return rows
+
+
+# lists of lists, flattened into one column and re-joined
+nested_lists = st.lists(st.lists(st.lists(scalars, max_size=3), max_size=3), min_size=2, max_size=5)
+
+
+def discover_shaped(users: int, steps: int, rng: random.Random) -> dict:
+    """A payload shaped as ``mobicomp discover`` writes it."""
+    blocks = []
+    for u in range(users):
+        rows = []
+        for t in range(1, steps + 1):
+            cands = [
+                {
+                    "service_id": f"s{rng.randrange(200):04d}",
+                    "distance_m": rng.uniform(0.0, 20.0),
+                    "strength": rng.random(),
+                    "capacity_bps": rng.uniform(1e5, 1e7),
+                }
+                for _ in range(rng.randint(0, 8))
+            ]
+            chosen = cands[0]["service_id"] if cands else "__dummy__"
+            rows.append({"timestep": t, "candidates": cands, "chosen": chosen})
+        blocks.append({"user_id": f"user:u{u:04d}", "steps": rows})
+    return {"meta": {"tool": "mobicomp", "seed": 1}, "users": blocks}
+
+
 class TestDumpJson:
     @settings(max_examples=200, deadline=None)
     @given(values)
     def test_equals_json_dumps(self, obj):
+        assert dump_json(obj) == reference(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dict_columns() | nested_lists)
+    def test_columns_equal_json_dumps(self, obj):
         assert dump_json(obj) == reference(obj)
 
     @pytest.mark.parametrize(
@@ -139,6 +205,8 @@ class TestDumpJson:
             [{None: 1, 1: 2}],
             {(1, 2): "tuple key"},
             {"b": {b"bytes"}},
+            # np.int64 inside a column of dicts sharing one key set
+            [{"a": 1, "b": 2.0}, {"b": 1.0, "a": np.int64(3)}],
         ],
     )
     def test_refuses_what_json_refuses(self, obj):
@@ -163,6 +231,19 @@ class TestDumpJson:
         }
         assert sum(len(s["candidates"]) for s in payload["users"][0]["steps"]) > 20
         assert dump_json(payload) == reference(payload)
+
+    def test_streams_the_outer_levels(self):
+        # the root and its children are streamed and each user's block is
+        # rendered whole, so the peak stays near the output plus its chunks
+        payload = discover_shaped(12, 300, random.Random(1))
+        tracemalloc.start()
+        try:
+            text = dump_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference(payload)
+        assert peak < 2.2 * len(text), peak / len(text)
 
 
 class TestAtomicWrite:

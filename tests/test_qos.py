@@ -71,7 +71,8 @@ class TestStrength:
         lo, hi = sorted((d1, d2))
         assert strength(lo, self.params) >= strength(hi, self.params)
 
-    @given(st.floats(5.0001, 49.0), st.floats(0.01, 1.0))
+    # 0.8 is about the steepest decay QosParams accepts for these radii
+    @given(st.floats(5.0001, 49.0), st.floats(0.01, 0.8))
     @settings(max_examples=100)
     def test_strictly_decreasing_beyond_rc_when_k_positive(self, d, k):
         params = QosParams(confident_radius_rc=5.0, decay_k=k, sensing_radius_rs=50.0)
@@ -161,14 +162,33 @@ class TestParamsAndValues:
         with pytest.raises(InvalidInputError, match="bandwidth must be positive, got nan"):
             capacity(1.0, math.nan, 2)
 
+    @pytest.mark.parametrize("k", [5.0, 1e6])
+    def test_decay_zeroing_the_edge_capacity_rejected(self, k):
+        # exp(-k * 15) is below float resolution next to 1.0
+        with pytest.raises(InvalidInputError, match=f"decay_k={k}"):
+            QosParams(confident_radius_rc=5.0, decay_k=k, sensing_radius_rs=20.0)
+
+    @given(st.floats(0.0, 10.0))
+    @settings(max_examples=200)
+    def test_accepted_decay_gives_positive_capacity_to_the_edge(self, k):
+        try:
+            params = QosParams(confident_radius_rc=5.0, decay_k=k, sensing_radius_rs=20.0)
+        except InvalidInputError:
+            assert 1.0 + math.exp(-k * 15.0) == 1.0
+            return
+        assert capacity(strength(params.sensing_radius_rs, params), 1.0, 1) > 0.0
+
     def test_qos_value_range_enforced(self):
-        # a candidate's strength is in (0, 1] and its capacity non-negative,
-        # or pricing raises: a strength that underflows to 0 is rejected
-        params = QosParams(confident_radius_rc=1.0, decay_k=1e6, sensing_radius_rs=10.0)
+        # a candidate's strength is in (0, 1] and its capacity positive, or
+        # pricing raises: a decay that would round either to 0 is refused up
+        # front, and capacity refuses a zero strength
+        with pytest.raises(InvalidInputError, match="decay_k"):
+            QosParams(confident_radius_rc=1.0, decay_k=1e6, sensing_radius_rs=10.0)
+        params = QosParams(confident_radius_rc=1.0, decay_k=4.0, sensing_radius_rs=10.0)
         assert strength(0.5, params) == 1.0
-        assert strength(9.0, params) == 0.0
+        assert capacity(strength(10.0, params), 1e6, 2) > 0.0  # exp(-36) at the edge
         with pytest.raises(InvalidInputError, match="strength must be positive, got 0.0"):
-            capacity(strength(9.0, params), 1e6, 2)
+            capacity(0.0, 1e6, 2)
         with pytest.raises(ContractViolationError):
             strength(10.5, params)
         assert capacity(1e-300, 1e6, 2) >= 0.0  # log2(1 + s) rounds to 0.0 here
