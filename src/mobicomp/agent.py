@@ -1,12 +1,14 @@
 """The epsilon-greedy deep Q-learning composer: replay memory, exploration
 decay, minibatch training, and greedy plan extraction.
 
-Training walks each user trajectory ``repetition`` times, storing full
-transition tuples in a ring buffer. Once the buffer first fills, and again
-after every ``train_interval`` new experiences, the network trains for one
-pass of uniformly sampled minibatches and the exploration rate decays by
-``epsilon_decay`` (floored at ``epsilon_min``). Bootstrapping uses the
-network being trained.
+Training walks each user trajectory ``repetition`` times, writing each
+transition as one row of a ring of preallocated columns (state, action,
+reward, next state, done). Once the ring first fills, and again after every
+``train_interval`` new transitions, the network trains for one pass of
+uniformly sampled minibatches and the exploration rate decays by
+``epsilon_decay`` (floored at ``epsilon_min``). Each row has one target,
+reward + gamma * max Q(next state), bootstrapped from the network being
+trained, and only the taken action's output is regressed towards it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,10 @@ class AgentConfig:
             raise InvalidInputError(f"gamma must be in [0, 1), got {self.gamma}")
         if not (0.0 < self.epsilon_decay < 1.0):
             raise InvalidInputError(f"epsilon_decay must be in (0, 1), got {self.epsilon_decay}")
+        if not (0.0 <= self.epsilon_min <= 1.0):
+            raise InvalidInputError(f"epsilon_min must be in [0, 1], got {self.epsilon_min}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
         if not self.memory_capacity >= self.batch_size >= 1:
             raise InvalidInputError(
                 f"require memory_capacity >= batch_size >= 1, got "
@@ -62,42 +69,52 @@ class AgentConfig:
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Experience:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
+class Transitions(NamedTuple):
+    """Transitions as columns, one row each."""
+
+    states: np.ndarray  # (rows, state_dim) float64
+    actions: np.ndarray  # (rows,) action indices
+    rewards: np.ndarray  # (rows,) float64
+    next_states: np.ndarray  # (rows, state_dim) float64
+    done: np.ndarray  # (rows,) bool
 
 
 class ReplayMemory:
-    """Fixed-capacity ring buffer; eviction is oldest-first."""
+    """Fixed-capacity ring of transitions in preallocated columns; eviction is
+    oldest-first."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: list[Experience] = []
+        self._rows = Transitions(
+            states=np.zeros((capacity, state_dim)),
+            actions=np.zeros(capacity, dtype=np.intp),
+            rewards=np.zeros(capacity),
+            next_states=np.zeros((capacity, state_dim)),
+            done=np.zeros(capacity, dtype=bool),
+        )
+        self._len = 0
         self._next = 0
 
-    def push(self, exp: Experience) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(exp)
-        else:
-            self._items[self._next] = exp
+    def push(
+        self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, done: bool
+    ) -> None:
+        for column, value in zip(self._rows, (state, action, reward, next_state, done)):
+            column[self._next] = value
         self._next = (self._next + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
     @property
     def full(self) -> bool:
-        return len(self._items) == self.capacity
+        return self._len == self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Experience]:
-        idx = rng.choice(len(self._items), size=batch_size, replace=False)
-        return [self._items[int(i)] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Transitions:
+        idx = rng.choice(self._len, size=batch_size, replace=False)
+        return Transitions(*(column[idx] for column in self._rows))
 
 
 @dataclass
@@ -136,32 +153,14 @@ def select_action(
     return int(np.argmax(q))
 
 
-def q_targets(
-    model: PolicyModel,
-    batch: list[Experience],
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target matrix for one minibatch, plus the stacked input states.
-
-    The taken action's slot becomes reward + gamma * max_a' Q(next, a'), or
-    just the reward on terminal transitions; every other slot copies the
-    current eval-mode prediction. Their error is zero only when the training
-    forward pass also runs without dropout: ``network.train_batch`` runs it in
-    train mode, so with dropout the other slots are pulled towards the
-    eval-mode values too.
-    """
-    if not batch:
+def q_targets(model: PolicyModel, batch: Transitions, gamma: float) -> np.ndarray:
+    """One target per row: reward + gamma * max_a' Q(next, a') from one
+    eval-mode forward pass over the next states, or just the reward on
+    terminal transitions."""
+    if len(batch.rewards) == 0:
         raise InvalidInputError("q_targets needs a non-empty batch")
-    net = model.network
-    states = np.stack([e.state for e in batch])
-    next_states = np.stack([e.next_state for e in batch])
-    preds = network.forward(net, states, train_mode=False)
-    next_q = network.forward(net, next_states, train_mode=False)
-    targets = np.array(preds, copy=True)
-    for i, e in enumerate(batch):
-        bootstrap = 0.0 if e.done else gamma * float(np.max(next_q[i]))
-        targets[i, e.action] = e.reward + bootstrap
-    return targets, states
+    next_q = network.forward(model.network, batch.next_states, train_mode=False)
+    return batch.rewards + np.where(batch.done, 0.0, gamma * next_q.max(axis=1))
 
 
 def _train_pass(
@@ -175,8 +174,10 @@ def _train_pass(
     losses = []
     for _ in range(n_batches):
         batch = memory.sample(config.batch_size, rng)
-        targets, states = q_targets(model, batch, config.gamma)
-        losses.append(network.train_batch(model.network, states, targets, config.lr))
+        targets = q_targets(model, batch, config.gamma)
+        losses.append(
+            network.train_batch(model.network, batch.states, batch.actions, targets, config.lr)
+        )
     return float(np.mean(losses))
 
 
@@ -203,7 +204,7 @@ def train(
     net = network.init_network(spec, seed=net_seed)
     model = PolicyModel(network=net, action_ids=env.action_ids, extents=env.extents)
 
-    memory = ReplayMemory(config.memory_capacity)
+    memory = ReplayMemory(config.memory_capacity, spec.input_dim)
     epsilon = config.epsilon_start
     logs: list[EpisodeLog] = []
     episode = 0
@@ -218,15 +219,7 @@ def train(
             while not done:
                 a_idx = select_action(model, state, epsilon, rng)
                 outcome = env.step(model.action_ids[a_idx])
-                memory.push(
-                    Experience(
-                        state=state,
-                        action=a_idx,
-                        reward=outcome.reward,
-                        next_state=outcome.next_state,
-                        done=outcome.done,
-                    )
-                )
+                memory.push(state, a_idx, outcome.reward, outcome.next_state, outcome.done)
                 new_since_train += 1
                 cum += outcome.reward
                 state = outcome.next_state

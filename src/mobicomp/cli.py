@@ -53,12 +53,15 @@ from .trajectories import (
 )
 
 
-def _meta(seed: int, inputs: list[str | Path]) -> dict:
+def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
+    """Provenance block; input hashes are keyed by the input's role (``spec``,
+    ``input``, ``scenario``, ``model``), so the bytes do not depend on how a
+    path was spelled."""
     return {
         "tool": "mobicomp",
         "version": __version__,
         "seed": seed,
-        "input_hashes": {str(p): sha256_file(p) for p in inputs},
+        "input_hashes": {role: sha256_file(p) for role, p in inputs.items()},
     }
 
 
@@ -181,10 +184,10 @@ def _cmd_gen(args) -> int:
             raise InvalidInputError(f"{args.spec}: bad scenario spec: {exc}") from None
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-        inputs = [args.spec]
+        inputs = {"spec": args.spec}
     else:
         spec = default_scenario_spec(seed=DEFAULT_SEED if args.seed is None else args.seed)
-        inputs = []
+        inputs = {}
     services, users = generate(spec)
     out = Path(args.out)
     scenario_path = write_scenario_bundle(
@@ -248,7 +251,7 @@ def _cmd_ingest(args) -> int:
         mode=mode,
         seed=args.seed,
     )
-    atomic_write_text(out / "meta.json", dump_json(_meta(args.seed, [args.input])))
+    atomic_write_text(out / "meta.json", dump_json(_meta(args.seed, {"input": args.input})))
     if not args.quiet:
         _summary(
             "ingest",
@@ -288,7 +291,7 @@ def _cmd_discover(args) -> int:
         blocks.append(
             {"user_id": user.id, "steps": oracle_mod.table_plan_json(table, plan, user)}
         )
-    payload = {"meta": _meta(args.seed, [args.scenario]), "users": blocks}
+    payload = {"meta": _meta(args.seed, {"scenario": args.scenario}), "users": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
         _summary("discover", users=len(blocks), out=args.out)
@@ -339,7 +342,8 @@ def _cmd_compose(args) -> int:
                 "total_reward": plan.total_reward(),
             }
         )
-    payload = {"meta": _meta(args.seed, [args.scenario, args.model]), "plans": blocks}
+    meta = _meta(args.seed, {"scenario": args.scenario, "model": args.model})
+    payload = {"meta": meta, "plans": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
         _summary("compose", users=len(blocks), out=args.out)
@@ -350,7 +354,7 @@ def _cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
     out = Path(args.out)
-    meta = _meta(args.seed, [args.scenario])
+    meta = _meta(args.seed, {"scenario": args.scenario})
     exit_code = 0
 
     if args.mode == "accuracy":

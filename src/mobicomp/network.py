@@ -142,17 +142,19 @@ def forward(state: NetworkState, x: np.ndarray, train_mode: bool = False) -> np.
     return out[0] if was_vector else out
 
 
-def _loss_and_grads(state: NetworkState, X: np.ndarray, Y: np.ndarray, train_mode: bool):
-    """Loss (mean over rows of the summed squared output error) and gradients.
-
-    ``agent.q_targets`` copies the eval-mode prediction into every slot but
-    the taken action's. With ``train_mode`` and dropout the forward pass here
-    differs from that prediction, so the other slots' errors are not zero and
-    the loss is not the squared error of the taken action alone.
-    """
+def _loss_and_grads(
+    state: NetworkState, X: np.ndarray, actions: np.ndarray, y: np.ndarray, train_mode: bool
+):
+    """Loss (mean over rows of the taken action's squared error) and
+    gradients. Row i's error sits at output ``actions[i]``, and every other
+    output's error is zero."""
     acts, masks, out = _forward_cached(state, X, train_mode)
     n = X.shape[0]
-    err = out - Y
+    rows = np.arange(n)
+    # a full (rows x outputs) error, zero off the taken actions: the sums and
+    # matmuls below then run in the same order as for a dense target matrix
+    err = np.zeros_like(out)
+    err[rows, actions] = out[rows, actions] - y
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         loss = float(np.sum(err * err) / n)
     g = 2.0 * err / n
@@ -194,15 +196,23 @@ def _apply_update(state: NetworkState, grads_w, grads_b, lr: float) -> None:
             params -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def train_batch(state: NetworkState, inputs: np.ndarray, targets: np.ndarray, lr: float) -> float:
-    """One optimizer step on the batch; returns the pre-step loss."""
+def train_batch(
+    state: NetworkState, inputs: np.ndarray, actions: np.ndarray, targets: np.ndarray, lr: float
+) -> float:
+    """One optimizer step regressing output ``actions[i]`` of row i towards
+    ``targets[i]``; returns the pre-step loss."""
     X, _ = _as_batch(inputs, state.spec.input_dim, "inputs")
-    Y, _ = _as_batch(targets, state.spec.output_dim, "targets")
-    if X.shape[0] != Y.shape[0]:
+    A = np.asarray(actions)
+    y = np.asarray(targets, dtype=np.float64)
+    if A.shape != (X.shape[0],) or y.shape != (X.shape[0],):
         raise InvalidInputError(
-            f"row count mismatch: {X.shape[0]} inputs vs {Y.shape[0]} targets"
+            f"row count mismatch: {X.shape[0]} inputs vs actions of shape {A.shape} "
+            f"and targets of shape {y.shape}"
         )
-    loss, grads_w, grads_b = _loss_and_grads(state, X, Y, train_mode=True)
+    n_out = state.spec.output_dim
+    if not np.issubdtype(A.dtype, np.integer) or np.any((A < 0) | (A >= n_out)):
+        raise InvalidInputError(f"actions must be integer indices in [0, {n_out})")
+    loss, grads_w, grads_b = _loss_and_grads(state, X, A, y, train_mode=True)
     if not np.isfinite(loss):
         raise TrainingDivergenceError(
             f"non-finite loss {loss} (batch of {X.shape[0]}, lr={lr}); "
@@ -210,46 +220,6 @@ def train_batch(state: NetworkState, inputs: np.ndarray, targets: np.ndarray, lr
         )
     _apply_update(state, grads_w, grads_b, lr)
     return loss
-
-
-def gradient_check(
-    state: NetworkState,
-    x: np.ndarray,
-    target: np.ndarray,
-    n_samples: int = 40,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients,
-    probed on a random parameter subset with dropout disabled."""
-    X, _ = _as_batch(x, state.spec.input_dim, "input")
-    Y, _ = _as_batch(target, state.spec.output_dim, "target")
-    _, grads_w, grads_b = _loss_and_grads(state, X, Y, train_mode=False)
-
-    def loss_only() -> float:
-        _, _, out = _forward_cached(state, X, train_mode=False)
-        err = out - Y
-        return float(np.sum(err * err) / X.shape[0])
-
-    rng = np.random.default_rng(seed)
-    params = [(p, g) for p, g in zip(state.weights, grads_w)]
-    params += [(p, g) for p, g in zip(state.biases, grads_b)]
-    worst = 0.0
-    for _ in range(n_samples):
-        li = int(rng.integers(len(params)))
-        arr, grad = params[li]
-        idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + step
-        f_plus = loss_only()
-        arr[idx] = orig - step
-        f_minus = loss_only()
-        arr[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * step)
-        analytic = grad[idx]
-        denom = max(abs(numeric), abs(analytic), 1e-6)
-        worst = max(worst, abs(numeric - analytic) / denom)
-    return worst
 
 
 def save(state: NetworkState) -> bytes:

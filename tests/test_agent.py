@@ -7,9 +7,9 @@ import pytest
 from mobicomp import network
 from mobicomp.agent import (
     AgentConfig,
-    Experience,
     PolicyModel,
     ReplayMemory,
+    Transitions,
     compose,
     load_model,
     q_targets,
@@ -50,6 +50,18 @@ def fixed_model(outputs, n_inputs=3):
     return PolicyModel(network=state, action_ids=ids, extents=EXTENTS)
 
 
+def transitions(*rows):
+    """Transitions from (state, action, reward, next_state, done) rows."""
+    states, actions, rewards, next_states, done = zip(*rows)
+    return Transitions(
+        np.array(states, dtype=float),
+        np.array(actions),
+        np.array(rewards, dtype=float),
+        np.array(next_states, dtype=float),
+        np.array(done),
+    )
+
+
 class TestSelectAction:
     def test_pure_exploration_is_uniform(self):
         model = fixed_model([0.0] * 7)
@@ -76,58 +88,72 @@ class TestSelectAction:
 class TestQTargets:
     def test_terminal_ignores_next_state(self):
         model = fixed_model([0.0, 0.0, 0.0])
-        exp = Experience(
-            state=np.zeros(3),
-            action=1,
-            reward=1.0,
-            next_state=np.full(3, 1e6),  # poisoned: must never be bootstrapped
-            done=True,
-        )
-        targets, states = q_targets(model, [exp], gamma=0.9)
-        assert targets[0, 1] == 1.0
-        assert targets[0, 0] == targets[0, 2] == 0.0
+        model.network.weights[0][:] = 1.0  # so that Q(next) is huge
+        # poisoned next state: must never be bootstrapped
+        batch = transitions((np.zeros(3), 1, 1.0, np.full(3, 1e6), True))
+        assert q_targets(model, batch, gamma=0.9).tolist() == [1.0]
 
     def test_gamma_zero_is_myopic(self):
         model = fixed_model([0.2, -0.4])
-        exps = [
-            Experience(np.zeros(3), 0, 0.7, np.ones(3), False),
-            Experience(np.ones(3), 1, -1.0, np.zeros(3), False),
-        ]
-        targets, _ = q_targets(model, exps, gamma=0.0)
-        assert targets[0, 0] == 0.7
-        assert targets[1, 1] == -1.0
+        batch = transitions(
+            (np.zeros(3), 0, 0.7, np.ones(3), False),
+            (np.ones(3), 1, -1.0, np.zeros(3), False),
+        )
+        assert q_targets(model, batch, gamma=0.0).tolist() == [0.7, -1.0]
 
     def test_two_state_chain_matches_hand_bellman(self):
         # Q rows are constant [0.5, 2.0]; hand backup with gamma = 0.9:
         # non-terminal target = r + 0.9 * max(0.5, 2.0) = r + 1.8
         model = fixed_model([0.5, 2.0])
-        exps = [
-            Experience(np.zeros(3), 0, 0.25, np.ones(3), False),
-            Experience(np.ones(3), 1, 1.0, np.ones(3), True),
-        ]
-        targets, _ = q_targets(model, exps, gamma=0.9)
-        assert targets[0, 0] == pytest.approx(0.25 + 1.8, abs=1e-12)
-        assert targets[0, 1] == 2.0  # untouched slot keeps the prediction
-        assert targets[1, 1] == 1.0
+        batch = transitions(
+            (np.zeros(3), 0, 0.25, np.ones(3), False),
+            (np.ones(3), 1, 1.0, np.ones(3), True),
+        )
+        targets = q_targets(model, batch, gamma=0.9)
+        assert targets.shape == (2,)
+        assert targets[0] == pytest.approx(0.25 + 1.8, abs=1e-12)
+        assert targets[1] == 1.0
 
     def test_empty_batch_rejected(self):
+        empty = Transitions(
+            np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 3)),
+            np.zeros(0, dtype=bool),
+        )
         with pytest.raises(InvalidInputError):
-            q_targets(fixed_model([0.0]), [], gamma=0.9)
+            q_targets(fixed_model([0.0]), empty, gamma=0.9)
 
 
 class TestReplayMemory:
+    @staticmethod
+    def push_numbered(mem, n):
+        """Push transitions 0..n-1; every field of transition i encodes i."""
+        for i in range(n):
+            mem.push(np.array([float(i)]), i, -float(i), np.array([i + 0.5]), i % 2 == 1)
+
     def test_capacity_never_exceeded(self):
-        mem = ReplayMemory(4)
+        mem = ReplayMemory(4, state_dim=1)
         for i in range(10):
-            mem.push(Experience(np.array([i]), 0, 0.0, np.array([i]), False))
-            assert len(mem) <= 4
+            self.push_numbered(mem, 1)
+            assert len(mem) == min(i + 1, 4)
+        assert mem.full
 
     def test_eviction_is_oldest_first(self):
-        mem = ReplayMemory(3)
-        for i in range(5):
-            mem.push(Experience(np.array([float(i)]), 0, 0.0, np.array([0.0]), False))
-        kept = sorted(float(e.state[0]) for e in mem._items)
-        assert kept == [2.0, 3.0, 4.0]
+        mem = ReplayMemory(3, state_dim=1)
+        self.push_numbered(mem, 5)
+        kept = mem.sample(3, np.random.default_rng(0))
+        assert sorted(kept.actions.tolist()) == [2, 3, 4]
+
+    def test_sample_returns_whole_rows_in_the_generators_order(self):
+        mem = ReplayMemory(8, state_dim=1)
+        self.push_numbered(mem, 11)  # rows 0..2 hold transitions 8..10
+        batch = mem.sample(5, np.random.default_rng(3))
+        rows = np.random.default_rng(3).choice(8, size=5, replace=False)
+        expected = np.where(rows < 3, rows + 8, rows)
+        assert batch.actions.tolist() == expected.tolist()
+        assert batch.states[:, 0].tolist() == expected.astype(float).tolist()
+        assert batch.rewards.tolist() == (-expected.astype(float)).tolist()
+        assert batch.next_states[:, 0].tolist() == (expected + 0.5).tolist()
+        assert batch.done.tolist() == (expected % 2 == 1).tolist()
 
 
 class TestTraining:
@@ -162,11 +188,11 @@ class TestTraining:
         monkeypatch.setattr(agent_mod.network, "forward", counting_forward)
         result = train(env, [user], cfg)
         # training still ran: every forward call is accounted for by q_targets
-        # (2 per minibatch), none by action selection
+        # (1 per minibatch, over the next states), none by action selection
         passes = sum(1 for row in result.log if not np.isnan(row.loss))
         assert passes > 0
         n_batches = cfg.memory_capacity // cfg.batch_size
-        assert calls["n"] == passes * n_batches * 2
+        assert calls["n"] == passes * n_batches
         assert all(row.epsilon == 1.0 for row in result.log)
 
     def test_learns_single_valid_candidate(self):
@@ -237,6 +263,22 @@ class TestTraining:
     def test_seed_must_be_a_non_negative_int(self, seed):
         with pytest.raises(InvalidInputError, match="seed"):
             AgentConfig(seed=seed)
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_epsilon_min_must_be_a_probability(self, value):
+        with pytest.raises(InvalidInputError, match="epsilon_min"):
+            AgentConfig(epsilon_min=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lr_must_be_positive_and_finite(self, value):
+        with pytest.raises(InvalidInputError, match="lr"):
+            AgentConfig(lr=value)
+
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon_min", 0.0), ("epsilon_min", 1.0), ("lr", 1e-9)]
+    )
+    def test_edge_values_accepted(self, field, value):
+        assert getattr(AgentConfig(**{field: value}), field) == value
 
 
 class TestCompose:

@@ -308,6 +308,12 @@ def bad_value_case(case, bundle, tmp_path):
     if case == "evaluate_negative_seed":
         return ["evaluate", "--scenario", scenario, "--mode", "accuracy",
                 "--out", str(tmp_path / "out" / "r.json"), *FAST_FLAGS, "--seed", "-1"], "seed"
+    if case == "train_epsilon_min_nan":
+        return [*train, *FAST_FLAGS, "--epsilon-min", "nan"], "epsilon_min"
+    if case == "train_lr_negative":
+        return [*train, *FAST_FLAGS, "--lr", "-1"], "lr"
+    if case == "train_lr_inf":
+        return [*train, *FAST_FLAGS, "--lr", "inf"], "lr"
     if case == "services_t_nan":
         append_line(bundle / "services.csv", "s0000,nan,1.0,1.0")
         return discover, f"{bundle / 'services.csv'} line "
@@ -318,7 +324,8 @@ def bad_value_case(case, bundle, tmp_path):
 
 BAD_VALUES = [
     "evaluate_negative_seed", "ingest_r_s_zero", "ingest_rate_nan", "ingest_w_zero",
-    "scenario_r_s_zero", "services_t_nan", "train_negative_seed", "users_x_inf",
+    "scenario_r_s_zero", "services_t_nan", "train_epsilon_min_nan", "train_lr_inf",
+    "train_lr_negative", "train_negative_seed", "users_x_inf",
 ]
 
 
@@ -431,13 +438,13 @@ def test_ingest_skips_a_row_with_a_non_finite_time(tmp_path, monkeypatch, capsys
         assert (tmp_path / "nan" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
-# sha256 of `mobicomp discover` on SPEC's scenario, run from the bundle's
-# parent directory so the output names the scenario by a relative path. A
+# sha256 of `mobicomp discover` on SPEC's scenario; the meta block keys the
+# scenario's hash by its role, so the bytes do not depend on the path. A
 # change to these bytes is a change to the ground truth the composer is
 # scored against and must be made on purpose.
 PINNED_DISCOVER_SHA256 = {
-    "planar": "9673a0fecc831c1b9cbbe4f8685d917be911f2b8c65f8d1ce62874896f38adff",
-    "haversine": "a9761ea8eddac7302739998f2111f3213ae892c80b0d68a87febe58187e1940d",
+    "planar": "f56b5b9ab911c46e1481458ab3243d98d66b7b16a220bb22aa1e955e271e1383",
+    "haversine": "bf9e3f663dee37b33a46f9070b4c6950b9ec9894c75436c6d916ab3b2e03e613",
 }
 
 
@@ -474,6 +481,15 @@ def test_discover_bytes_are_pinned(tmp_path, monkeypatch, mode):
     assert sha256_file("d.json") == PINNED_DISCOVER_SHA256[mode]
 
 
+def test_discover_bytes_do_not_depend_on_the_scenario_path_spelling(bundle, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = set()
+    for i, scenario in enumerate(["scen/scenario.json", str(bundle / "scenario.json")]):
+        assert dispatch(["discover", "--scenario", scenario, "--out", f"d{i}.json", "--quiet"]) == 0
+        digests.add(sha256_file(f"d{i}.json"))
+    assert len(digests) == 1
+
+
 def raw_traces(fmt):
     """A small raw file of six traces with a header, a malformed row, and a
     repeated wall-clock time (indoor) or an off-Earth row and a trip whose
@@ -500,11 +516,11 @@ def raw_traces(fmt):
 # the summary line it prints.
 PINNED_INGEST = {
     "indoor": (
-        "4105e15a88ff1236fc77d29be90cb27b7ae5d5387f6abebfec2082d332180ed5",
+        "e84ee3286ad2958c4c7f8ff7a5e6cb8f99332ea19a389278f1ae5bad8abc5d3e",
         "ingest ok services=4 users=2 skipped_rows=2 rejected=0 scenario=bundle/scenario.json",
     ),
     "gps": (
-        "11d7290423be5b4982e72932d4f1bb21b69c7a2ee257536d28054ac0c52b820a",
+        "bb0f8cd535130b6ade14b0d2db0fc9bf3259d6a697f753fa9d36bb1009b7a81c",
         "ingest ok services=3 users=2 skipped_rows=2 rejected=1 scenario=bundle/scenario.json",
     ),
 }
@@ -518,6 +534,41 @@ def test_ingest_bytes_are_pinned(tmp_path, monkeypatch, capsys, fmt):
     assert dispatch([*args, "--user-fraction", "0.5"]) == 0
     digest = files_digest(tmp_path / "bundle", sorted(os.listdir(tmp_path / "bundle")))
     assert (digest, capsys.readouterr().out.strip()) == PINNED_INGEST[fmt]
+
+
+# sha256 of the checkpoint and of the log `mobicomp train` writes for
+# TRAIN_SPEC at dropout 0, where training draws nothing from the network's
+# RNG; a change to these bytes is a change to what the composer learns.
+TRAIN_SPEC = {
+    "n_services": 40,
+    "n_users": 12,
+    "area": [0, 0, 150, 150],
+    "timestep_count": 80,
+    "speed_range": [0.8, 1.6],
+    "seed": 11,
+}
+TRAIN_FLAGS = [
+    "--seed", "11",
+    "--repetition", "4",
+    "--memory", "256",
+    "--batch", "16",
+    "--train-interval", "32",
+    "--hidden", "32", "32",
+    "--dropout", "0",
+]
+PINNED_TRAIN = (
+    "3eaff73447cb4c434c8e2ca3119dbf4bdb7d510a16d71ee6a7e3a7d482ab4a3e",
+    "c5896062dae30c39f52826674794c4d6dd267515bd8753a0ea3f8feace2e66ec",
+)
+
+
+def test_train_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(TRAIN_SPEC))
+    assert dispatch(["gen", "--spec", "spec.json", "--out", "b", "--quiet"]) == 0
+    args = ["train", "--scenario", "b/scenario.json", "--out", "m.ckpt", "--quiet", *TRAIN_FLAGS]
+    assert dispatch(args) == 0
+    assert (sha256_file("m.ckpt"), sha256_file("m.ckpt.log.csv")) == PINNED_TRAIN
 
 
 def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):
@@ -537,7 +588,8 @@ def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):
     payload = json.loads(plan_path.read_text())
     assert payload["plans"][0]["user_id"] == "user:u0000"
     assert len(payload["plans"][0]["steps"]) == SPEC["timestep_count"]
-    assert str(model) in payload["meta"]["input_hashes"]
+    hashes = {"model": sha256_file(model), "scenario": sha256_file(scenario)}
+    assert payload["meta"]["input_hashes"] == hashes
 
     report_path = tmp_path / "report.json"
     assert dispatch(

@@ -4,8 +4,8 @@ import pytest
 from mobicomp.errors import CheckpointError, InvalidInputError, TrainingDivergenceError
 from mobicomp.network import (
     NetworkSpec,
+    _loss_and_grads,
     forward,
-    gradient_check,
     init_network,
     load,
     save,
@@ -20,6 +20,37 @@ def zeroed(spec, seed=0):
     for b in state.biases:
         b[:] = 0.0
     return state
+
+
+def taken_action_loss(state, X, actions, y):
+    """Mean over rows of the squared error of each row's taken action, from an
+    eval-mode forward pass."""
+    d = forward(state, X)[np.arange(len(X)), actions] - y
+    return float(np.sum(d * d) / len(X))
+
+
+def gradient_check(state, X, actions, y, n_samples=40, step=1e-5, seed=0):
+    """Max relative error between the analytic gradients of the taken-action
+    loss and central differences of ``taken_action_loss``, probed on a random
+    parameter subset with dropout disabled."""
+    _, grads_w, grads_b = _loss_and_grads(state, X, np.asarray(actions), y, train_mode=False)
+    rng = np.random.default_rng(seed)
+    params = list(zip(state.weights, grads_w)) + list(zip(state.biases, grads_b))
+    worst = 0.0
+    for _ in range(n_samples):
+        arr, grad = params[int(rng.integers(len(params)))]
+        idx = tuple(int(rng.integers(s)) for s in arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + step
+        f_plus = taken_action_loss(state, X, actions, y)
+        arr[idx] = orig - step
+        f_minus = taken_action_loss(state, X, actions, y)
+        arr[idx] = orig
+        numeric = (f_plus - f_minus) / (2.0 * step)
+        analytic = grad[idx]
+        denom = max(abs(numeric), abs(analytic), 1e-6)
+        worst = max(worst, abs(numeric - analytic) / denom)
+    return worst
 
 
 class TestForward:
@@ -87,11 +118,35 @@ class TestTrainBatch:
         spec = NetworkSpec(input_dim=2, hidden_layers=(4,), output_dim=2)
         state = init_network(spec, seed=1)
         X = np.array([[0.3, -0.7], [1.2, 0.4]])
-        Y = forward(state, X)
+        actions = np.array([1, 0])
+        y = forward(state, X)[[0, 1], actions]
         before = [w.copy() for w in state.weights]
-        loss = train_batch(state, X, Y, lr=0.1)
+        loss = train_batch(state, X, actions, y, lr=0.1)
         assert loss == 0.0
         assert all(np.array_equal(b, w) for b, w in zip(before, state.weights))
+
+    def test_loss_is_the_taken_actions_squared_error(self):
+        spec = NetworkSpec(input_dim=2, hidden_layers=(4,), output_dim=3)
+        state = init_network(spec, seed=1)
+        X = np.array([[0.3, -0.7], [1.2, 0.4], [-0.5, 0.1]])
+        actions = np.array([2, 0, 2])
+        y = np.array([0.5, -1.0, 3.0])
+        expected = taken_action_loss(state, X, actions, y)
+        assert train_batch(state, X, actions, y, lr=0.1) == pytest.approx(expected, rel=1e-12)
+
+    def test_other_outputs_untouched_under_dropout(self):
+        # with dropout the train-mode pass differs from any eval-mode
+        # prediction; outputs no row took must still get no gradient at all
+        spec = NetworkSpec(input_dim=3, hidden_layers=(16,), output_dim=4, dropout_p=0.5)
+        state = init_network(spec, seed=11)
+        rng = np.random.default_rng(11)
+        w_out, b_out = state.weights[-1].copy(), state.biases[-1].copy()
+        for _ in range(5):
+            X = rng.standard_normal((8, 3))
+            train_batch(state, X, np.zeros(8, dtype=int), rng.standard_normal(8), lr=0.01)
+        assert np.array_equal(state.weights[-1][:, 1:], w_out[:, 1:])
+        assert np.array_equal(state.biases[-1][1:], b_out[1:])
+        assert not np.array_equal(state.weights[-1][:, 0], w_out[:, 0])
 
     def test_one_step_plain_gradient(self):
         # y = w*x, one sample (x=1, target=1), w=0: g = d/dw (w-1)^2 = -2.
@@ -99,7 +154,7 @@ class TestTrainBatch:
         # lr * 2 / (2 + eps) at lr=0.1
         spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=1)
         state = zeroed(spec)
-        loss = train_batch(state, np.array([[1.0]]), np.array([[1.0]]), lr=0.1)
+        loss = train_batch(state, np.array([[1.0]]), np.array([0]), np.array([1.0]), lr=0.1)
         assert loss == 1.0
         assert state.weights[0][0, 0] == pytest.approx(0.1 * 2 / (2 + 1e-8), abs=1e-15)
 
@@ -108,8 +163,9 @@ class TestTrainBatch:
         spec = NetworkSpec(input_dim=2, hidden_layers=(16,), output_dim=1)
         state = init_network(spec, seed=2)
         X = rng.standard_normal((32, 2))
-        Y = (X[:, :1] * 0.5 - X[:, 1:] * 0.25) ** 2
-        losses = [train_batch(state, X, Y, lr=0.01) for _ in range(100)]
+        y = (X[:, 0] * 0.5 - X[:, 1] * 0.25) ** 2
+        actions = np.zeros(32, dtype=int)
+        losses = [train_batch(state, X, actions, y, lr=0.01) for _ in range(100)]
         windows = [float(np.mean(losses[i : i + 10])) for i in range(0, 100, 10)]
         assert all(b <= a + 1e-9 for a, b in zip(windows, windows[1:]))
         assert windows[-1] < windows[0]
@@ -118,13 +174,27 @@ class TestTrainBatch:
         spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=1)
         state = zeroed(spec)
         with pytest.raises(TrainingDivergenceError):
-            train_batch(state, np.array([[1.0]]), np.array([[1e200]]), lr=1.0)
+            train_batch(state, np.array([[1.0]]), np.array([0]), np.array([1e200]), lr=1.0)
 
     def test_row_count_mismatch_rejected(self):
         spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=1)
         state = init_network(spec, seed=0)
+        for n_actions, n_targets in [(3, 3), (2, 3), (3, 2)]:
+            with pytest.raises(InvalidInputError, match="row count"):
+                train_batch(
+                    state, np.zeros((2, 1)), np.zeros(n_actions, dtype=int),
+                    np.zeros(n_targets), lr=0.1,
+                )
+
+    @pytest.mark.parametrize("actions", [[0, -1], [0, 2], [0.0, 1.0], [True, False]])
+    def test_action_outside_the_outputs_rejected(self, actions):
+        # a negative index would otherwise wrap around to the last output
+        spec = NetworkSpec(input_dim=1, hidden_layers=(), output_dim=2)
+        state = init_network(spec, seed=0)
+        before = state.weights[0].copy()
         with pytest.raises(InvalidInputError):
-            train_batch(state, np.zeros((2, 1)), np.zeros((3, 1)), lr=0.1)
+            train_batch(state, np.zeros((2, 1)), np.array(actions), np.zeros(2), lr=0.1)
+        assert np.array_equal(state.weights[0], before) and state.adam_t == 0
 
 
 class TestGradientCheck:
@@ -137,24 +207,26 @@ class TestGradientCheck:
                 output_dim=2,
             )
             state = init_network(spec, seed=trial)
-            x = rng.standard_normal(3)
-            y = rng.standard_normal(2)
-            assert gradient_check(state, x, y, seed=trial) < 1e-4
+            X = rng.standard_normal((4, 3))
+            actions = rng.integers(2, size=4)
+            y = rng.standard_normal(4)
+            assert gradient_check(state, X, actions, y, seed=trial) < 1e-4
 
     def test_linear_layer_is_machine_precision(self):
         spec = NetworkSpec(input_dim=4, hidden_layers=(), output_dim=3)
         state = init_network(spec, seed=5)
         rng = np.random.default_rng(5)
-        err = gradient_check(state, rng.standard_normal(4), rng.standard_normal(3))
+        X = rng.standard_normal((3, 4))
+        err = gradient_check(state, X, np.array([2, 0, 2]), rng.standard_normal(3))
         assert err < 1e-9
 
     def test_relu_network_away_from_kinks(self):
         spec = NetworkSpec(input_dim=2, hidden_layers=(6, 6), output_dim=2)
         state = init_network(spec, seed=6)
         # inputs of order one keep preactivations clear of the 1e-5 probe step
-        x = np.array([0.9, -1.1])
+        X = np.array([[0.9, -1.1], [-0.8, 1.2]])
         y = np.array([0.5, -0.25])
-        assert gradient_check(state, x, y, n_samples=60, seed=6) < 1e-4
+        assert gradient_check(state, X, np.array([1, 0]), y, n_samples=60, seed=6) < 1e-4
 
 
 class TestDropout:
@@ -187,7 +259,8 @@ class TestCheckpoint:
         state = init_network(spec, seed=9)
         rng = np.random.default_rng(9)
         for _ in range(3):
-            train_batch(state, rng.standard_normal((4, 2)), rng.standard_normal((4, 3)), lr=0.01)
+            X, actions, y = rng.standard_normal((4, 2)), rng.integers(3, size=4), rng.standard_normal(4)
+            train_batch(state, X, actions, y, lr=0.01)
         return state
 
     def test_round_trip_bit_exact(self):
@@ -234,7 +307,8 @@ class TestDeterminism:
             state = init_network(spec, seed=10)
             rng = np.random.default_rng(10)
             for _ in range(20):
-                train_batch(state, rng.standard_normal((8, 3)), rng.standard_normal((8, 2)), lr=0.005)
+                X, actions, y = rng.standard_normal((8, 3)), rng.integers(2, size=8), rng.standard_normal(8)
+                train_batch(state, X, actions, y, lr=0.005)
             return state
 
         a, b = run(), run()
