@@ -55,8 +55,8 @@ from .trajectories import (
 
 def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
     """Provenance block; input hashes are keyed by the input's role (``spec``,
-    ``input``, ``scenario``, ``model``), so the bytes do not depend on how a
-    path was spelled."""
+    ``input``, ``scenario``, ``model``, ``user``), so the bytes do not depend
+    on how a path was spelled."""
     return {
         "tool": "mobicomp",
         "version": __version__,
@@ -265,20 +265,23 @@ def _cmd_ingest(args) -> int:
 
 
 def _select_users(scenario: Scenario, user_arg: str | None):
+    """The users to run and the input files they came from, by role: none,
+    or the user CSV that ``user_arg`` names when it is not a scenario user."""
     if user_arg is None:
-        return scenario.users
+        return scenario.users, {}
     matches = [u for u in scenario.users if u.id == user_arg]
     if matches:
-        return matches
+        return matches, {}
     candidate = Path(user_arg)
     if candidate.exists():
-        return [UserTrajectory(id=i, trajectory=t) for i, t in load_trajectories_csv(candidate)]
+        users = [UserTrajectory(id=i, trajectory=t) for i, t in load_trajectories_csv(candidate)]
+        return users, {"user": candidate}
     raise InvalidInputError(f"user {user_arg!r} not in scenario and not a readable CSV")
 
 
 def _cmd_discover(args) -> int:
     scenario = load_scenario(args.scenario)
-    users = _select_users(scenario, args.user)
+    users, user_input = _select_users(scenario, args.user)
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
@@ -291,7 +294,8 @@ def _cmd_discover(args) -> int:
         blocks.append(
             {"user_id": user.id, "steps": oracle_mod.table_plan_json(table, plan, user)}
         )
-    payload = {"meta": _meta(args.seed, {"scenario": args.scenario}), "users": blocks}
+    meta = _meta(args.seed, {"scenario": args.scenario, **user_input})
+    payload = {"meta": meta, "users": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
         _summary("discover", users=len(blocks), out=args.out)
@@ -322,7 +326,7 @@ def _cmd_train(args) -> int:
 def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
     model = agent_mod.load_model(read_input(args.model))
-    users = _select_users(scenario, args.user)
+    users, user_input = _select_users(scenario, args.user)
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
@@ -342,7 +346,7 @@ def _cmd_compose(args) -> int:
                 "total_reward": plan.total_reward(),
             }
         )
-    meta = _meta(args.seed, {"scenario": args.scenario, "model": args.model})
+    meta = _meta(args.seed, {"scenario": args.scenario, "model": args.model, **user_input})
     payload = {"meta": meta, "plans": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:

@@ -109,7 +109,8 @@ class Environment:
         # keyed by the whole user: one id may name different trajectories
         self._tables: dict[UserTrajectory, CandidateTable] = {}
         self._user: UserTrajectory | None = None
-        self._table: CandidateTable | None = None
+        self._capacity_at: dict[tuple[int, str], float] = {}
+        self._timesteps: list[int] = []
         self._states: np.ndarray | None = None
         self._cursor = 0
         self._done = True
@@ -129,7 +130,8 @@ class Environment:
         if self.extents is None:
             raise InvalidInputError("environment has no normalisation extents set")
         self._user = user
-        self._table = self.table_for(user)
+        self._capacity_at = self.table_for(user).capacity_at
+        self._timesteps = user.trajectory.t.astype(np.int64).tolist()
         self._states = encode_states(user.trajectory, self.extents)
         self._cursor = 0
         self._done = False
@@ -146,16 +148,15 @@ class Environment:
         if self._done or self._user is None:
             raise ProtocolError("step() called on a finished episode; call reset() first")
         n = len(self._states)
-        t = int(self._user.trajectory.t[self._cursor])
         cap = 0.0
         if action_id == DUMMY_SERVICE:
             rew = self.rewards.dummy
         else:
-            pair = self._table.validated_at(t).get(action_id)
-            if pair is None:
+            pair_cap = self._capacity_at.get((self._timesteps[self._cursor], action_id))
+            if pair_cap is None:
                 rew = self.rewards.invalid
             else:
-                cap = pair.capacity
+                cap = pair_cap
                 rew = cap / self.reward_scale
         self._cursor += 1
         self._done = self._cursor >= n

@@ -5,60 +5,83 @@ universe as the concatenation of every service trajectory's ``t``/``x``/``y``
 columns, one row per service sample, sorted by integer timestep. The temporal
 join finds each user timestep's block of rows by binary search. The spatial
 filter tests every joined row against the search disk with numpy, widened by
-a small relative margin, and passes only the survivors, as plain floats read
-from the user's and the universe's columns, to the scalar ``distance`` (which
-makes the strict ``< r_s`` decision), perpendicular distance, strength and
-capacity, so every emitted float comes from the scalar functions, into one
-flat ``SpatialCandidatePair`` per pair. The reduce phase groups the pairs once,
-by service, and keeps services paired over at least ``w`` strictly
-consecutive timesteps; a ``CandidateTable`` holds the survivors.
+a small relative margin; the survivors' exact point distance (``math.hypot``
+or the haversine) makes the strict ``< r_s`` decision. The pairs left are
+priced as columns: ``perpendicular_distance``, ``strength`` and ``capacity``
+each run once per user over all of them, with numpy doing only the steps
+that are exact in IEEE arithmetic and ``math`` the rounded ones, so every
+emitted float is the one-pair formula's, bit for bit. The reduce phase sorts
+the pairs by service and timestep in integer numpy and keeps services paired
+over at least ``w`` strictly consecutive timesteps; a ``CandidateTable`` holds
+the survivors as columns, and the plan and the JSON rows are read from them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError
 from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
-    DistanceMode, MovingService, UserTrajectory, check_gps, distance, distances
+    DistanceMode, MovingService, UserTrajectory, check_gps, distances, haversine_m
 )
 
 DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
 
 
-@dataclass(frozen=True)
-class SpatialCandidatePair:
-    """A service strictly inside the search disk at one user timestep, with
-    its point distance and the strength and capacity it would deliver."""
+@dataclass(frozen=True, eq=False)
+class DiskPairs:
+    """Every (user timestep, service sample) pair strictly inside the search
+    disk, priced, as columns in join order: by timestep, then universe row.
+    ``service`` indexes the universe's services; ``ids`` and ``rank`` are
+    the universe's (see ``ServiceColumns``)."""
 
-    user_timestep: int
-    service_id: str
-    distance: float
-    strength: float
-    capacity: float
+    timestep: np.ndarray  # int64
+    service: np.ndarray  # int32
+    distance: np.ndarray
+    strength: np.ndarray
+    capacity: np.ndarray
+    ids: np.ndarray
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestep)
 
 
-@dataclass(frozen=True)
 class CandidateTable:
-    """Validated pairing of services against one user trajectory.
+    """Validated pairing of services against one user trajectory, as columns.
 
-    ``per_timestep`` maps each user timestep covered by a validated run to
-    the pairs there, keyed by service id in service-id order; ``validated``
-    maps service id to its maximal consecutive runs [start, end], each of
-    length >= w. Every pair is a flat ``SpatialCandidatePair`` that carries
-    its own strength and capacity.
+    One row per validated (timestep, service) pair, sorted by timestep and
+    then by service id: ``timestep`` (int64), ``service_id`` (object, str),
+    ``distance``, ``strength`` and ``capacity`` (float64). ``per_timestep``
+    maps each timestep that has candidates to its ``range`` of rows;
+    ``validated`` maps service id, in id order, to its maximal consecutive
+    runs [start, end], each of length >= w; ``capacity_at`` maps (timestep,
+    service id) to the row's capacity. Read-only once built.
     """
 
-    per_timestep: dict[int, dict[str, SpatialCandidatePair]]
-    validated: dict[str, tuple[tuple[int, int], ...]]
+    def __init__(self, timestep, service_id, distance, strength, capacity, validated):
+        self.timestep, self.service_id = timestep, service_id
+        self.distance, self.strength, self.capacity = distance, strength, capacity
+        self.validated: dict[str, tuple[tuple[int, int], ...]] = validated
+        steps, first = np.unique(timestep, return_index=True)
+        ends = np.append(first[1:], len(timestep))
+        self.per_timestep: dict[int, range] = dict(
+            zip(steps.tolist(), map(range, first.tolist(), ends.tolist()))
+        )
 
-    def validated_at(self, t: int) -> dict[str, SpatialCandidatePair]:
-        """Validated candidates covering timestep t, keyed by service id."""
-        return self.per_timestep.get(t, {})
+    @cached_property
+    def capacity_at(self) -> dict[tuple[int, str], float]:
+        """(timestep, service id) -> capacity of every row, built on first use."""
+        keys = zip(self.timestep.tolist(), self.service_id.tolist())
+        return dict(zip(keys, self.capacity.tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,8 +123,10 @@ class ServiceColumns:
     Rows are stably sorted by integer timestep ``int(t)``, so within one
     timestep they keep service order, then sample order; the rows of
     ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``. ``row`` indexes
-    ``services``, and ``x``/``y`` are the sample's position. Built once per
-    scenario and read-only afterwards.
+    ``services``, and ``x``/``y`` are the sample's position. Per service, in
+    the services' (bundle) order: ``ids``, ``bandwidth``, ``max_k``, and
+    ``rank``, the position of its id among the distinct ids sorted, which
+    orders rows by id. Built once per scenario and read-only afterwards.
     """
 
     def __init__(self, services: Sequence[MovingService]):
@@ -116,6 +141,12 @@ class ServiceColumns:
         self.bounds = np.append(first, len(t))
         self.row = np.repeat(np.arange(len(self.services), dtype=np.int32), lengths)[order]
         self.x, self.y = x[order], y[order]
+        ids = [s.id for s in self.services]
+        position = {sid: i for i, sid in enumerate(sorted(set(ids)))}
+        self.ids = np.array(ids, dtype=object)
+        self.rank = np.array([position[sid] for sid in ids], dtype=np.int64)
+        self.bandwidth = np.array([s.bandwidth_b for s in self.services], dtype=np.float64)
+        self.max_k = np.array([s.max_concurrent_k for s in self.services])
 
 
 class JoinedSamples(Mapping):
@@ -163,7 +194,7 @@ def spatial_map(
     universe: ServiceColumns,
     qos_params: QosParams,
     mode: DistanceMode,
-) -> list[SpatialCandidatePair]:
+) -> DiskPairs:
     """Keep pairs strictly inside the search disk and attach their QoS.
 
     Disk membership uses the point-to-point distance at the shared timestep
@@ -171,7 +202,9 @@ def spatial_map(
     distance to the user's path segment, which never exceeds the point
     distance, so the strength precondition holds by construction. A numpy
     prefilter over all joined rows, widened by ``DISK_MARGIN``, picks the
-    rows that the scalar functions then decide and price.
+    rows whose exact distance is then taken; the pairs inside are priced by
+    one call each of ``perpendicular_distance``, ``strength`` and
+    ``capacity``.
     """
     r_s = qos_params.sensing_radius_rs
     traj = user.trajectory
@@ -199,70 +232,71 @@ def spatial_map(
             check_gps(float(sx[j]), float(sy[j]))
     near = np.flatnonzero(distances(ux, uy, sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
     step = np.searchsorted(joined.bounds, near, side="right") - 1
-    a, b = at[step], nxt[step]
-
-    pairs: list[SpatialCandidatePair] = []
-    for t, svc_index, px, py, ax, ay, bx, by in zip(*(col.tolist() for col in (
-        joined.timesteps[step], universe.row[rows[near]], sx[near], sy[near],
-        traj.x[a], traj.y[a], traj.x[b], traj.y[b],
-    ))):
-        d = distance(ax, ay, px, py, mode)
-        if d < r_s:
-            svc = universe.services[svc_index]
-            pdis = perpendicular_distance(px, py, ax, ay, bx, by, mode)
-            s = strength(pdis, qos_params)
-            cap = capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
-            pairs.append(
-                SpatialCandidatePair(
-                    user_timestep=t, service_id=svc.id, distance=d, strength=s, capacity=cap
-                )
-            )
-    return pairs
-
-
-def consecutive_runs(timesteps: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of strictly consecutive integers, as inclusive spans; a
-    timestep listed twice (two samples in one integer timestep) counts once."""
-    if not timesteps:
-        return []
-    ts = sorted(set(timesteps))
-    runs = []
-    start = prev = ts[0]
-    for t in ts[1:]:
-        if t == prev + 1:
-            prev = t
-            continue
-        runs.append((start, prev))
-        start = prev = t
-    runs.append((start, prev))
-    return runs
+    a = at[step]
+    ax, ay, px, py = traj.x[a], traj.y[a], sx[near], sy[near]
+    if mode is DistanceMode.HAVERSINE:
+        d = map(haversine_m, ax.tolist(), ay.tolist(), px.tolist(), py.tolist())
+    else:
+        d = map(math.hypot, (ax - px).tolist(), (ay - py).tolist())
+    d = np.array(list(d))
+    inside = d < r_s
+    step, near, d = step[inside], near[inside], d[inside]
+    ax, ay, px, py = ax[inside], ay[inside], px[inside], py[inside]
+    b = nxt[step]
+    service = universe.row[rows[near]]
+    pdis = perpendicular_distance(px, py, ax, ay, traj.x[b], traj.y[b], mode)
+    s = strength(pdis, qos_params)
+    cap = capacity(s, universe.bandwidth[service], universe.max_k[service])
+    return DiskPairs(
+        timestep=joined.timesteps[step], service=service, distance=d, strength=s, capacity=cap,
+        ids=universe.ids, rank=universe.rank,
+    )
 
 
-def reduce_validate(pairs: list[SpatialCandidatePair], w: int) -> CandidateTable:
+def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
     """Keep services paired over runs of >= w consecutive timesteps.
 
-    Pairs are grouped once, by service and then timestep; of two samples in
-    one integer timestep the later replaces the earlier. Walking the services
-    in id order fills each timestep's pairs already in id order.
+    The pairs are sorted once, by service id and then timestep, in integer
+    numpy. Of two samples of a service in one integer timestep the later one
+    is kept, and runs split where consecutive timesteps differ by more than
+    one. The survivors are re-sorted by timestep, then id.
     """
     if w < 1:
         raise InvalidInputError(f"w must be >= 1, got {w}")
-    by_service: dict[str, dict[int, SpatialCandidatePair]] = {}
-    for p in pairs:
-        by_service.setdefault(p.service_id, {})[p.user_timestep] = p
+    key = pairs.rank[pairs.service]
+    # lexsort is stable: within one (id, timestep) the join order, samples
+    # in time order, is kept, so the last of each group is the later sample
+    order = np.lexsort((pairs.timestep, key))
+    ts, key = pairs.timestep[order], key[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
+    order, ts, key = order[last], ts[last], key[last]
 
-    validated: dict[str, tuple[tuple[int, int], ...]] = {}
-    per_timestep: dict[int, dict[str, SpatialCandidatePair]] = {}
-    for sid in sorted(by_service):
-        at = by_service[sid]
-        runs = tuple(r for r in consecutive_runs(list(at)) if r[1] - r[0] + 1 >= w)
-        if not runs:
-            continue
-        validated[sid] = runs
-        for a, b in runs:
-            for t in range(a, b + 1):
-                per_timestep.setdefault(t, {})[sid] = at[t]
-    return CandidateTable(per_timestep=per_timestep, validated=validated)
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (key[1:] != key[:-1]) | (ts[1:] - ts[:-1] != 1)
+    first = np.flatnonzero(start)
+    length = np.diff(np.append(first, len(order)))
+    long = length >= w
+    runs = zip(
+        pairs.ids[pairs.service[order[first[long]]]].tolist(),
+        ts[first[long]].tolist(),
+        ts[first[long] + length[long] - 1].tolist(),
+    )
+    validated = {
+        sid: tuple((lo, hi) for _, lo, hi in group)
+        for sid, group in groupby(runs, key=itemgetter(0))
+    }
+
+    keep = np.repeat(long, length)
+    rows = order[keep][np.lexsort((key[keep], ts[keep]))]
+    return CandidateTable(
+        timestep=pairs.timestep[rows],
+        service_id=pairs.ids[pairs.service[rows]],
+        distance=pairs.distance[rows],
+        strength=pairs.strength[rows],
+        capacity=pairs.capacity[rows],
+        validated=validated,
+    )
 
 
 def optimal_plan(
@@ -277,23 +311,28 @@ def optimal_plan(
     Per-step rewards never couple timesteps once candidates are validated, so
     the per-step argmax maximises the plan total.
     """
+    # rows are in id order within a timestep and lexsort is stable, so each
+    # timestep's first row by (timestep, -capacity) is its best, ties to the
+    # smallest id
+    order = np.lexsort((-table.capacity, table.timestep))
+    ts = table.timestep[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = ts[1:] != ts[:-1]
+    best = order[head]
+    pick = dict(zip(
+        table.timestep[best].tolist(),
+        zip(table.service_id[best].tolist(), table.capacity[best].tolist()),
+    ))
     steps = []
     for t in _int_timesteps(user.trajectory.t).tolist():
-        cands = table.validated_at(t)
-        if not cands:
+        chosen = pick.get(t)
+        if chosen is None:
             steps.append(
                 PlanStep(user_timestep=t, chosen=DUMMY_SERVICE, reward=dummy_reward, capacity=0.0)
             )
             continue
-        best = min(cands.values(), key=lambda c: (-c.capacity, c.service_id))
-        steps.append(
-            PlanStep(
-                user_timestep=t,
-                chosen=best.service_id,
-                reward=best.capacity / reward_scale,
-                capacity=best.capacity,
-            )
-        )
+        sid, cap = chosen
+        steps.append(PlanStep(user_timestep=t, chosen=sid, reward=cap / reward_scale, capacity=cap))
     return CompositionPlan(user_id=user.id, steps=tuple(steps))
 
 
@@ -317,16 +356,18 @@ def table_plan_json(
 ) -> list[dict]:
     """Per-timestep JSON rows combining the candidate table and the plan."""
     chosen_by_t = {s.user_timestep: s.chosen for s in plan.steps}
-    rows = []
-    for t in _int_timesteps(user.trajectory.t).tolist():
-        cands = [
-            {
-                "service_id": c.service_id,
-                "distance_m": c.distance,
-                "strength": c.strength,
-                "capacity_bps": c.capacity,
-            }
-            for c in table.validated_at(t).values()
-        ]
-        rows.append({"timestep": t, "candidates": cands, "chosen": chosen_by_t[t]})
-    return rows
+    # most strengths are the full 1.0; one shared float for them keeps a
+    # payload that is held until it is written about 8 % smaller
+    strengths = [1.0 if st == 1.0 else st for st in table.strength.tolist()]
+    cands = [
+        {"service_id": sid, "distance_m": d, "strength": st, "capacity_bps": cap}
+        for sid, d, st, cap in zip(
+            table.service_id.tolist(), table.distance.tolist(), strengths, table.capacity.tolist()
+        )
+    ]
+    at, none = table.per_timestep, range(0)
+    return [
+        {"timestep": t, "candidates": cands[r.start : r.stop], "chosen": chosen_by_t[t]}
+        for t in _int_timesteps(user.trajectory.t).tolist()
+        for r in (at.get(t, none),)
+    ]

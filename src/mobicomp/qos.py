@@ -3,7 +3,8 @@
 Strength follows an exponential attenuation coverage model: full signal (1.0)
 inside a confident radius, then exp(-k * (pdis - R_c)) out to the sensing
 radius R_s. Capacity is Shannon-style, (B/K) * log2(1 + strength). A composite
-plan's QoS is the mean capacity of its component services.
+plan's QoS is the mean capacity of its component services. The perpendicular
+distance, strength and capacity are priced a column of pairs at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolationError, InvalidInputError
-from .trajectories import DistanceMode, distance
+from .trajectories import DistanceMode, check_gps, haversine_m
 
 
 @dataclass(frozen=True)
@@ -57,58 +60,95 @@ class QosParams:
         return cls(confident_radius_rc=rc, decay_k=k, sensing_radius_rs=sensing_radius_rs)
 
 
-def perpendicular_distance(
-    sx: float, sy: float, ax: float, ay: float, bx: float, by: float, mode: DistanceMode
-) -> float:
-    """Distance from the service at (sx, sy) to the user's path segment from
-    (ax, ay), the user's sample at timestep t, to (bx, by), its sample at t+1.
+def perpendicular_distance(sx, sy, ax, ay, bx, by, mode: DistanceMode) -> np.ndarray:
+    """Distance from each service at (sx, sy) to the user's path segment from
+    (ax, ay), the user's sample at timestep t, to (bx, by), its sample at t+1;
+    one value per row of the equal-length coordinate columns.
 
     The foot of the perpendicular is clamped to the segment. At the final
     timestep (no sample at t+1) the caller passes b = a, and the zero-length
-    segment degenerates to the point-to-point distance.
+    segment degenerates to the point-to-point distance. numpy does the exact
+    steps in the order of the one-pair formula
+    ``s = min(1, max(0, ((sx - ax) * scale * wx + (sy - ay) * vy) / den))``
+    and ``math`` the rounded ones (hypot, cos, haversine), so every value
+    equals the one-pair formula's bit for bit, whatever numpy's SIMD kernels.
+    In GPS mode a point out of range raises ``InvalidInputError`` for the
+    first row that has one, as the one-pair distance would.
     """
-    # GPS finds the foot in a local equirectangular frame around the segment
-    # start, then measures great-circle distance to it
-    scale = 1.0 if mode is DistanceMode.PLANAR_EUCLIDEAN else math.cos(math.radians(ay))
-    vx, vy = bx - ax, by - ay
-    wx = vx * scale
-    den = wx * wx + vy * vy
-    s = 0.0 if den == 0.0 else min(1.0, max(0.0, ((sx - ax) * scale * wx + (sy - ay) * vy) / den))
-    d = distance(sx, sy, ax + s * vx, ay + s * vy, mode)
-    if mode is DistanceMode.PLANAR_EUCLIDEAN:
-        return d
+    sx, sy, ax, ay, bx, by = (np.asarray(c, dtype=np.float64) for c in (sx, sy, ax, ay, bx, by))
+    gps = mode is DistanceMode.HAVERSINE
+    with np.errstate(all="ignore"):  # overflow to inf or nan as Python floats do
+        # GPS finds the foot in a local equirectangular frame around the
+        # segment start, then measures great-circle distance to it
+        scale = np.array(list(map(math.cos, map(math.radians, ay.tolist())))) if gps else 1.0
+        vx, vy = bx - ax, by - ay
+        wx = vx * scale
+        den = wx * wx + vy * vy
+        num = (sx - ax) * scale * wx + (sy - ay) * vy
+        s = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        # Python's max(0.0, s) and min(1.0, s): keep s only when strictly
+        # inside, which fixes the result at -0.0 and nan as well
+        s = np.where(s > 0.0, s, 0.0)
+        s = np.where(s < 1.0, s, 1.0)
+        fx, fy = ax + s * vx, ay + s * vy
+        if not gps:
+            return np.array(list(map(math.hypot, (sx - fx).tolist(), (sy - fy).tolist())))
+    _check_gps(sx, sy, fx, fy, ax, ay, bx, by)
+    cols = [c.tolist() for c in (sx, sy, fx, fy, ax, ay, bx, by)]
     # never worse than the segment endpoints, which bounds the frame's error
-    return min(d, distance(sx, sy, ax, ay, mode), distance(sx, sy, bx, by, mode))
+    return np.array(list(map(
+        min,
+        map(haversine_m, *cols[0:4]),
+        map(haversine_m, *cols[0:2], *cols[4:6]),
+        map(haversine_m, *cols[0:2], *cols[6:8]),
+    )))
 
 
-def strength(pdis: float, params: QosParams) -> float:
-    """Exponential attenuation strength in (0, 1] for a distance pdis <= R_s."""
-    if pdis < 0:
-        raise InvalidInputError(f"pdis must be non-negative, got {pdis}")
-    if pdis > params.sensing_radius_rs:
+def _check_gps(*xy: np.ndarray) -> None:
+    """Range-check each row's points, given as x and y columns in turn: the
+    first bad row raises for its first bad point."""
+    points = list(zip(xy[0::2], xy[1::2]))
+    ok = np.logical_and.reduce([(np.abs(x) <= 180.0) & (np.abs(y) <= 90.0) for x, y in points])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        for x, y in points:
+            check_gps(float(x[bad[0]]), float(y[bad[0]]))
+
+
+def strength(pdis, params: QosParams) -> np.ndarray:
+    """Exponential attenuation strength in (0, 1] for each distance
+    pdis <= R_s: 1.0 within R_c, else ``math.exp(-k * (pdis - R_c))``."""
+    pdis = np.asarray(pdis, dtype=np.float64)
+    bad = np.flatnonzero((pdis < 0) | (pdis > params.sensing_radius_rs))
+    if bad.size:
+        d = pdis[bad[0]].item()
+        if d < 0:
+            raise InvalidInputError(f"pdis must be non-negative, got {d}")
         raise ContractViolationError(
-            f"pdis={pdis} beyond sensing radius {params.sensing_radius_rs}; "
+            f"pdis={d} beyond sensing radius {params.sensing_radius_rs}; "
             "callers must pre-filter by spatial candidacy"
         )
-    if pdis <= params.confident_radius_rc:
-        return 1.0
-    return math.exp(-params.decay_k * (pdis - params.confident_radius_rc))
+    out = np.ones(len(pdis))
+    beyond = ~(pdis <= params.confident_radius_rc)
+    exponent = -params.decay_k * (pdis[beyond] - params.confident_radius_rc)
+    out[beyond] = list(map(math.exp, exponent.tolist()))
+    return out
 
 
-def capacity(strength_value: float, bandwidth_b: float, max_concurrent_k: int) -> float:
-    """Transmission capacity (B/K) * log2(1 + str) in bits/second."""
-    if not strength_value > 0:
-        raise InvalidInputError(f"strength must be positive, got {strength_value}")
-    if not bandwidth_b > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {bandwidth_b}")
-    if max_concurrent_k < 1:
-        raise InvalidInputError(f"max concurrent requests must be >= 1, got {max_concurrent_k}")
-    return (bandwidth_b / max_concurrent_k) * math.log2(1.0 + strength_value)
-
-
-def unit_capacity(bandwidth_b: float, max_concurrent_k: int) -> float:
-    """Capacity at full strength; the per-service reward-normalisation ceiling."""
-    return capacity(1.0, bandwidth_b, max_concurrent_k)
+def capacity(strength_value, bandwidth_b, max_concurrent_k) -> np.ndarray:
+    """Transmission capacity (B/K) * log2(1 + str) in bits/second, per row."""
+    s = np.asarray(strength_value, dtype=np.float64)
+    b = np.asarray(bandwidth_b, dtype=np.float64)
+    k = np.asarray(max_concurrent_k)
+    bad = np.flatnonzero(~((s > 0) & (b > 0) & (k >= 1)))
+    if bad.size:
+        j = bad[0]
+        if not s[j] > 0:
+            raise InvalidInputError(f"strength must be positive, got {s[j].item()}")
+        if not b[j] > 0:
+            raise InvalidInputError(f"bandwidth must be positive, got {b[j].item()}")
+        raise InvalidInputError(f"max concurrent requests must be >= 1, got {k[j].item()}")
+    return (b / k) * np.array(list(map(math.log2, (1.0 + s).tolist())))
 
 
 def reward_scale(services) -> float:
@@ -116,8 +156,9 @@ def reward_scale(services) -> float:
 
     Falls back to 1.0 for an empty universe (no capacity rewards exist there).
     """
-    caps = [unit_capacity(s.bandwidth_b, s.max_concurrent_k) for s in services]
-    return max(caps) if caps else 1.0
+    bandwidth = [s.bandwidth_b for s in services]
+    caps = capacity(np.ones(len(bandwidth)), bandwidth, [s.max_concurrent_k for s in services])
+    return caps.max().item() if caps.size else 1.0
 
 
 def composite_qos(plan_capacities: list[float]) -> float:

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from mobicomp.errors import ContractViolationError, InvalidInputError
+from mobicomp.trajectories import DistanceMode, distance
+
 
 def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
     """Great-circle distance via the Vincenty sphere (atan2) formula; an
@@ -20,6 +23,46 @@ def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
     )
     den = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
     return radius * math.atan2(num, den)
+
+
+def scalar_perpendicular_distance(sx, sy, ax, ay, bx, by, mode):
+    """One pair's distance to the segment a-b, in Python floats: the formula
+    the column pricing must equal bit for bit. It reuses the library's scalar
+    ``distance``, which test_trajectories checks on its own."""
+    scale = 1.0 if mode is DistanceMode.PLANAR_EUCLIDEAN else math.cos(math.radians(ay))
+    vx, vy = bx - ax, by - ay
+    wx = vx * scale
+    den = wx * wx + vy * vy
+    s = 0.0 if den == 0.0 else min(1.0, max(0.0, ((sx - ax) * scale * wx + (sy - ay) * vy) / den))
+    d = distance(sx, sy, ax + s * vx, ay + s * vy, mode)
+    if mode is DistanceMode.PLANAR_EUCLIDEAN:
+        return d
+    return min(d, distance(sx, sy, ax, ay, mode), distance(sx, sy, bx, by, mode))
+
+
+def scalar_strength(pdis, params):
+    """One distance's strength, in Python floats, with the same refusals."""
+    if pdis < 0:
+        raise InvalidInputError(f"pdis must be non-negative, got {pdis}")
+    if pdis > params.sensing_radius_rs:
+        raise ContractViolationError(
+            f"pdis={pdis} beyond sensing radius {params.sensing_radius_rs}; "
+            "callers must pre-filter by spatial candidacy"
+        )
+    if pdis <= params.confident_radius_rc:
+        return 1.0
+    return math.exp(-params.decay_k * (pdis - params.confident_radius_rc))
+
+
+def scalar_capacity(strength_value, bandwidth_b, max_concurrent_k):
+    """One pair's capacity, in Python floats, with the same refusals."""
+    if not strength_value > 0:
+        raise InvalidInputError(f"strength must be positive, got {strength_value}")
+    if not bandwidth_b > 0:
+        raise InvalidInputError(f"bandwidth must be positive, got {bandwidth_b}")
+    if max_concurrent_k < 1:
+        raise InvalidInputError(f"max concurrent requests must be >= 1, got {max_concurrent_k}")
+    return (bandwidth_b / max_concurrent_k) * math.log2(1.0 + strength_value)
 
 
 def nested_loop_join(services, user):

@@ -178,6 +178,29 @@ def test_discover_single_user(bundle, tmp_path):
     assert [u["user_id"] for u in payload["users"]] == ["user:u0001"]
 
 
+@pytest.mark.parametrize("cmd", ["discover", "compose"])
+def test_user_file_is_hashed_under_its_role(bundle, tmp_path, cmd):
+    # two user CSVs under one id: the provenance blocks must tell them apart
+    scenario = str(bundle / "scenario.json")
+    extra = []
+    if cmd == "compose":
+        model = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--scenario", scenario, "--out", str(model), "--quiet",
+                         *FAST_FLAGS]) == 0
+        extra = ["--model", str(model)]
+    hashes = []
+    for i, x0 in enumerate((5.0, 40.0)):
+        user = tmp_path / f"u{i}.csv"
+        user.write_text("id,t,x,y\n" + "".join(f"user:f,{t},{x0 + t},{x0}\n" for t in range(1, 6)))
+        out = tmp_path / f"o{i}.json"
+        assert dispatch([cmd, "--scenario", scenario, *extra, "--user", str(user),
+                         "--out", str(out), "--quiet"]) == 0
+        got = json.loads(out.read_text())["meta"]["input_hashes"]
+        assert got["user"] == sha256_file(user) and got["scenario"] == sha256_file(scenario)
+        hashes.append(got)
+    assert hashes[0] != hashes[1]
+
+
 def test_unknown_user_is_domain_error(bundle, tmp_path):
     code = dispatch(
         ["discover", "--scenario", str(bundle / "scenario.json"), "--user", "user:nope",

@@ -69,9 +69,7 @@ class TestGenerate:
             table = discover(
                 universe, user, qos, w=1, mode=DistanceMode.PLANAR_EUCLIDEAN
             )
-            covered = {
-                p.user_timestep for pairs in table.per_timestep.values() for p in pairs.values()
-            }
+            covered = set(table.timestep.tolist())
             expected = {int(p.t) for p in user.trajectory.points}
             assert covered == expected
 

@@ -83,11 +83,12 @@ class TestStepRewards:
         table = env.table_for(user)
         for p in user.trajectory.points:
             t = int(p.t)
+            here = table.service_id[table.per_timestep.get(t, range(0))].tolist()
             for action in ("near", "far", DUMMY_SERVICE):
                 expected_kind = (
                     "dummy"
                     if action == DUMMY_SERVICE
-                    else ("valid" if action in table.validated_at(t) else "invalid")
+                    else ("valid" if action in here else "invalid")
                 )
                 env2 = make_env([near, far], [user])
                 env2.reset(user)

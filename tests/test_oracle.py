@@ -10,16 +10,15 @@ from mobicomp.errors import InvalidInputError, OutOfRangeError
 from mobicomp.oracle import (
     DISK_MARGIN,
     DUMMY_SERVICE,
+    DiskPairs,
     ServiceColumns,
-    SpatialCandidatePair,
-    consecutive_runs,
     optimal_plan,
     reduce_validate,
     spatial_map,
     table_plan_json,
     temporal_map,
 )
-from mobicomp.qos import QosParams, capacity, perpendicular_distance, strength
+from mobicomp.qos import QosParams
 from mobicomp.trajectories import (
     DistanceMode,
     MovingService,
@@ -36,6 +35,9 @@ from oracles import (
     great_circle_vincenty,
     nested_loop_join,
     rle_runs,
+    scalar_capacity,
+    scalar_perpendicular_distance,
+    scalar_strength,
 )
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
@@ -67,10 +69,45 @@ def run_spatial(services, user, mode=PLANAR, qos=QOS):
     return spatial_map(temporal_map(universe, user), user, universe, qos, mode)
 
 
-def pair(t, sid, distance=1.0, capacity=1.0):
-    return SpatialCandidatePair(
-        user_timestep=t, service_id=sid, distance=distance, strength=1.0, capacity=capacity
+def pair(t, sid, distance=1.0, strength=1.0, capacity=1.0):
+    return (t, sid, distance, strength, capacity)
+
+
+def disk_pairs(rows, ids=None):
+    """``DiskPairs`` over ``pair`` rows, in the order given (the join order);
+    ``ids`` are the universe's service ids in bundle order (default: the
+    rows' ids, sorted)."""
+    ids = list(ids or sorted({r[1] for r in rows}))
+    rank = {sid: i for i, sid in enumerate(sorted(ids))}
+    t, sid, d, s, cap = zip(*rows) if rows else [()] * 5
+    return DiskPairs(
+        timestep=np.array(t, dtype=np.int64),
+        service=np.array([ids.index(i) for i in sid], dtype=np.int32),
+        distance=np.array(d, dtype=np.float64),
+        strength=np.array(s, dtype=np.float64),
+        capacity=np.array(cap, dtype=np.float64),
+        ids=np.array(ids, dtype=object),
+        rank=np.array([rank[i] for i in ids], dtype=np.int64),
     )
+
+
+def pair_keys(pairs):
+    """The (timestep, service id) of every row of ``DiskPairs``."""
+    return set(zip(pairs.timestep.tolist(), pairs.ids[pairs.service].tolist()))
+
+
+def table_rows(table):
+    """Every row of a ``CandidateTable`` as (timestep, id, distance,
+    strength, capacity), in table order."""
+    return list(zip(*(c.tolist() for c in (
+        table.timestep, table.service_id, table.distance, table.strength, table.capacity
+    ))))
+
+
+def candidates_at(table, t):
+    """The table's rows at timestep t, as ``table_rows`` gives them."""
+    r = table.per_timestep.get(t, range(0))
+    return table_rows(table)[r.start : r.stop]
 
 
 class TestTemporalMap:
@@ -104,63 +141,100 @@ class TestSpatialMap:
         user = line_user(2)
         svc = service_tracking(user, "a", 1, 2, offset_y=7.5)  # r_s/2 away
         pairs = self._run([svc], user)
-        assert {(p.user_timestep, p.service_id) for p in pairs} == {(1, "a"), (2, "a")}
+        assert pair_keys(pairs) == {(1, "a"), (2, "a")}
 
     def test_boundary_is_strictly_excluded(self):
         user = line_user(2)
         svc = service_tracking(user, "a", 1, 2, offset_y=15.0)  # exactly r_s
-        assert self._run([svc], user) == []
+        assert len(self._run([svc], user)) == 0
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(5)
         services, user = random_universe(rng, n_services=100, n_steps=12)
         pairs = self._run(services, user)
-        got = {(p.user_timestep, p.service_id) for p in pairs}
-        assert got == brute_force_pairs(services, user, 15.0)
+        assert pair_keys(pairs) == brute_force_pairs(services, user, 15.0)
 
     def test_qos_attached_within_range(self):
         rng = np.random.default_rng(6)
         services, user = random_universe(rng, n_services=30, n_steps=10)
-        for p in self._run(services, user):
-            assert 0.0 < p.strength <= 1.0
-            assert p.distance < 15.0
+        pairs = self._run(services, user)
+        assert len(pairs) > 0
+        assert ((0.0 < pairs.strength) & (pairs.strength <= 1.0)).all()
+        assert (pairs.distance < 15.0).all()
 
 
 class TestReduceValidate:
     def test_single_run(self):
-        table = reduce_validate([pair(1, "a"), pair(2, "a"), pair(3, "a")], w=2)
+        table = reduce_validate(disk_pairs([pair(1, "a"), pair(2, "a"), pair(3, "a")]), w=2)
         assert table.validated == {"a": ((1, 3),)}
         assert sorted(table.per_timestep) == [1, 2, 3]
 
     def test_gap_breaks_consecutiveness(self):
         # paired at t=1 and t=3 only: no run of length >= 2 exists
-        table = reduce_validate([pair(1, "a"), pair(3, "a")], w=2)
+        table = reduce_validate(disk_pairs([pair(1, "a"), pair(3, "a")]), w=2)
         assert table.validated == {}
         assert table.per_timestep == {}
 
     def test_short_runs_discarded_long_kept(self):
         pairs = [pair(1, "a"), pair(3, "a"), pair(4, "a"), pair(9, "a")]
-        table = reduce_validate(pairs, w=2)
+        table = reduce_validate(disk_pairs(pairs), w=2)
         assert table.validated == {"a": ((3, 4),)}
         assert sorted(table.per_timestep) == [3, 4]
 
     def test_w_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
-            reduce_validate([], w=0)
+            reduce_validate(disk_pairs([]), w=0)
+        with pytest.raises(InvalidInputError):
+            reduce_validate(disk_pairs([pair(1, "a"), pair(2, "a")]), w=-3)
 
     @given(st.lists(st.integers(1, 30), min_size=0, max_size=30), st.integers(1, 5))
     @settings(max_examples=200)
     def test_runs_match_rle_oracle(self, ts, w):
         ts = sorted(set(ts))
-        table = reduce_validate([pair(t, "x") for t in ts], w=w)
+        table = reduce_validate(disk_pairs([pair(t, "x") for t in ts]), w=w)
         expected = tuple(r for r in rle_runs(ts) if r[1] - r[0] + 1 >= w)
         got = table.validated.get("x", ())
         assert got == expected
 
-    def test_consecutive_runs_helper(self):
-        assert consecutive_runs([]) == []
-        assert consecutive_runs([4]) == [(4, 4)]
-        assert consecutive_runs([1, 2, 3, 7, 8, 12]) == [(1, 3), (7, 8), (12, 12)]
+    def test_consecutive_runs_at_w_1(self):
+        def runs(ts):
+            return reduce_validate(disk_pairs([pair(t, "x") for t in ts]), w=1).validated
+
+        assert runs([]) == {}
+        assert runs([4]) == {"x": ((4, 4),)}
+        assert runs([1, 2, 3, 7, 8, 12]) == {"x": ((1, 3), (7, 8), (12, 12))}
+        assert runs([3, 3, 4]) == {"x": ((3, 4),)}
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_timesteps_count_once_and_the_later_sample_wins(self, data):
+        # services in a bundle order that is not id order, each with samples
+        # at integer timesteps, some repeated (t and t + 0.5 in one step)
+        ids = data.draw(st.permutations(["s3", "a", "s10", "b2"]))
+        n = data.draw(st.integers(1, 4))
+        value = st.floats(0.5, 9.5)
+        samples = {
+            sid: data.draw(st.lists(st.tuples(st.integers(0, 12), value, value, value), max_size=14))
+            for sid in ids[:n]
+        }
+        w = data.draw(st.integers(1, 4))
+        # join order: by timestep, then bundle order, then sample order
+        rows = sorted(
+            (pair(t, sid, d, s, c) for sid in ids[:n] for t, d, s, c in samples[sid]),
+            key=lambda r: (r[0], ids.index(r[1])),
+        )
+        table = reduce_validate(disk_pairs(rows, ids=ids), w=w)
+        expected_runs, expected_rows = {}, []
+        for sid in sorted(samples):
+            last = {t: (t, sid, d, s, c) for t, d, s, c in samples[sid]}
+            runs = tuple(r for r in rle_runs(list(last)) if r[1] - r[0] + 1 >= w)
+            if runs:
+                expected_runs[sid] = runs
+                expected_rows += [last[t] for a, b in runs for t in range(a, b + 1)]
+        assert table.validated == expected_runs
+        assert list(table.validated) == sorted(table.validated)
+        assert table_rows(table) == sorted(expected_rows, key=lambda r: (r[0], r[1]))
 
 
 class TestOptimalPlan:
@@ -187,6 +261,19 @@ class TestOptimalPlan:
         plan = optimal_plan(table, user)
         assert [s.chosen for s in plan.steps] == ["a"] * 3
 
+    def test_equal_capacities_tie_to_the_smallest_id_in_any_bundle_order(self):
+        # bundle order c, a, d, b; c, a and b tie at both steps, d beats
+        # them at step 2 only
+        rows = [pair(t, sid, capacity=7.0) for t in (1, 2) for sid in ("c", "a", "b")]
+        rows.insert(4, pair(2, "d", capacity=8.0))
+        rows.insert(1, pair(1, "d", capacity=6.0))
+        table = reduce_validate(disk_pairs(rows, ids=["c", "a", "d", "b"]), w=1)
+        assert [r[1] for r in table_rows(table)] == ["a", "b", "c", "d"] * 2
+        plan = optimal_plan(table, line_user(3), reward_scale=2.0)
+        assert [(s.chosen, s.capacity, s.reward) for s in plan.steps] == [
+            ("a", 7.0, 3.5), ("d", 8.0, 4.0), (DUMMY_SERVICE, 0.0, -1.0)
+        ]
+
     def test_dummy_where_no_candidate(self):
         user = line_user(5)
         svc = service_tracking(user, "a", 1, 2)
@@ -203,8 +290,7 @@ class TestOptimalPlan:
         # exhaustive per-timestep maximum over the validated table
         expected = 0.0
         for t in (int(p.t) for p in user.trajectory.points):
-            cands = table.validated_at(t)
-            expected += max((c.capacity for c in cands.values()), default=0.0)
+            expected += max((c[4] for c in candidates_at(table, t)), default=0.0)
         assert sum(s.capacity for s in plan.steps) == pytest.approx(expected, rel=1e-12)
 
     def test_dominance(self):
@@ -213,9 +299,8 @@ class TestOptimalPlan:
         table = discover(services, user)
         plan = optimal_plan(table, user)
         for step in plan.steps:
-            cands = table.validated_at(step.user_timestep)
-            for c in cands.values():
-                assert c.capacity <= step.capacity or step.chosen == DUMMY_SERVICE
+            for c in candidates_at(table, step.user_timestep):
+                assert c[4] <= step.capacity or step.chosen == DUMMY_SERVICE
 
 
 class TestDiscoverParallel:
@@ -223,7 +308,11 @@ class TestDiscoverParallel:
         rng = np.random.default_rng(9)
         services, user = random_universe(rng, n_services=20, n_steps=40)
         sequential = reduce_validate(run_spatial(services, user), w=2)
-        assert discover(services, user) == sequential
+        table = discover(services, user)
+        assert len(table_rows(table)) > 0
+        assert table_rows(table) == table_rows(sequential)
+        assert table.validated == sequential.validated
+        assert table.per_timestep == sequential.per_timestep
 
     def test_run_crossing_mid_trajectory(self):
         user = line_user(20)
@@ -238,12 +327,7 @@ class TestDiscoverParallel:
         table = discover(services, user, w=3)
         validated, surviving = brute_force_validated(services, user, 15.0, w=3)
         assert table.validated == validated
-        got_pairs = {
-            (p.user_timestep, p.service_id)
-            for pairs in table.per_timestep.values()
-            for p in pairs.values()
-        }
-        assert got_pairs == surviving
+        assert surviving_pairs(table) == surviving
 
 
 class TestJsonEmission:
@@ -273,7 +357,7 @@ class TestJsonEmission:
         plan = optimal_plan(table, user)
         rows = table_plan_json(table, plan, user)
         assert [len(r["candidates"]) for r in rows] == [1, 1, 1]
-        assert rows[0]["candidates"][0]["distance_m"] == table.validated_at(1)["a"].distance
+        assert rows[0]["candidates"][0]["distance_m"] == candidates_at(table, 1)[0][2]
         assert plan.steps[0].capacity == rows[0]["candidates"][0]["capacity_bps"]
 
 
@@ -320,23 +404,24 @@ def universes(draw, gps=False, half_steps=False):
 
 
 def assert_scalar_qos(pairs, services, user, mode):
-    """Every emitted float equals the scalar functions' value for its pair."""
+    """Every emitted float equals the one-pair formulas' value for its pair."""
     by_id = {s.id: s for s in services}
     user_at = {int(p.t): p for p in user.trajectory.points}
-    for pair in pairs:
-        t, svc = pair.user_timestep, by_id[pair.service_id]
+    for t, sid, d, s, cap in zip(*(c.tolist() for c in (
+        pairs.timestep, pairs.ids[pairs.service], pairs.distance, pairs.strength, pairs.capacity
+    ))):
+        svc = by_id[sid]
         sp = next(p for p in svc.trajectory.points if p.t == t)
         up = user_at[t]
         nxt = user_at.get(t + 1, up)
-        assert pair.distance == distance(up.x, up.y, sp.x, sp.y, mode)
-        pdis = perpendicular_distance(sp.x, sp.y, up.x, up.y, nxt.x, nxt.y, mode)
-        s = strength(pdis, QOS)
-        assert pair.strength == s
-        assert pair.capacity == capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
+        assert d == distance(up.x, up.y, sp.x, sp.y, mode)
+        pdis = scalar_perpendicular_distance(sp.x, sp.y, up.x, up.y, nxt.x, nxt.y, mode)
+        assert s == scalar_strength(pdis, QOS)
+        assert cap == scalar_capacity(s, svc.bandwidth_b, svc.max_concurrent_k)
 
 
 def surviving_pairs(table):
-    return {(p.user_timestep, p.service_id) for ps in table.per_timestep.values() for p in ps.values()}
+    return set(zip(table.timestep.tolist(), table.service_id.tolist()))
 
 
 def stationary(x, y, n=2):
@@ -369,9 +454,7 @@ class TestColumnarOracle:
         services, user = universe
         assert joined_pairs(services, user) == nested_loop_join(services, user)
         pairs = run_spatial(services, user)
-        assert {(p.user_timestep, p.service_id) for p in pairs} == brute_force_pairs(
-            services, user, 15.0
-        )
+        assert pair_keys(pairs) == brute_force_pairs(services, user, 15.0)
         assert_scalar_qos(pairs, services, user, PLANAR)
         validated, surviving = brute_force_validated(services, user, 15.0, w=2)
         table = discover(services, user)
@@ -384,9 +467,7 @@ class TestColumnarOracle:
         services, user = universe
         assert joined_pairs(services, user) == nested_loop_join(services, user)
         pairs = run_spatial(services, user)
-        assert {(p.user_timestep, p.service_id) for p in pairs} == brute_force_pairs(
-            services, user, 15.0
-        )
+        assert pair_keys(pairs) == brute_force_pairs(services, user, 15.0)
         validated, surviving = brute_force_validated(services, user, 15.0, w=1)
         table = discover(services, user, w=1)
         assert table.validated == validated
@@ -398,7 +479,7 @@ class TestColumnarOracle:
         services, user = universe
         pairs = run_spatial(services, user, mode=GPS)
         inside, edge = brute_force_gps_pairs(services, user, 15.0, edge_m=1e-6)
-        assert {(p.user_timestep, p.service_id) for p in pairs} - edge == inside
+        assert pair_keys(pairs) - edge == inside
         assert_scalar_qos(pairs, services, user, GPS)
 
     @pytest.mark.parametrize("mode", [PLANAR, GPS])
@@ -414,7 +495,7 @@ class TestColumnarOracle:
         ]
         table = discover(services, user, mode=mode)
         assert table.validated == {"in": ((1, 2),)}
-        assert all(p.distance < 15.0 for ps in table.per_timestep.values() for p in ps.values())
+        assert (table.distance < 15.0).all()
 
     @pytest.mark.parametrize("mode", [PLANAR, GPS])
     def test_margin_covers_numpy_rounding(self, mode):
@@ -467,6 +548,17 @@ class TestColumnarOracle:
         unjoined = MovingService(id="later", trajectory=traj([(9, 200.0, 0.0)]),
                                  bandwidth_b=4e6, max_concurrent_k=2)
         assert discover([unjoined], user, mode=GPS).validated == {}
+
+    def test_gps_range_checked_on_the_next_user_sample(self):
+        # the join only range-checks the user's sample at t; its sample at
+        # t + 1, the far end of the path segment, is checked when priced
+        user = UserTrajectory(
+            id="user:g", trajectory=traj([(1, *SYDNEY), (2, 200.0, 0.0)])
+        )
+        svc = MovingService(id="a", trajectory=traj([(1, SYDNEY[0], SYDNEY[1] + 1e-5)]),
+                            bandwidth_b=4e6, max_concurrent_k=2)
+        with pytest.raises(InvalidInputError, match=r"\(200\.0, 0\.0\)"):
+            discover([svc], user, w=1, mode=GPS)
 
     def test_joined_timestep_without_exact_user_sample(self):
         user = UserTrajectory(id="user:f", trajectory=traj([(1.5, 0, 0), (2.5, 0, 0)]))
