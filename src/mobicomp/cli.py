@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     _add_common(p)
 
-    p = sub.add_parser("train", help="train the Q-learning composer on the 70% split")
+    p = sub.add_parser("train", help="train the Q-learning composer on the 70%% split")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.add_argument("--log", help="training log CSV path (default: <out>.log.csv)")

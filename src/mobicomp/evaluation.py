@@ -223,7 +223,7 @@ def run_timing(
 
         oracle_times = []
         for _ in range(repeats):
-            # a cold discovery builds the columnar universe too
+            # a cold discovery builds the columnar universe and its band index too
             t0 = time.perf_counter()
             oracle_mod.discover(
                 oracle_mod.ServiceColumns(sub.services), probe, sub.qos_params, sub.w, sub.mode

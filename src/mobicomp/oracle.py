@@ -1,10 +1,13 @@
 """Ground-truth discovery of co-moving services and the optimal composition.
 
 A map-reduce over one user trajectory against ``ServiceColumns``, the service
-universe as the concatenation of every service trajectory's ``t``/``x``/``y``
-columns, one row per service sample, sorted by integer timestep. The temporal
-join finds each user timestep's block of rows by binary search. The spatial
-filter tests every joined row against the search disk with numpy, widened by
+universe as flat columns, one row per service sample, sorted by integer
+timestep and, within a timestep, by y. The temporal join finds each user
+timestep's block of rows by binary search and keeps it as bounds. The spatial
+filter reads only the band of each block whose y lies within about ``r_s`` of
+the user's y, one run of rows found by two binary searches over the
+universe's (block, y) keys, since a sample farther off in y is farther off in
+distance. It tests those rows against the search disk with numpy, widened by
 a small relative margin; the survivors' exact point distance (``math.hypot``
 or the haversine) makes the strict ``< r_s`` decision. The pairs left are
 priced as columns: ``perpendicular_distance``, ``strength`` and ``capacity``
@@ -30,7 +33,8 @@ import numpy as np
 from .errors import InvalidInputError, OutOfRangeError
 from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
-    DistanceMode, MovingService, UserTrajectory, check_gps, distances, haversine_m
+    EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, check_gps, distances,
+    haversine_m,
 )
 
 DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
@@ -39,12 +43,13 @@ DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
 @dataclass(frozen=True, eq=False)
 class DiskPairs:
     """Every (user timestep, service sample) pair strictly inside the search
-    disk, priced, as columns in join order: by timestep, then universe row.
-    ``service`` indexes the universe's services; ``ids`` and ``rank`` are
-    the universe's (see ``ServiceColumns``)."""
+    disk, priced, as columns in join order: by timestep, then the services'
+    order, then sample order (the universe's ``sample``). ``service``
+    indexes the universe's services; ``ids`` and ``rank`` are the
+    universe's (see ``ServiceColumns``)."""
 
     timestep: np.ndarray  # int64
-    service: np.ndarray  # int32
+    service: np.ndarray  # int64
     distance: np.ndarray
     strength: np.ndarray
     capacity: np.ndarray
@@ -116,31 +121,71 @@ def _int_timesteps(t: np.ndarray) -> np.ndarray:
     return t.astype(np.int64)
 
 
-class ServiceColumns:
-    """The service universe as flat columns, one row per service sample: the
-    services' trajectory columns concatenated.
+def _band_keys(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Complex keys ``real + 1j*imag``, built without rounding either part;
+    numpy orders and searches complex values by real part, then imaginary."""
+    key = np.empty(len(real), dtype=np.complex128)
+    key.real, key.imag = real, imag
+    return key
 
-    Rows are stably sorted by integer timestep ``int(t)``, so within one
-    timestep they keep service order, then sample order; the rows of
-    ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``. ``row`` indexes
-    ``services``, and ``x``/``y`` are the sample's position. Per service, in
-    the services' (bundle) order: ``ids``, ``bandwidth``, ``max_k``, and
-    ``rank``, the position of its id among the distinct ids sorted, which
-    orders rows by id. Built once per scenario and read-only afterwards.
+
+def _band_sorted(services: Sequence[MovingService]):
+    """The services' samples sorted by (integer timestep, y): the distinct
+    timesteps, their row bounds, the sorted band keys, and per row x and the
+    sample's position in the services' samples concatenated (int32). Each
+    concatenated column is dropped once used, which keeps the peak memory of
+    the build near what its result holds."""
+    trajs = [s.trajectory for s in services]
+
+    def column(name):
+        # the empty column keeps concatenate defined for an empty universe
+        return np.concatenate([np.empty(0)] + [getattr(tr, name) for tr in trajs])
+
+    steps = _int_timesteps(column("t"))
+    if len(steps) > np.iinfo(np.int32).max:
+        raise InvalidInputError(f"{len(steps)} service samples, more than int32 positions")
+    sample = np.argsort(steps, kind="stable")
+    timesteps, first = np.unique(steps[sample], return_index=True)
+    bounds = np.append(first, len(steps))
+    del steps
+    y = column("y")
+    key = _band_keys(np.repeat(bounds[:-1], np.diff(bounds)), y[sample])
+    sample = sample[key.argsort()]
+    # sorting moves rows only within their block, so the real parts
+    # already stand in sorted order
+    key.imag = y[sample]
+    del y
+    return timesteps, bounds, key, column("x")[sample], sample.astype(np.int32)
+
+
+class ServiceColumns:
+    """The service universe as flat columns, one row per service sample,
+    sorted by integer timestep ``int(t)`` and, within one timestep, by y.
+
+    The rows of ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``, its block;
+    ``x``/``y`` are the sample's position. ``sample`` (int32) is the sample's
+    position when all samples are listed service by service, in the services'
+    order and each service's in time order: within a block, it gives the
+    join order. ``offsets`` holds each service's first such position, so
+    ``service_of`` maps rows to services.
+
+    The band index: ``band_key`` holds each row's key, its block start
+    ``bounds[i]`` plus ``1j*y``, and is sorted; ``y`` is its imaginary part.
+    The rows of one timestep whose y lies in a closed interval are therefore
+    one run, found by two binary searches over it. The index holds no radius
+    and no distance mode.
+
+    Per service, in the services' (bundle) order: ``ids``, ``bandwidth``,
+    ``max_k``, and ``rank``, the position of its id among the distinct ids
+    sorted, which orders rows by id. Built once per scenario and read-only
+    afterwards.
     """
 
     def __init__(self, services: Sequence[MovingService]):
         self.services = tuple(services)
-        trajs = [s.trajectory for s in self.services]
-        lengths = np.array([len(tr) for tr in trajs], dtype=np.int64)
-        # the empty column keeps concatenate defined for an empty universe
-        t, x, y = (np.concatenate([np.empty(0)] + [getattr(tr, c) for tr in trajs]) for c in "txy")
-        steps = _int_timesteps(t)
-        order = np.argsort(steps, kind="stable")
-        self.timesteps, first = np.unique(steps[order], return_index=True)
-        self.bounds = np.append(first, len(t))
-        self.row = np.repeat(np.arange(len(self.services), dtype=np.int32), lengths)[order]
-        self.x, self.y = x[order], y[order]
+        self.timesteps, self.bounds, self.band_key, self.x, self.sample = _band_sorted(self.services)
+        self.y = self.band_key.imag
+        self.offsets = np.cumsum([0] + [len(s.trajectory) for s in self.services])[:-1]
         ids = [s.id for s in self.services]
         position = {sid: i for i, sid in enumerate(sorted(set(ids)))}
         self.ids = np.array(ids, dtype=object)
@@ -148,20 +193,32 @@ class ServiceColumns:
         self.bandwidth = np.array([s.bandwidth_b for s in self.services], dtype=np.float64)
         self.max_k = np.array([s.max_concurrent_k for s in self.services])
 
+    def service_of(self, rows: np.ndarray) -> np.ndarray:
+        """Index into ``services`` of each of ``rows``."""
+        return np.searchsorted(self.offsets, self.sample[rows], side="right") - 1
+
+    @cached_property
+    def gps_bad_before(self) -> np.ndarray:
+        """Number of rows out of the GPS range before each row, and in all
+        (``len(x) + 1`` entries); built on first use, by haversine discovery."""
+        return np.append(0, np.cumsum(_out_of_gps_range(self.x, self.y)))
+
 
 class JoinedSamples(Mapping):
     """Result of the temporal join: for each distinct user timestep, the
-    universe rows sharing it (``rows[bounds[i]:bounds[i + 1]]`` for
-    ``timesteps[i]``), possibly none."""
+    universe rows sharing it, ``start[i]:start[i] + count[i]`` for
+    ``timesteps[i]``, possibly none. The rows are kept as these bounds and
+    listed, in universe order, only when one timestep is looked up; the
+    universe's ``sample`` orders them as joined."""
 
-    def __init__(self, timesteps: np.ndarray, bounds: np.ndarray, rows: np.ndarray):
-        self.timesteps, self.bounds, self.rows = timesteps, bounds, rows
+    def __init__(self, timesteps: np.ndarray, start: np.ndarray, count: np.ndarray):
+        self.timesteps, self.start, self.count = timesteps, start, count
 
     def __getitem__(self, t) -> np.ndarray:
         i = int(np.searchsorted(self.timesteps, t))
         if i == len(self.timesteps) or self.timesteps[i] != t:
             raise KeyError(t)
-        return self.rows[self.bounds[i] : self.bounds[i + 1]]
+        return np.arange(self.start[i], self.start[i] + self.count[i])
 
     def __iter__(self):
         return iter(self.timesteps.tolist())
@@ -177,15 +234,12 @@ def temporal_map(universe: ServiceColumns, user: UserTrajectory) -> JoinedSample
     it; timesteps no service covers map to no rows. Each timestep's rows are
     one contiguous block of the timestep-sorted universe, found by binary
     search over the universe's distinct timesteps, so the cost follows the
-    rows joined and the user's sample count, never the timestep values.
+    user's sample count, never the rows joined or the timestep values.
     """
     timesteps = np.unique(_int_timesteps(user.trajectory.t))
-    lo = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="left")]
-    counts = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="right")] - lo
-    bounds = np.zeros(len(timesteps) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    rows = np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], counts)
-    return JoinedSamples(timesteps, bounds, rows)
+    start = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="left")]
+    count = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="right")] - start
+    return JoinedSamples(timesteps, start, count)
 
 
 def spatial_map(
@@ -200,39 +254,42 @@ def spatial_map(
     Disk membership uses the point-to-point distance at the shared timestep
     (strict ``< r_s``); the attached strength uses the clamped perpendicular
     distance to the user's path segment, which never exceeds the point
-    distance, so the strength precondition holds by construction. A numpy
-    prefilter over all joined rows, widened by ``DISK_MARGIN``, picks the
-    rows whose exact distance is then taken; the pairs inside are priced by
-    one call each of ``perpendicular_distance``, ``strength`` and
-    ``capacity``.
+    distance, so the strength precondition holds by construction. Only the
+    joined rows in the band of y around the user's y are read (see
+    ``_band_half_width``); a numpy prefilter over them, widened by
+    ``DISK_MARGIN``, picks the rows whose exact distance is then taken, in
+    join order. The pairs inside are priced by one call each of
+    ``perpendicular_distance``, ``strength`` and ``capacity``.
     """
     r_s = qos_params.sensing_radius_rs
     traj = user.trajectory
-    rows = joined.rows
-    counts = np.diff(joined.bounds)
+    start, count = joined.start, joined.count
     # index of the user sample at each joined timestep; a timestep with
     # joined rows needs a user sample at exactly that timestep
     at = np.minimum(np.searchsorted(traj.t, joined.timesteps), len(traj) - 1)
-    absent = (traj.t[at] != joined.timesteps) & (counts > 0)
+    absent = (traj.t[at] != joined.timesteps) & (count > 0)
     if absent.any():
         raise OutOfRangeError(f"no sample at timestep {joined.timesteps[np.argmax(absent)]}")
     # index of the user sample at t + 1, or at t where there is none
     nxt = np.minimum(at + 1, len(traj) - 1)
     nxt = np.where(traj.t[nxt] == joined.timesteps + 1, nxt, at)
-    ux, uy = np.repeat(traj.x[at], counts), np.repeat(traj.y[at], counts)
-    sx, sy = universe.x[rows], universe.y[rows]
-
     if mode is DistanceMode.HAVERSINE:
-        # every joined pair is range-checked, inside the disk or not
-        valid = (np.abs(ux) <= 180.0) & (np.abs(uy) <= 90.0)
-        valid &= (np.abs(sx) <= 180.0) & (np.abs(sy) <= 90.0)
-        if not valid.all():
-            j = int(np.argmin(valid))
-            check_gps(float(ux[j]), float(uy[j]))
-            check_gps(float(sx[j]), float(sy[j]))
-    near = np.flatnonzero(distances(ux, uy, sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
-    step = np.searchsorted(joined.bounds, near, side="right") - 1
+        _check_joined_gps(universe, start, count, traj.x[at], traj.y[at])
+
+    # each joined timestep's band: one run of the band index
+    joins = np.flatnonzero(count)
+    block, uy, h = start[joins], traj.y[at[joins]], _band_half_width(r_s, mode)
+    lo = np.searchsorted(universe.band_key, _band_keys(block, uy - h), side="left")
+    width = np.searchsorted(universe.band_key, _band_keys(block, uy + h), side="right") - lo
+    offset = np.cumsum(width) - width
+    rows = np.arange(width.sum()) + np.repeat(lo - offset, width)
+    step = np.repeat(joins, width)
     a = at[step]
+    sx, sy = universe.x[rows], universe.y[rows]
+    near = np.flatnonzero(distances(traj.x[a], traj.y[a], sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
+    # back to join order: by timestep, then sample
+    near = near[np.lexsort((universe.sample[rows[near]], step[near]))]
+    rows, step, a = rows[near], step[near], a[near]
     ax, ay, px, py = traj.x[a], traj.y[a], sx[near], sy[near]
     if mode is DistanceMode.HAVERSINE:
         d = map(haversine_m, ax.tolist(), ay.tolist(), px.tolist(), py.tolist())
@@ -240,10 +297,10 @@ def spatial_map(
         d = map(math.hypot, (ax - px).tolist(), (ay - py).tolist())
     d = np.array(list(d))
     inside = d < r_s
-    step, near, d = step[inside], near[inside], d[inside]
+    step, rows, d = step[inside], rows[inside], d[inside]
     ax, ay, px, py = ax[inside], ay[inside], px[inside], py[inside]
     b = nxt[step]
-    service = universe.row[rows[near]]
+    service = universe.service_of(rows)
     pdis = perpendicular_distance(px, py, ax, ay, traj.x[b], traj.y[b], mode)
     s = strength(pdis, qos_params)
     cap = capacity(s, universe.bandwidth[service], universe.max_k[service])
@@ -251,6 +308,47 @@ def spatial_map(
         timestep=joined.timesteps[step], service=service, distance=d, strength=s, capacity=cap,
         ids=universe.ids, rank=universe.rank,
     )
+
+
+# Latitude slack of the haversine band, in degrees: more than the rounding of
+# two latitudes' radians (each at most 1.2e-16 rad, about 7e-15 degrees), so a
+# rounded latitude difference never brings a row outside the band into r_s.
+_GPS_BAND_SLACK_DEG = 1e-12
+
+
+def _band_half_width(r_s: float, mode: DistanceMode) -> float:
+    """Half-width h of the y band that holds every sample within r_s of the
+    user: |dy| <= hypot(dx, dy) in the plane, and the great-circle distance
+    is at least R * |dlat|. Widened by ``DISK_MARGIN`` like the disk test, so
+    a row outside the band is at least ``r_s * (1 + DISK_MARGIN)`` away."""
+    if mode is DistanceMode.HAVERSINE:
+        return math.degrees(r_s / EARTH_RADIUS_M) * (1.0 + DISK_MARGIN) + _GPS_BAND_SLACK_DEG
+    return r_s * (1.0 + DISK_MARGIN)
+
+
+def _out_of_gps_range(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where (x, y) fails ``check_gps``, for finite coordinates."""
+    return (np.abs(x) > 180.0) | (np.abs(y) > 90.0)
+
+
+def _check_joined_gps(
+    universe: ServiceColumns, start: np.ndarray, count: np.ndarray, ux: np.ndarray, uy: np.ndarray
+) -> None:
+    """Range-check every joined pair, inside the disk or not: raise for the
+    first one in join order that holds a coordinate out of the GPS range,
+    naming its user sample if that is out of range, else its service sample.
+    The user samples ``(ux, uy)`` are per joined timestep; service rows are
+    counted through ``gps_bad_before``, not gathered."""
+    before = universe.gps_bad_before
+    bad_rows = before[start + count] - before[start]
+    failing = (count > 0) & (_out_of_gps_range(ux, uy) | (bad_rows > 0))
+    if failing.any():
+        i = int(np.argmax(failing))
+        check_gps(float(ux[i]), float(uy[i]))
+        block = slice(start[i], start[i] + count[i])
+        bad = np.flatnonzero(_out_of_gps_range(universe.x[block], universe.y[block]))
+        j = start[i] + bad[np.argmin(universe.sample[block][bad])]
+        check_gps(float(universe.x[j]), float(universe.y[j]))
 
 
 def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
@@ -318,21 +416,20 @@ def optimal_plan(
     ts = table.timestep[order]
     head = np.ones(len(order), dtype=bool)
     head[1:] = ts[1:] != ts[:-1]
-    best = order[head]
-    pick = dict(zip(
-        table.timestep[best].tolist(),
-        zip(table.service_id[best].tolist(), table.capacity[best].tolist()),
-    ))
-    steps = []
-    for t in _int_timesteps(user.trajectory.t).tolist():
-        chosen = pick.get(t)
-        if chosen is None:
-            steps.append(
-                PlanStep(user_timestep=t, chosen=DUMMY_SERVICE, reward=dummy_reward, capacity=0.0)
-            )
-            continue
-        sid, cap = chosen
-        steps.append(PlanStep(user_timestep=t, chosen=sid, reward=cap / reward_scale, capacity=cap))
+    best, best_ts = order[head], ts[head]
+    # each user sample's timestep, matched to its best row if it has one
+    t = _int_timesteps(user.trajectory.t)
+    i = np.searchsorted(best_ts, t)
+    hit = i < len(best)
+    hit[hit] = best_ts[i[hit]] == t[hit]
+    pick = best[i[hit]]
+    chosen = np.full(len(t), DUMMY_SERVICE, dtype=object)
+    chosen[hit] = table.service_id[pick]
+    cap = np.zeros(len(t))
+    cap[hit] = table.capacity[pick]
+    reward = np.full(len(t), dummy_reward, dtype=np.float64)
+    reward[hit] = cap[hit] / reward_scale  # IEEE division: the scalar quotient
+    steps = map(PlanStep, t.tolist(), chosen.tolist(), reward.tolist(), cap.tolist())
     return CompositionPlan(user_id=user.id, steps=tuple(steps))
 
 

@@ -76,6 +76,16 @@ def test_missing_subcommand_is_usage_error():
     assert run_cli().returncode == 2
 
 
+def test_help_prints_every_subcommand_line_verbatim(capsys):
+    # argparse %-formats help strings: a bare "%" there prints the action's dict
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(["--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "on the 70% split" in out
+    assert "option_strings" not in out
+
+
 def test_gen_writes_bundle_with_meta(bundle):
     for name in ("services.csv", "users.csv", "scenario.json", "meta.json"):
         assert (bundle / name).exists()

@@ -51,15 +51,17 @@ def discover(services, user, w=2, mode=PLANAR, qos=QOS):
 
 
 def joined_pairs(services, user):
-    """temporal_map's result as {t: [(service id, (x, y))]}, for comparison
-    with the nested-loop reference."""
+    """temporal_map's result as {t: [(service id, (x, y))]}, each timestep's
+    rows in join order, for comparison with the nested-loop reference."""
     universe = ServiceColumns(services)
     joined = temporal_map(universe, user)
+
+    def in_join_order(rows):
+        rows = rows[np.argsort(universe.sample[rows])]
+        return zip(universe.service_of(rows), universe.x[rows], universe.y[rows])
+
     return {
-        t: [
-            (universe.services[universe.row[i]].id, (universe.x[i], universe.y[i]))
-            for i in rows
-        ]
+        t: [(universe.services[k].id, (x, y)) for k, x, y in in_join_order(rows)]
         for t, rows in joined.items()
     }
 
@@ -437,12 +439,18 @@ def edge_offsets(mode, dy):
     def d(x):
         return distance(x0, y0, x, y0 + dy, mode)
 
-    lo, hi = x0, x0 + (1.0 if mode is GPS else 2.0 * r_s)
+    return (x0, y0), *bisect_r_s(d, x0, x0 + (1.0 if mode is GPS else 2.0 * r_s))
+
+
+def bisect_r_s(d, lo, hi):
+    """Adjacent floats between lo and hi at which d crosses r_s: d(lo) < r_s
+    <= d(hi)."""
+    r_s = QOS.sensing_radius_rs
     assert d(lo) < r_s <= d(hi)
     while np.nextafter(lo, hi) != hi:
         mid = lo + (hi - lo) / 2.0
         lo, hi = (mid, hi) if d(mid) < r_s else (lo, mid)
-    return (x0, y0), lo, hi
+    return lo, hi
 
 
 class TestColumnarOracle:
@@ -566,3 +574,106 @@ class TestColumnarOracle:
                             bandwidth_b=4e6, max_concurrent_k=2)
         with pytest.raises(OutOfRangeError, match="timestep 1$"):
             discover([svc], user)
+
+
+def band_edge(mode, origin, sign):
+    """Adjacent y offsets from the user at ``origin``, straight up (sign 1)
+    or down (-1) the band axis, whose scalar distance is just below and at
+    or above r_s."""
+    x0, y0 = origin
+    reach = 2.0 * QOS.sensing_radius_rs / (M_PER_DEG if mode is GPS else 1.0)
+    return bisect_r_s(lambda y: distance(x0, y0, x0, y, mode), y0, y0 + sign * reach)
+
+
+def gps_service(sid, samples):
+    return MovingService(id=sid, trajectory=traj(samples), bandwidth_b=4e6, max_concurrent_k=2)
+
+
+class TestBandIndex:
+    """The (timestep, y) band read by ``spatial_map`` never drops a pair the
+    full scan keeps, and never changes which error comes first."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mode, origin", [
+        (PLANAR, (0.0, 0.0)), (PLANAR, (3.0e5, -7.25e5)),
+        (GPS, SYDNEY), (GPS, (-71.0, 89.9)), (GPS, (12.5, -89.9)),
+    ])
+    def test_one_ulp_inside_and_at_r_s_on_the_band_axis(self, mode, origin, sign):
+        y_in, y_out = band_edge(mode, origin, sign)
+        x0, y0 = origin
+        user = UserTrajectory(id="user:o", trajectory=stationary(x0, y0))
+        services = [
+            MovingService(id=sid, trajectory=stationary(x0, y),
+                          bandwidth_b=4e6, max_concurrent_k=2)
+            for sid, y in (("in", y_in), ("out", y_out))
+        ]
+        table = discover(services, user, mode=mode)
+        assert table.validated == {"in": ((1, 2),)}
+        assert (table.distance < 15.0).all()
+        if mode is PLANAR and origin == (0.0, 0.0):
+            assert abs(y_out) == 15.0  # exactly r_s is outside
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_later_sample_wins_among_services_sharing_one_y(self, data):
+        # every service sits at one y; a second sample at t + 0.5, with a
+        # smaller y, comes first in the band order but is the later sample
+        y0 = data.draw(st.sampled_from([0.0, 6.0, -9.5]))
+        user = line_user(10)
+        later = {}
+        services = []
+        for i in range(data.draw(st.integers(1, 8))):
+            steps = sorted(data.draw(st.sets(st.integers(1, 10), min_size=1, max_size=10)))
+            halves = data.draw(st.sets(st.sampled_from(steps)))
+            pts = []
+            for t in steps:
+                pts.append((t, 10.0 * t + data.draw(st.floats(-14.0, 14.0)), y0))
+                if t in halves:
+                    pts.append((t + 0.5, 10.0 * t + data.draw(st.floats(-14.0, 14.0)),
+                                y0 - data.draw(st.floats(0.5, 9.0))))
+            services.append(MovingService(id=f"s{i}", trajectory=traj(pts),
+                                          bandwidth_b=4e6, max_concurrent_k=2))
+        w = data.draw(st.integers(1, 3))
+        # reference: per (timestep, service), the last sample inside the disk
+        for svc in services:
+            for p in svc.trajectory.points:
+                d = distance(10.0 * int(p.t), 0.0, p.x, p.y, PLANAR)
+                if d < 15.0:
+                    later[(int(p.t), svc.id)] = d
+        expected_rows = []
+        expected_runs = {}
+        for sid in sorted({sid for _, sid in later}):
+            runs = tuple(r for r in rle_runs([t for t, s in later if s == sid]) if r[1] - r[0] + 1 >= w)
+            if runs:
+                expected_runs[sid] = runs
+                expected_rows += [(t, sid, later[(t, sid)]) for a, b in runs for t in range(a, b + 1)]
+        table = discover(services, user, w=w)
+        assert table.validated == expected_runs
+        assert [r[:3] for r in table_rows(table)] == sorted(expected_rows)
+
+    def test_gps_bad_row_far_outside_the_band_is_still_checked(self):
+        user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
+        near = gps_service("near", [(t, SYDNEY[0], SYDNEY[1] + 1e-5) for t in (1, 2, 3)])
+        # latitude 60 is thousands of kilometres outside the band at -33.87
+        far = gps_service("far", [(1, 100.0, 60.0), (2, 200.0, 60.0)])
+        with pytest.raises(InvalidInputError, match=r"\(200\.0, 60\.0\)"):
+            discover([near, far], user, mode=GPS)
+
+    def test_gps_first_bad_service_row_in_join_order(self):
+        # two bad rows at t=2: s1's has the smaller y, so it comes first in
+        # the band order, but s0 comes first in the bundle
+        user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
+        s0 = gps_service("s0", [(2, 181.0, 45.0)])
+        s1 = gps_service("s1", [(2, -190.0, -45.0)])
+        late = gps_service("late", [(1, 0.0, 0.0), (3, 0.0, 95.0)])
+        with pytest.raises(InvalidInputError, match=r"\(181\.0, 45\.0\)"):
+            discover([s0, s1, late], user, mode=GPS)
+
+    def test_gps_bad_user_sample_comes_before_its_timesteps_service_rows(self):
+        user = UserTrajectory(
+            id="user:g", trajectory=traj([(1, 200.0, 0.0), (2, 210.0, 0.0), (3, *SYDNEY)])
+        )
+        # no service at t=1, so the user's bad sample there is never joined
+        svc = gps_service("s", [(2, 300.0, 0.0), (3, *SYDNEY)])
+        with pytest.raises(InvalidInputError, match=r"\(210\.0, 0\.0\)"):
+            discover([svc], user, mode=GPS)
