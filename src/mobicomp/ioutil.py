@@ -3,9 +3,10 @@ writes, hashing and canonical JSON.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"``. ``dump_json`` renders it by columns: the values of
-a list are encoded together, a list of dicts one column per key. Only the
-root and its direct children are written chunk by chunk; each deeper value
-is rendered whole (see there).
+a list are encoded together, each distinct value of a long repeating column
+once, and a list of dicts is woven from one column per key and the constant
+key and indent text in one join. Only the root and its direct children are
+written chunk by chunk; each deeper value is rendered whole (see there).
 """
 
 from __future__ import annotations
@@ -18,13 +19,17 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
 from operator import add, itemgetter
 from pathlib import Path
 
 from .errors import InvalidInputError
+
+
+# Characters of a text encoded at a time by atomic_write_text
+_TEXT_SLICE = 1 << 20
 
 
 def _umask() -> int:
@@ -34,17 +39,18 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename. The file
-    gets the mode a plain ``open(path, "w")`` would give: 0o666 less the
-    umask."""
+def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` via a temp file in the same directory, then rename.
+    The file gets the mode a plain ``open(path, "w")`` would give: 0o666
+    less the umask. If a chunk raises, the old file stays and the temp file
+    is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,8 +58,15 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    _atomic_write(path, [data])
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """``text`` as UTF-8, encoded and written ``_TEXT_SLICE`` characters at a
+    time, so no bytes copy of the whole text is held beside it."""
+    slices = range(0, len(text), _TEXT_SLICE)
+    _atomic_write(path, (text[i : i + _TEXT_SLICE].encode("utf-8") for i in slices))
 
 
 def write_csv(path: str | Path, rows: Iterable[Iterable]) -> None:
@@ -85,6 +98,8 @@ _SCALARS = {
 }
 # Depths written chunk by chunk; a value below them is rendered whole.
 _STREAMED_DEPTHS = 2
+# Size of the strided sample that tells whether a column repeats
+_SAMPLE = 64
 
 
 def _scalar_fallback(o) -> str | None:
@@ -131,96 +146,138 @@ def _entries(o):
     return None
 
 
-class _Templates(dict):
-    """The ``%`` template of a dict with the given sorted str keys, written
-    at the given depth with one ``%s`` per value."""
+def _encoded(values: list, kind: type) -> list[str]:
+    """The texts of ``values``, all of the exact scalar type ``kind``. A long
+    float or str column whose strided sample of ``_SAMPLE`` values repeats
+    encodes each distinct value once; one holding a zero does not, as
+    ``0.0`` and ``-0.0`` are one dict key."""
+    distinct = values
+    n = len(values)
+    if (kind is float or kind is str) and n >= 2 * _SAMPLE:
+        sample = values[:: n // _SAMPLE]
+        if len(set(sample)) < len(sample) * 3 // 4:
+            codes = dict.fromkeys(values)
+            if 0.0 not in codes:  # never true of str keys
+                distinct = list(codes)
+    texts = list(map(_SCALARS[kind], distinct))
+    if kind is float and not all(map(isfinite, distinct)):
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    if distinct is values:
+        return texts
+    return list(map(dict(zip(distinct, texts)).__getitem__, values))
 
-    def __missing__(self, shape: tuple) -> str:
-        ordered, depth = shape
-        nl = _INDENT[depth + 1]
-        heads = (_key(k).replace("%", "%%") + "%s" for k in ordered)
-        text = self[shape] = "{" + nl + ("," + nl).join(heads) + _INDENT[depth] + "}"
+
+def _weave(openers: list[str], cols: list[list[str]], glue: list[str], end: str) -> str:
+    """One join of ``openers[i] + cols[0][i] + glue[0] + cols[1][i] + ... +
+    cols[-1][i]`` over every row ``i``, then ``end``."""
+    step = 2 * len(cols)
+    parts = [None, None, *chain.from_iterable((g, None) for g in glue)] * len(openers)
+    parts[::step] = openers
+    for j, col in enumerate(cols):
+        parts[2 * j + 1 :: step] = col
+    parts.append(end)
+    return "".join(parts)
+
+
+def _rows(dicts: list, depth: int):
+    """Exact dicts that share one non-empty all-str key set as ``(opening,
+    columns, glue, closing)``: the text of dict ``i`` is ``opening +
+    columns[0][i] + glue[0] + columns[1][i] + ... + closing``, one column
+    per sorted key. ``None`` if they do not share one."""
+    first = dicts[0]
+    if (
+        not first
+        or set(map(type, dicts)) != {dict}
+        or not all(type(k) is str for k in first)
+        or set(map(len, dicts)) != {len(first)}
+    ):
+        return None
+    keys = sorted(first)
+    try:
+        cols = [list(map(itemgetter(k), dicts)) for k in keys]
+    except KeyError:  # same size, another key set
+        return None
+    heads = [_INDENT[depth + 1] + _key(k) for k in keys]
+    texts = [_texts(col, depth + 1) for col in cols]
+    return "{" + heads[0], texts, ["," + h for h in heads[1:]], _INDENT[depth] + "}"
+
+
+def _lists(lists: list, depth: int) -> list[str]:
+    """The text of each of ``lists``: their members as one column, or as the
+    columns of ``_rows``, woven with the brackets and separators in one join
+    that is cut after each list."""
+    members = list(chain.from_iterable(lists))
+    if not members:
+        return ["[]"] * len(lists)
+    rows = _rows(members, depth + 1) or ("", [_texts(members, depth + 1)], [], "")
+    opening, cols, glue, closing = rows
+    nl = _INDENT[depth + 1]
+    openers = [closing + "," + nl + opening] * len(members)
+    # canonical JSON holds no raw NUL, so one ends each list's text
+    cut = "\0" if len(lists) > 1 else ""
+    first, last = "[" + nl + opening, closing + _INDENT[depth] + "]" + cut
+    i, pending = 0, ""
+    for n in map(len, lists):
+        if n:
+            openers[i] = pending + first
+            pending = last
+            i += n
+        else:
+            pending += "[]" + cut
+    text = _weave(openers, cols, glue, pending)
+    return text.split(cut)[:-1] if cut else [text]
+
+
+def _texts(values: list, depth: int) -> list[str]:
+    """The JSON text of each of ``values``, all at ``depth``."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _SCALARS:
+        return _encoded(values, kind)
+    if kind is list:
+        return _lists(values, depth)
+    if kind is dict:
+        rows = _rows(values, depth)
+        if rows is not None:
+            opening, cols, glue, closing = rows
+            openers = [opening] + [closing + "\0" + opening] * (len(values) - 1)
+            text = _weave(openers, cols, glue, closing)
+            return text.split("\0") if len(values) > 1 else [text]
+    return [_value(v, depth) for v in values]
+
+
+def _value(o, depth: int) -> str:
+    """One value of any type; what json refuses raises ``TypeError``."""
+    text = _scalar_fallback(o)
+    if text is not None:
         return text
+    entries = _entries(o)
+    if entries is None:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    _, heads, values = entries
+    if heads is None:
+        return _lists([values], depth)[0]
+    if not values:
+        return "{}"
+    nl = _INDENT[depth + 1]
+    texts = map(add, heads, _texts(values, depth + 1))
+    return "{" + nl + ("," + nl).join(texts) + _INDENT[depth] + "}"
 
 
-class _Renderer:
-    """Renders a list of values at one depth by columns (see ``dump_json``),
-    with the dict templates of one document."""
-
-    def __init__(self):
-        self.templates = _Templates()
-
-    def texts(self, values: list, depth: int) -> list[str]:
-        """The JSON text of each of ``values``, all at ``depth``."""
-        kinds = set(map(type, values))
-        if len(kinds) == 1:
-            kind = kinds.pop()
-            encode = _SCALARS.get(kind)
-            if encode is not None:
-                texts = list(map(encode, values))
-                if kind is float and not all(map(isfinite, values)):
-                    texts = [_NONFINITE.get(t, t) for t in texts]
-                return texts
-            if kind is dict:
-                texts = self.dicts(values, depth)
-                if texts is not None:
-                    return texts
-            elif kind is list:
-                return self.lists(values, depth)
-        return [self.value(v, depth) for v in values]
-
-    def dicts(self, dicts: list[dict], depth: int) -> list[str] | None:
-        """Exact dicts that share one all-str key set, one column per key;
-        ``None`` if they do not share one."""
-        orders = set(map(tuple, dicts))
-        first = orders.pop()
-        keyset = set(first)
-        if not all(type(k) is str for k in first) or any(keyset != set(o) for o in orders):
-            return None
-        if not first:
-            return ["{}"] * len(dicts)
-        ordered = tuple(sorted(first))
-        cols = [self.texts(list(map(itemgetter(k), dicts)), depth + 1) for k in ordered]
-        return list(map(self.templates[ordered, depth].__mod__, zip(*cols)))
-
-    def lists(self, lists: list[list], depth: int) -> list[str]:
-        """Exact lists: their members rendered as one column, then re-joined."""
-        texts = iter(self.texts(list(chain.from_iterable(lists)), depth + 1))
-        nl = _INDENT[depth + 1]
-        sep, head, tail = "," + nl, "[" + nl, _INDENT[depth] + "]"
-        return [head + sep.join(islice(texts, n)) + tail if n else "[]" for n in map(len, lists)]
-
-    def value(self, o, depth: int) -> str:
-        """One value of any type; what json refuses raises ``TypeError``."""
-        text = _scalar_fallback(o)
-        if text is not None:
-            return text
-        entries = _entries(o)
-        if entries is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        brackets, heads, values = entries
-        if not values:
-            return brackets
-        texts = self.texts(values, depth + 1)
-        if heads is not None:
-            texts = map(add, heads, texts)
-        nl = _INDENT[depth + 1]
-        return brackets[0] + nl + ("," + nl).join(texts) + _INDENT[depth] + brackets[1]
-
-    def stream(self, o, depth: int, out: list[str]) -> None:
-        """Append the text of ``o`` to ``out``: a non-empty container above
-        ``_STREAMED_DEPTHS`` chunk by chunk, anything else whole."""
-        entries = _entries(o) if depth < _STREAMED_DEPTHS else None
-        if entries is None or not entries[2]:
-            out.append(self.texts([o], depth)[0])
-            return
-        (opening, closing), heads, values = entries
-        nl = _INDENT[depth + 1]
-        out.append(opening)
-        for i, v in enumerate(values):
-            out.append(("," if i else "") + nl + (heads[i] if heads else ""))
-            self.stream(v, depth + 1, out)
-        out.append(_INDENT[depth] + closing)
+def _stream(o, depth: int, out: list[str]) -> None:
+    """Append the text of ``o`` to ``out``: a non-empty container above
+    ``_STREAMED_DEPTHS`` chunk by chunk, anything else whole."""
+    entries = _entries(o) if depth < _STREAMED_DEPTHS else None
+    if entries is None or not entries[2]:
+        out.append(_texts([o], depth)[0])
+        return
+    (opening, closing), heads, values = entries
+    nl = _INDENT[depth + 1]
+    out.append(opening)
+    for i, v in enumerate(values):
+        out.append(("," if i else "") + nl + (heads[i] if heads else ""))
+        _stream(v, depth + 1, out)
+    out.append(_INDENT[depth] + closing)
 
 
 def dump_json(obj) -> str:
@@ -230,19 +287,23 @@ def dump_json(obj) -> str:
 
     The standard library uses its C encoder only without ``indent``; with it,
     every value passes up through a stack of Python generators. Here values
-    are rendered by columns: a list whose values share one exact scalar type
-    is one ``map`` of that type's encoder; a list of exact dicts sharing one
-    all-str key set is split into one column per key, each rendered so, and
-    its rows filled into a ``%`` template kept per key set and depth; a list
-    of lists is rendered as the one column of their members. Any other value
-    (a subclass, a tuple, a non-str key, a mixed list) is rendered one by
-    one. The root and its direct children are written chunk by chunk into one
-    list joined at the end; each deeper value (one user's block of a
-    discover payload) is rendered whole, so the document is built once, by
-    that join, and no column outlives its block.
+    are rendered by columns. A list whose values share one exact scalar type
+    is one ``map`` of that type's encoder; in a long float or str column that
+    repeats, each distinct value is encoded once (``_encoded``). A list of
+    exact dicts sharing one all-str key set is split into one column per key,
+    and a list of lists into the one column of their members; the columns
+    are interleaved with the constant text between them (keys, indents,
+    brackets, separators) and joined once (``_weave``), and a join that
+    holds several lists is cut at the NUL put after each, a character
+    canonical JSON never holds raw. Any other value (a subclass, a tuple, a
+    non-str key, a mixed list) is rendered one by one. The root and its
+    direct children are written chunk by chunk into one list joined at the
+    end; each deeper value (one user's block of a discover payload) is
+    rendered whole, so the document is built once, by that join, and no
+    column outlives its block.
     """
     out: list[str] = []
-    _Renderer().stream(obj, 0, out)
+    _stream(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -514,6 +514,35 @@ def test_discover_bytes_are_pinned(tmp_path, monkeypatch, mode):
     assert sha256_file("d.json") == PINNED_DISCOVER_SHA256[mode]
 
 
+# sha256 of `mobicomp discover` on a denser corridor scenario (30 services,
+# 3 users, 200 steps): each user's candidate columns run to about 1,200
+# values, and its capacities and strengths repeat, so the encoding of
+# repeated values and the joined lists of candidates are pinned too.
+DENSE_SPEC = {
+    **SPEC, "n_services": 30, "n_users": 3, "area": [0.0, 0.0, 100.0, 100.0],
+    "timestep_count": 200, "coroute_fraction": 0.8, "jitter_m": 4.0,
+}
+PINNED_DENSE_DISCOVER_SHA256 = "2edede21051f418d5a1b8173782637ed3e02224d82e4c6d3887c7060e794d554"
+
+
+def test_discover_bytes_of_long_repeating_columns_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = ScenarioSpec.from_dict(DENSE_SPEC)
+    services, users = generate(spec)
+    write_scenario_bundle(
+        "scen", services, users, QosParams.defaults_for(spec.r_s_meters), spec.w,
+        DistanceMode.PLANAR_EUCLIDEAN, seed=spec.seed,
+    )
+    args = ["discover", "--scenario", "scen/scenario.json", "--out", "d.json", "--quiet"]
+    assert dispatch(args) == 0
+    payload = json.loads((tmp_path / "d.json").read_text())
+    for block in payload["users"]:
+        rows = [c for step in block["steps"] for c in step["candidates"]]
+        assert len(rows) > 1000
+        assert len({r["capacity_bps"] for r in rows}) < len(rows) / 4
+    assert sha256_file("d.json") == PINNED_DENSE_DISCOVER_SHA256
+
+
 def test_discover_bytes_do_not_depend_on_the_scenario_path_spelling(bundle, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     digests = set()
@@ -650,6 +679,9 @@ def test_evaluate_reports_in_one_directory_keep_their_series(bundle, tmp_path):
     timing = (tmp_path / "time.series.csv").read_text().splitlines()
     assert acc[0] == "trajectory_count,accuracy,error"
     assert timing[0] == "n_services,phase,wall_seconds"
+    assert [row.split(",")[1] for row in timing[1:]] == [
+        "oracle_discovery", "oracle_discovery_warm", "model_training", "agent_selection"
+    ]
     assert not (tmp_path / "series.csv").exists()
 
 

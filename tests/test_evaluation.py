@@ -182,7 +182,9 @@ class TestTiming:
         cfg = AgentConfig(repetition=2, seed=4, **FAST)
         reports = run_timing(empty, [0], cfg, repeats=3)
         phases = {r.phase for r in reports}
-        assert phases == {"oracle_discovery", "model_training", "agent_selection"}
+        assert phases == {
+            "oracle_discovery", "oracle_discovery_warm", "model_training", "agent_selection"
+        }
         for rep in reports:
             assert rep.wall_seconds >= 0.0
 
@@ -191,9 +193,34 @@ class TestTiming:
         cfg = AgentConfig(repetition=2, seed=5, **FAST)
         reports = run_timing(scenario, [4], cfg, repeats=5)
         by_phase = {r.phase: r for r in reports}
-        sel = by_phase["agent_selection"]
-        assert len(sel.samples) == 5
-        assert sel.wall_seconds == sorted(sel.samples)[2]
+        for phase in ("agent_selection", "oracle_discovery", "oracle_discovery_warm"):
+            rep = by_phase[phase]
+            assert len(rep.samples) == 5
+            assert rep.wall_seconds == sorted(rep.samples)[2]
+
+    def test_warm_discovery_builds_no_universe_in_its_timed_runs(self, monkeypatch):
+        # the cold runs build one universe each; the warm runs reuse the last
+        built, discovered = [], []
+        columns, discover = oracle.ServiceColumns, oracle.discover
+
+        def counted_columns(services):
+            built.append(len(discovered))
+            return columns(services)
+
+        def counted_discover(universe, *args):
+            discovered.append(universe)
+            return discover(universe, *args)
+
+        monkeypatch.setattr(oracle, "ServiceColumns", counted_columns)
+        monkeypatch.setattr(oracle, "discover", counted_discover)
+        cfg = AgentConfig(repetition=2, seed=5, **FAST)
+        reports = run_timing(tiny_scenario(), [4], cfg, repeats=3)
+        assert built[:3] == [0, 1, 2]
+        assert [b for b in built if 3 <= b < 6] == []
+        assert len(set(map(id, discovered[:3]))) == 3
+        assert all(u is discovered[2] for u in discovered[3:6])
+        warm = {r.phase: r for r in reports}["oracle_discovery_warm"]
+        assert (warm.n_services, len(warm.samples)) == (4, 3)
 
     def test_fewer_than_one_repeat_rejected(self):
         cfg = AgentConfig(repetition=2, seed=5, **FAST)

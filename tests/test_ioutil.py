@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobicomp
-from mobicomp import oracle
+from mobicomp import ioutil, oracle
 from mobicomp.errors import InvalidInputError
 from mobicomp.ioutil import atomic_write_bytes, atomic_write_text, dump_json, open_text, write_csv
 
@@ -130,6 +130,57 @@ def dict_columns(draw):
 # lists of lists, flattened into one column and re-joined
 nested_lists = st.lists(st.lists(st.lists(scalars, max_size=3), max_size=3), min_size=2, max_size=5)
 
+# Cells that a column long enough to be sampled gets besides its few
+# repeating values: zeros of both signs, a NaN of its own, infinities, and
+# subclass values that json writes as their base type.
+odd_cells = st.sampled_from(
+    [0.0, -0.0, "fresh nan", math.inf, -math.inf, np.float64(0.5), np.float64(-0.0), Tag("é"), "naïve"]
+)
+zero_pairs = st.sampled_from([(), (0.0, -0.0), (-0.0, 0.0), (0.0,), (-0.0,)])
+
+
+def deep(obj):
+    """``obj`` below the levels ``dump_json`` streams item by item, where it
+    is rendered as one column."""
+    return [[obj]]
+
+
+@st.composite
+def long_columns(draw):
+    """A few hundred values drawn from a few distinct floats or strs, so that
+    their strided sample repeats, with zeros and a few odd cells put off the
+    sample."""
+    pool = draw(
+        st.lists(floats, min_size=1, max_size=4)
+        | st.lists(texts | st.sampled_from(["é", "日本", "\U0001f600x"]), min_size=1, max_size=4)
+    )
+    n = draw(st.integers(2 * ioutil._SAMPLE, 8 * ioutil._SAMPLE))
+    col = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    step = n // ioutil._SAMPLE
+    for cell in (*draw(zero_pairs), *draw(st.lists(odd_cells, max_size=3))):
+        i = draw(st.integers(1, n - 2))
+        col[i + (i % step == 0)] = float("nan") if cell == "fresh nan" else cell
+    return col
+
+
+@st.composite
+def long_shapes(draw):
+    """A long column as a list, as a column of dicts whose keys hold ``%``
+    and NUL, or as those dicts cut into lists with empty ones at the start,
+    in the middle and at the end, nested as in a discover payload."""
+    col = draw(long_columns())
+    shape = draw(st.sampled_from(["list", "dicts", "lists"]))
+    if shape == "list":
+        return deep(col)
+    rows = [{"%s": v, "%%": i, "a\x00b": col[-1 - i]} for i, v in enumerate(col)]
+    if shape == "dicts":
+        return deep(rows)
+    cuts = draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=40))
+    bounds = [0, 0, *sorted(cuts), len(rows), len(rows)]
+    lists = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    steps = [{"candidates": c, "timestep": t} for t, c in enumerate(lists)]
+    return {"meta": {}, "users": [{"user_id": "u", "steps": steps}, {"steps": []}]}
+
 
 def discover_shaped(users: int, steps: int, rng: random.Random) -> dict:
     """A payload shaped as ``mobicomp discover`` writes it."""
@@ -162,6 +213,34 @@ class TestDumpJson:
     @given(dict_columns() | nested_lists)
     def test_columns_equal_json_dumps(self, obj):
         assert dump_json(obj) == reference(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_shapes())
+    def test_long_columns_equal_json_dumps(self, obj):
+        assert dump_json(obj) == reference(obj)
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            [1.5, 2.5] * 200,
+            [1.5] * 300 + [-0.0],
+            [-0.0] + [1.5] * 300 + [0.0],
+            [math.nan] * 300,
+            [float("nan") for _ in range(300)],
+            [math.inf, -math.inf, 1.0] * 100,
+            [1.0] * 299 + [np.float64(1.0)],
+            ["é", "日本"] * 150 + [Tag("é")],
+            ["é", "日本"] * 150,
+        ],
+        ids=[
+            "two_floats", "negative_zero_last", "both_zeros", "shared_nan", "distinct_nans",
+            "infinities", "np_float64", "str_subclass", "non_ascii",
+        ],
+    )
+    def test_long_column_examples(self, col):
+        rows = [{"%s": v, "%%": 0, "\x00": [v]} for v in col]
+        for obj in (deep(col), deep(rows), {"users": [{"steps": [rows, [], rows[:1]]}]}):
+            assert dump_json(obj) == reference(obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -267,6 +346,20 @@ class TestAtomicWrite:
         atomic_write_text(path, "old")
         atomic_write_text(path, "new")
         assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_text_longer_than_one_slice_round_trips(self, tmp_path):
+        path = tmp_path / "out.json"
+        text = "aé日\U0001f600" * (ioutil._TEXT_SLICE // 2)
+        atomic_write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_lone_surrogate_in_a_later_slice_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        atomic_write_text(path, "old")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "a" * (2 * ioutil._TEXT_SLICE) + "\ud800")
+        assert path.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
