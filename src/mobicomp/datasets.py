@@ -327,19 +327,35 @@ def _number(path: Path, section: dict, key: str, default=None, kind=float, where
         raise InvalidInputError(f"{path}: {key}{where} must be a number, got {value!r}") from None
 
 
+def _section(path: Path, cfg: dict, key: str, default: dict, where: str = "") -> dict:
+    """The object ``cfg[key]``, or ``default`` when the key is absent; any
+    other value is an ``InvalidInputError`` naming the file and the key."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{path}: {key}{where} must be an object, got {value!r}")
+    return value
+
+
+def _csv_path(path: Path, key: str, name) -> Path:
+    """The CSV that ``name``, the value of ``key``, names beside ``path``."""
+    if not isinstance(name, str):
+        raise InvalidInputError(f"{path}: {key} must be a file name, got {name!r}")
+    return path.parent / name
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario.json and its referenced trajectory CSVs."""
     path = Path(path)
     cfg = read_json_object(path)
-    base = path.parent
     try:
         mode = DistanceMode(cfg["distance_mode"])
-        services_csv, users_csv = base / cfg["services_csv"], base / cfg["users_csv"]
+        names = {k: cfg[k] for k in ("services_csv", "users_csv")}
     except KeyError as exc:
         raise InvalidInputError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    qos_cfg = cfg.get("qos", {})
+    services_csv, users_csv = (_csv_path(path, k, name) for k, name in names.items())
+    qos_cfg = _section(path, cfg, "qos", {})
     r_s = _number(path, qos_cfg, "r_s_meters", ScenarioSpec.r_s_meters)
     try:
         defaults = QosParams.defaults_for(r_s)
@@ -351,17 +367,17 @@ def load_scenario(path: str | Path) -> Scenario:
         qos_params = QosParams(confident_radius_rc=r_c, decay_k=decay_k, sensing_radius_rs=r_s)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    rewards_cfg = cfg.get("rewards", {})
+    rewards_cfg = _section(path, cfg, "rewards", {})
     rewards = RewardScheme(
         dummy=_number(path, rewards_cfg, "dummy", RewardScheme.dummy),
         invalid=_number(path, rewards_cfg, "invalid", RewardScheme.invalid),
     )
-    default_qos = cfg.get("default_service_qos", DEFAULT_SERVICE_QOS)
-    service_qos = cfg.get("service_qos", {})
+    default_qos = _section(path, cfg, "default_service_qos", DEFAULT_SERVICE_QOS)
+    service_qos = _section(path, cfg, "service_qos", {})
 
     services = []
     for sid, traj in load_trajectories_csv(services_csv):
-        entry = service_qos.get(sid, default_qos)
+        entry = _section(path, service_qos, sid, default_qos, where=" in service_qos")
         where = f" for service {sid}"
         services.append(
             MovingService(

@@ -2,11 +2,16 @@
 writes, hashing and canonical JSON.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
-sort_keys=True) + "\\n"``. ``dump_json`` renders it by columns: the values of
-a list are encoded together, each distinct value of a long repeating column
-once, and a list of dicts is woven from one column per key and the constant
-key and indent text in one join. Only the root and its direct children are
-written chunk by chunk; each deeper value is rendered whole (see there).
+sort_keys=True) + "\\n"`` for a document made of the exact types every
+written document holds: ``dict`` with ``str`` keys, ``list``, ``tuple``,
+``str``, ``int``, ``float``, ``bool`` and ``None``. Anything else, a subclass
+or a non-str key too, raises ``TypeError``. ``dump_json`` renders it by
+columns, with one renderer (``_texts``): the values of a list are encoded
+together, each distinct value of a long repeating column once, a list of
+dicts is woven from one column per key and the constant key and indent text
+in one join, and a column of mixed types renders each value as a column of
+one. Only the root and its direct children are written chunk by chunk; each
+deeper value is rendered whole (see there).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -88,7 +93,7 @@ class _Indents(dict):
 _INDENT = _Indents()
 # json's text of the three floats float.__repr__ writes otherwise
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Encoders of the exact scalar types; bool is found here before int.
+# Encoders of the exact scalar types
 _SCALARS = {
     str: _encode_str,
     float: float.__repr__,
@@ -102,45 +107,21 @@ _STREAMED_DEPTHS = 2
 _SAMPLE = 64
 
 
-def _scalar_fallback(o) -> str | None:
-    """json's text of a scalar of any type, tested in json's order (a str,
-    int or float subclass such as ``IntEnum`` or ``np.float64`` is written
-    as its base type); ``None`` for anything else."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
-    return None
-
-
 def _key(key) -> str:
-    """An encoded dict key with its separator (``'"w": '``); a bool, int,
-    float or None key is converted as json converts it."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        key = _scalar_fallback(key)
+    """An encoded str key with its separator (``'"w": '``)."""
+    if type(key) is not str:
+        raise TypeError(f"keys must be str, not {key.__class__.__name__}")
     return _encode_str(key) + ": "
 
 
 def _entries(o):
-    """json's view of a list, tuple or dict: its brackets, the key heads of a
-    dict (``None`` for the others) and its values; ``None`` for anything else."""
-    if isinstance(o, (list, tuple)):
+    """The brackets, the key heads of a dict (``None`` for a list or tuple)
+    and the values of an exact list, tuple or dict; ``None`` for anything
+    else."""
+    if type(o) is list or type(o) is tuple:
         return "[]", None, list(o)
-    if isinstance(o, dict):
-        # sorted() raises TypeError on mixed key types, as json's does
+    if type(o) is dict:
+        # sorted() raises TypeError on mixed key types
         items = sorted(o.items())
         return "{}", [_key(k) for k, _ in items], [v for _, v in items]
     return None
@@ -180,17 +161,13 @@ def _weave(openers: list[str], cols: list[list[str]], glue: list[str], end: str)
 
 
 def _rows(dicts: list, depth: int):
-    """Exact dicts that share one non-empty all-str key set as ``(opening,
-    columns, glue, closing)``: the text of dict ``i`` is ``opening +
-    columns[0][i] + glue[0] + columns[1][i] + ... + closing``, one column
-    per sorted key. ``None`` if they do not share one."""
+    """Exact dicts that share one non-empty key set as ``(opening, columns,
+    glue, closing)``: the text of dict ``i`` is ``opening + columns[0][i] +
+    glue[0] + columns[1][i] + ... + closing``, one column per sorted key.
+    ``None`` if they do not share one. The keys are those of the first dict
+    (``_key`` refuses one that is not a str); the others are read by them."""
     first = dicts[0]
-    if (
-        not first
-        or set(map(type, dicts)) != {dict}
-        or not all(type(k) is str for k in first)
-        or set(map(len, dicts)) != {len(first)}
-    ):
+    if not first or set(map(type, dicts)) != {dict} or set(map(len, dicts)) != {len(first)}:
         return None
     keys = sorted(first)
     try:
@@ -229,39 +206,26 @@ def _lists(lists: list, depth: int) -> list[str]:
 
 
 def _texts(values: list, depth: int) -> list[str]:
-    """The JSON text of each of ``values``, all at ``depth``."""
+    """The JSON text of each of ``values``, all at ``depth``. A column of
+    mixed types renders each value as a one-value column; a value of any
+    other type than those ``dump_json`` takes raises ``TypeError``."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _SCALARS:
         return _encoded(values, kind)
-    if kind is list:
+    if kind is list or kind is tuple:
         return _lists(values, depth)
-    if kind is dict:
-        rows = _rows(values, depth)
-        if rows is not None:
-            opening, cols, glue, closing = rows
-            openers = [opening] + [closing + "\0" + opening] * (len(values) - 1)
-            text = _weave(openers, cols, glue, closing)
-            return text.split("\0") if len(values) > 1 else [text]
-    return [_value(v, depth) for v in values]
-
-
-def _value(o, depth: int) -> str:
-    """One value of any type; what json refuses raises ``TypeError``."""
-    text = _scalar_fallback(o)
-    if text is not None:
-        return text
-    entries = _entries(o)
-    if entries is None:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    _, heads, values = entries
-    if heads is None:
-        return _lists([values], depth)[0]
-    if not values:
-        return "{}"
-    nl = _INDENT[depth + 1]
-    texts = map(add, heads, _texts(values, depth + 1))
-    return "{" + nl + ("," + nl).join(texts) + _INDENT[depth] + "}"
+    rows = _rows(values, depth) if kind is dict else None
+    if rows is not None:
+        opening, cols, glue, closing = rows
+        openers = [opening] + [closing + "\0" + opening] * (len(values) - 1)
+        text = _weave(openers, cols, glue, closing)
+        return text.split("\0") if len(values) > 1 else [text]
+    if len(values) > 1:
+        return [_texts([v], depth)[0] for v in values]
+    if kind is dict:  # one dict that no rows describe is empty
+        return ["{}"]
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _stream(o, depth: int, out: list[str]) -> None:
@@ -281,26 +245,31 @@ def _stream(o, depth: int, out: list[str]) -> None:
 
 
 def dump_json(obj) -> str:
-    """Canonical JSON: for every object ``json.dumps`` accepts, exactly
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, the reference the
-    tests compare against; what ``json.dumps`` refuses raises ``TypeError``.
+    """Canonical JSON of a document made of exact ``dict`` (with ``str``
+    keys), ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and
+    ``None``: exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    the reference the tests compare against. Any other value raises
+    ``TypeError``, a subclass of one of these types (an ``IntEnum``, an
+    ``np.float64``, an ``OrderedDict``, a namedtuple) and a non-str key
+    included, although ``json.dumps`` writes them.
 
     The standard library uses its C encoder only without ``indent``; with it,
     every value passes up through a stack of Python generators. Here values
-    are rendered by columns. A list whose values share one exact scalar type
-    is one ``map`` of that type's encoder; in a long float or str column that
-    repeats, each distinct value is encoded once (``_encoded``). A list of
-    exact dicts sharing one all-str key set is split into one column per key,
-    and a list of lists into the one column of their members; the columns
-    are interleaved with the constant text between them (keys, indents,
-    brackets, separators) and joined once (``_weave``), and a join that
-    holds several lists is cut at the NUL put after each, a character
-    canonical JSON never holds raw. Any other value (a subclass, a tuple, a
-    non-str key, a mixed list) is rendered one by one. The root and its
-    direct children are written chunk by chunk into one list joined at the
-    end; each deeper value (one user's block of a discover payload) is
-    rendered whole, so the document is built once, by that join, and no
-    column outlives its block.
+    are rendered by columns (``_texts``). A list whose values share one
+    scalar type is one ``map`` of that type's encoder; in a long float or
+    str column that repeats, each distinct value is encoded once
+    (``_encoded``). A list of dicts sharing one key set is split into one
+    column per key, and a list of lists or tuples into the one column of
+    their members; the columns are interleaved with the constant text
+    between them (keys, indents, brackets, separators) and joined once
+    (``_weave``), and a join that holds several lists is cut at the NUL put
+    after each, a character canonical JSON never holds raw. A column of
+    mixed types renders each value as a column of its own. The keys of a
+    column of dicts are checked on its first dict, the others are read by
+    them. The root and its direct children are written chunk by chunk into
+    one list joined at the end; each deeper value (one user's block of a
+    discover payload) is rendered whole, so the document is built once, by
+    that join, and no column outlives its block.
     """
     out: list[str] = []
     _stream(obj, 0, out)

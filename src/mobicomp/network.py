@@ -25,6 +25,7 @@ biases, and optimizer moments round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -269,7 +270,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
+        n = math.prod(shape)  # exact: np.prod wraps around in int64
         raw = self.take(n * 8)
         return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 

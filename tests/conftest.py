@@ -1,5 +1,8 @@
 """Shared builders for desk-size test universes."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,29 @@ def random_universe(rng, n_services, n_steps, area=100.0, r_s=15.0):
         for i in range(n_services)
     ]
     return services, user
+
+
+def policy_file(net_blob: bytes) -> bytes:
+    """A policy model file holding ``net_blob``, laid out as
+    ``agent.save_model`` writes one, with a valid header."""
+    header = json.dumps(
+        {"action_ids": ["a", "__dummy__"], "extents": dict.fromkeys(
+            ["t_min", "t_max", "x_min", "x_max", "y_min", "y_max"], 0.0)},
+        sort_keys=True,
+    ).encode()
+    return b"".join([
+        b"MPOL", struct.pack("<I", 1), struct.pack("<I", len(header)), header,
+        struct.pack("<I", len(net_blob)), net_blob,
+    ])
+
+
+def wrapping_network_blob() -> bytes:
+    """A network checkpoint whose widths are all 2**32 - 1, with a first layer
+    of that shape and 64 bytes after it: the layer's (2**32 - 1)**2 weights
+    wrap around in int64."""
+    wide = 2**32 - 1
+    head = struct.pack("<4sIIIIIdQBQ", b"MNET", 1, wide, 1, wide, wide, 0.0, 0, 1, 0)
+    return head + struct.pack("<II", wide, wide) + bytes(64)
 
 
 def make_env(services, users, qos=None, w=2, rewards=None):

@@ -22,7 +22,7 @@ from mobicomp.errors import CheckpointError, ConfigError, InvalidInputError
 from mobicomp.network import NetworkSpec, init_network
 from mobicomp.oracle import DUMMY_SERVICE
 
-from conftest import line_user, make_env, service_tracking
+from conftest import line_user, make_env, policy_file, service_tracking, wrapping_network_blob
 
 EXTENTS = Extents(t_min=0, t_max=1, x_min=0, x_max=1, y_min=0, y_max=1)
 
@@ -383,6 +383,40 @@ class TestModelSerialization:
         ])
         with pytest.raises(CheckpointError, match="header"):
             load_model(data)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("short", "bad magic"),
+            ("magic", "bad magic"),
+            ("version", "unsupported policy model version 2"),
+            ("header_length", "truncated policy model header"),
+            ("truncated", "truncated or oversized"),
+            ("oversized", "truncated or oversized"),
+        ],
+    )
+    def test_bad_container_is_checkpoint_error(self, case, message):
+        data = policy_file(network.save(init_network(NetworkSpec(3, (4,), 2), seed=0)))
+        data = {
+            "short": data[:11],
+            "magic": b"MNET" + data[4:],
+            "version": data[:4] + struct.pack("<I", 2) + data[8:],
+            "header_length": data[:8] + struct.pack("<I", len(data)) + data[12:],
+            "truncated": data[:-1],
+            "oversized": data + b"\x00",
+        }[case]
+        with pytest.raises(CheckpointError, match=message):
+            load_model(data)
+
+    def test_network_too_large_for_int64_is_truncated(self):
+        data = policy_file(wrapping_network_blob())
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_model(data)
+
+    @pytest.mark.parametrize("field", ["repetition", "train_interval"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= 1, got 0"):
+            AgentConfig(**{field: 0})
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -17,6 +17,8 @@ from mobicomp.ioutil import sha256_file
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode, Trajectory, TrajectoryPoint
 
+from conftest import policy_file, wrapping_network_blob
+
 SPEC = {
     "n_services": 6,
     "n_users": 4,
@@ -336,6 +338,12 @@ def bad_value_case(case, bundle, tmp_path):
         cfg["qos"] = {"r_s_meters": 0}
         (bundle / "scenario.json").write_text(json.dumps(cfg))
         return discover, str(bundle / "scenario.json")
+    if case in BAD_SCENARIO_KEYS:
+        key, value = BAD_SCENARIO_KEYS[case]
+        cfg = json.loads((bundle / "scenario.json").read_text())
+        cfg[key] = value
+        (bundle / "scenario.json").write_text(json.dumps(cfg))
+        return discover, f"{bundle / 'scenario.json'}: {key} "
     if case == "train_negative_seed":
         return [*train, *FAST_FLAGS, "--seed", "-1"], "seed"
     if case == "evaluate_negative_seed":
@@ -355,10 +363,22 @@ def bad_value_case(case, bundle, tmp_path):
     return [*train, *FAST_FLAGS], f"{bundle / 'users.csv'} line "
 
 
+# a scenario.json key that holds a value of the wrong type; each is refused
+# when the file is read, "default_service_qos" too, although every generated
+# service has its own service_qos entry
+BAD_SCENARIO_KEYS = {
+    "scenario_services_csv_number": ("services_csv", 5),
+    "scenario_users_csv_list": ("users_csv", ["users.csv"]),
+    "scenario_qos_list": ("qos", []),
+    "scenario_rewards_str": ("rewards", "x"),
+    "scenario_service_qos_list": ("service_qos", []),
+    "scenario_default_service_qos_number": ("default_service_qos", 5),
+}
+
 BAD_VALUES = [
     "evaluate_negative_seed", "ingest_r_s_zero", "ingest_rate_nan", "ingest_w_zero",
-    "scenario_r_s_zero", "services_t_nan", "train_epsilon_min_nan", "train_lr_inf",
-    "train_lr_negative", "train_negative_seed", "users_x_inf",
+    "scenario_r_s_zero", *BAD_SCENARIO_KEYS, "services_t_nan", "train_epsilon_min_nan",
+    "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
 ]
 
 
@@ -683,6 +703,40 @@ def test_evaluate_reports_in_one_directory_keep_their_series(bundle, tmp_path):
         "oracle_discovery", "oracle_discovery_warm", "model_training", "agent_selection"
     ]
     assert not (tmp_path / "series.csv").exists()
+
+
+def test_evaluate_convergence_reports_each_count(bundle, tmp_path, capsys):
+    out = tmp_path / "conv.json"
+    args = ["evaluate", "--scenario", str(bundle / "scenario.json"), "--mode", "convergence",
+            "--counts", "2", "6", "--out", str(out), *FAST_FLAGS]
+    assert dispatch(args) == 0
+    report = json.loads(out.read_text())
+    assert report["mode"] == "convergence"
+    assert [r["n_services"] for r in report["reports"]] == [2, 6]
+    rounds = [r["convergence_round"] for r in report["reports"]]
+    assert all(1 <= n <= len(r["series"]) for n, r in zip(rounds, report["reports"]))
+    series = (tmp_path / "conv.series.csv").read_text().splitlines()
+    assert series[0] == "n_services,round,moving_average"
+    assert len(series) == 1 + sum(len(r["series"]) for r in report["reports"])
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("evaluate ok ")
+    fields = dict(part.split("=", 1) for part in line.split()[2:])
+    assert fields["mode"] == "convergence"
+    assert fields["rounds"] == ",".join(map(str, rounds))
+
+
+def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
+    # a layer of (2**32 - 1)**2 weights, which wraps around in int64
+    model = tmp_path / "wrapping.ckpt"
+    model.write_bytes(policy_file(wrapping_network_blob()))
+    out = tmp_path / "p.json"
+    code = dispatch(
+        ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
+         "--user", "user:u0000", "--out", str(out), "--quiet"]
+    )
+    assert code == 1
+    assert_one_error_line(capsys, "CheckpointError", "truncated")
+    assert not out.exists()
 
 
 def test_evaluate_threshold_gates_exit_code(bundle, tmp_path):

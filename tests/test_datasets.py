@@ -173,6 +173,7 @@ class TestScenarioBundle:
             ("rewards", "dummy"),
             ("service_qos", "s0000", "bandwidth_bps"),
             ("service_qos", "s0000", "max_concurrent"),
+            ("service_qos", "s0000"),
         ],
     )
     def test_non_numeric_value_names_file_and_key(self, tmp_path, keys):
@@ -262,6 +263,17 @@ class TestIngestIndoor:
         result = ingest_indoor(raw, rate=0.04)
         assert result.skipped_rows == 1
         assert len(result.trajectories) == 1
+
+    def test_trace_covering_fewer_than_two_grid_points_rejected(self, tmp_path):
+        raw = tmp_path / "indoor.csv"
+        raw.write_text(
+            "person,time,x,y\n"
+            "p1,0.00,0.0,0.0\np1,0.01,1.0,0.0\n"
+            "p2,0.00,0.0,1.0\np2,0.04,1.0,1.0\n"
+        )
+        result = ingest_indoor(raw, rate=0.04)
+        assert result.rejected_ids == ["p1"]
+        assert [pid for pid, _ in result.trajectories] == ["p2"]
 
     def test_empty_file_rejected(self, tmp_path):
         raw = tmp_path / "empty.csv"

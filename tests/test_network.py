@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from mobicomp.network import (
     save,
     train_batch,
 )
+
+from conftest import wrapping_network_blob
 
 
 def zeroed(spec, seed=0):
@@ -287,6 +291,25 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError):
             load(b"NOPE" + b"\x00" * 64)
+
+    def test_unsupported_version_rejected(self):
+        blob = bytearray(save(self._trained_state()))
+        blob[4:8] = struct.pack("<I", 2)
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+            load(bytes(blob))
+
+    def test_layer_shape_other_than_the_spec_rejected(self):
+        blob = bytearray(save(self._trained_state()))
+        # the first layer's rows follow the header (input 2, hidden 5, output 3)
+        at = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8
+        assert struct.unpack("<II", blob[at : at + 8]) == (2, 5)
+        blob[at : at + 8] = struct.pack("<II", 5, 2)
+        with pytest.raises(CheckpointError, match=r"layer shape \(5, 2\)"):
+            load(bytes(blob))
+
+    def test_layer_too_large_for_int64_is_truncated(self):
+        with pytest.raises(CheckpointError, match="truncated"):
+            load(wrapping_network_blob())
 
     @pytest.mark.parametrize("byte", [0, 2])
     def test_optimizer_other_than_adam_rejected(self, byte):
