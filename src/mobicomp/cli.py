@@ -29,11 +29,12 @@ from .datasets import (
     ingest_gps,
     ingest_indoor,
     load_scenario,
+    load_users,
     split_services_users,
     split_train_test,
     write_scenario_bundle,
 )
-from .errors import InvalidInputError, MobicompError
+from .errors import CheckpointError, InvalidInputError, MobicompError
 from .ioutil import (
     atomic_write_bytes,
     atomic_write_text,
@@ -49,7 +50,6 @@ from .trajectories import (
     DistanceMode,
     MovingService,
     UserTrajectory,
-    load_trajectories_csv,
 )
 
 
@@ -274,8 +274,7 @@ def _select_users(scenario: Scenario, user_arg: str | None):
         return matches, {}
     candidate = Path(user_arg)
     if candidate.exists():
-        users = [UserTrajectory(id=i, trajectory=t) for i, t in load_trajectories_csv(candidate)]
-        return users, {"user": candidate}
+        return load_users(candidate), {"user": candidate}
     raise InvalidInputError(f"user {user_arg!r} not in scenario and not a readable CSV")
 
 
@@ -325,7 +324,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
-    model = agent_mod.load_model(read_input(args.model))
+    try:
+        model = agent_mod.load_model(read_input(args.model))
+    except CheckpointError as exc:
+        raise CheckpointError(f"{args.model}: {exc}") from None
     users, user_input = _select_users(scenario, args.user)
     env = eval_mod.build_environment(scenario)
     blocks = []

@@ -343,8 +343,24 @@ def _csv_path(path: Path, key: str, name) -> Path:
     return path.parent / name
 
 
+def _built(files, make, *args):
+    """``make(*args)``, with an ``InvalidInputError`` it raises prefixed by
+    ``files``, the file or files that hold the refused values."""
+    try:
+        return make(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{files}: {exc}") from None
+
+
+def load_users(path: str | Path) -> list[UserTrajectory]:
+    """The users of a trajectory CSV; a user off the integer grid is an
+    ``InvalidInputError`` naming the file and the user."""
+    return [_built(path, UserTrajectory, *row) for row in load_trajectories_csv(path)]
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario.json and its referenced trajectory CSVs."""
+    """Load a scenario.json and its referenced trajectory CSVs; a service that
+    cannot be built is an ``InvalidInputError`` naming its id and both files."""
     path = Path(path)
     cfg = read_json_object(path)
     try:
@@ -379,21 +395,12 @@ def load_scenario(path: str | Path) -> Scenario:
     for sid, traj in load_trajectories_csv(services_csv):
         entry = _section(path, service_qos, sid, default_qos, where=" in service_qos")
         where = f" for service {sid}"
-        services.append(
-            MovingService(
-                id=sid,
-                trajectory=traj,
-                bandwidth_b=_number(path, entry, "bandwidth_bps", where=where),
-                max_concurrent_k=_number(path, entry, "max_concurrent", kind=int, where=where),
-            )
-        )
-    users = [
-        UserTrajectory(id=uid, trajectory=traj)
-        for uid, traj in load_trajectories_csv(users_csv)
-    ]
+        bandwidth = _number(path, entry, "bandwidth_bps", where=where)
+        k = _number(path, entry, "max_concurrent", kind=int, where=where)
+        services.append(_built(f"{services_csv}, {path}", MovingService, sid, traj, bandwidth, k))
     return Scenario(
         services=services,
-        users=users,
+        users=load_users(users_csv),
         qos_params=qos_params,
         w=_number(path, cfg, "w", ScenarioSpec.w, kind=int),
         mode=mode,

@@ -92,19 +92,16 @@ class Environment:
         qos_params: QosParams,
         w: int,
         mode: DistanceMode,
-        extents: Extents | None = None,
+        extents: Extents,
         rewards: RewardScheme = RewardScheme(),
     ):
-        self.services = list(services)
         self.qos_params = qos_params
         self.w = w
         self.mode = mode
         self.rewards = rewards
-        self.universe = ServiceColumns(self.services)
-        self.action_ids: tuple[str, ...] = tuple(
-            sorted(s.id for s in self.services)
-        ) + (DUMMY_SERVICE,)
-        self.reward_scale = reward_scale(self.services)
+        self.universe = ServiceColumns(services)
+        self.action_ids: tuple[str, ...] = (*self.universe.ids.tolist(), DUMMY_SERVICE)
+        self.reward_scale = reward_scale(self.universe.services)
         self.extents = extents
         # keyed by the whole user: one id may name different trajectories
         self._tables: dict[UserTrajectory, CandidateTable] = {}
@@ -127,8 +124,6 @@ class Environment:
         return table
 
     def reset(self, user: UserTrajectory) -> np.ndarray:
-        if self.extents is None:
-            raise InvalidInputError("environment has no normalisation extents set")
         self._user = user
         self._capacity_at = self.table_for(user).capacity_at
         self._timesteps = user.trajectory.t.astype(np.int64).tolist()

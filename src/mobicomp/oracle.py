@@ -1,22 +1,26 @@
 """Ground-truth discovery of co-moving services and the optimal composition.
 
-A map-reduce over one user trajectory against ``ServiceColumns``, the service
-universe as flat columns, one row per service sample, sorted by integer
-timestep and, within a timestep, by y. The temporal join finds each user
-timestep's block of rows by binary search and keeps it as bounds. The spatial
-filter reads only the band of each block whose y lies within about ``r_s`` of
-the user's y, one run of rows found by two binary searches over the
-universe's (block, y) keys, since a sample farther off in y is farther off in
-distance. It tests those rows against the search disk with numpy, widened by
-a small relative margin; the survivors' exact point distance (``math.hypot``
-or the haversine) makes the strict ``< r_s`` decision. The pairs left are
-priced as columns: ``perpendicular_distance``, ``strength`` and ``capacity``
-each run once per user over all of them, with numpy doing only the steps
-that are exact in IEEE arithmetic and ``math`` the rounded ones, so every
-emitted float is the one-pair formula's, bit for bit. The reduce phase sorts
-the pairs by service and timestep in integer numpy and keeps services paired
-over at least ``w`` strictly consecutive timesteps; a ``CandidateTable`` holds
-the survivors as columns, and the plan and the JSON rows are read from them.
+Services and users are samples on one integer grid and service ids are unique
+(``MovingService``, ``UserTrajectory`` and ``ServiceColumns`` refuse anything
+else), so user sample i is joined timestep i and a (timestep, service) pair
+occurs at most once. Discovery is a map-reduce over one user trajectory
+against ``ServiceColumns``, the service universe as flat columns, one row per
+service sample, sorted by timestep and, within a timestep, by y. The temporal
+join finds each user timestep's block of rows by binary search and keeps it as
+bounds. The spatial filter reads only the band of each block whose y lies
+within about ``r_s`` of the user's y, one run of rows found by two binary
+searches over the universe's (block, y) keys, since a sample farther off in y
+is farther off in distance. It tests those rows against the search disk with
+numpy, widened by a small relative margin; the survivors' exact point distance
+(``math.hypot`` or the haversine) makes the strict ``< r_s`` decision. The
+pairs left are priced as columns: ``perpendicular_distance``, ``strength`` and
+``capacity`` each run once per user over all of them, with numpy doing only
+the steps that are exact in IEEE arithmetic and ``math`` the rounded ones, so
+every emitted float is the one-pair formula's, bit for bit. The reduce phase
+sorts the pairs by service and timestep in integer numpy and keeps services
+paired over at least ``w`` strictly consecutive timesteps; a
+``CandidateTable`` holds the survivors as columns, and the plan and the JSON
+rows are read from them.
 """
 
 from __future__ import annotations
@@ -30,31 +34,27 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError
+from .errors import InvalidInputError
 from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
-    EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, check_gps, distances,
-    haversine_m,
+    DUMMY_SERVICE, EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, check_gps,
+    distances, haversine_m,
 )
-
-DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action
 
 
 @dataclass(frozen=True, eq=False)
 class DiskPairs:
-    """Every (user timestep, service sample) pair strictly inside the search
-    disk, priced, as columns in join order: by timestep, then the services'
-    order, then sample order (the universe's ``sample``). ``service``
-    indexes the universe's services; ``ids`` and ``rank`` are the
-    universe's (see ``ServiceColumns``)."""
+    """Every (user timestep, service) pair strictly inside the search disk,
+    priced, as columns in join order: by timestep, then service, each pair
+    once (a service has at most one sample per timestep). ``service``
+    indexes the universe's services, in id order, and ``ids`` are theirs."""
 
     timestep: np.ndarray  # int64
-    service: np.ndarray  # int64
+    service: np.ndarray  # int32
     distance: np.ndarray
     strength: np.ndarray
     capacity: np.ndarray
     ids: np.ndarray
-    rank: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestep)
@@ -114,13 +114,6 @@ class CompositionPlan:
 DISK_MARGIN = 1e-6
 
 
-def _int_timesteps(t: np.ndarray) -> np.ndarray:
-    """Integer timesteps ``int(t)`` of a column of non-negative times."""
-    if t.size and t.max() >= 2.0**63:
-        raise InvalidInputError("timestep beyond the 64-bit integer range")
-    return t.astype(np.int64)
-
-
 def _band_keys(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     """Complex keys ``real + 1j*imag``, built without rounding either part;
     numpy orders and searches complex values by real part, then imaginary."""
@@ -130,44 +123,43 @@ def _band_keys(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 
 
 def _band_sorted(services: Sequence[MovingService]):
-    """The services' samples sorted by (integer timestep, y): the distinct
+    """The services' samples sorted by (timestep, y): the distinct
     timesteps, their row bounds, the sorted band keys, and per row x and the
-    sample's position in the services' samples concatenated (int32). Each
-    concatenated column is dropped once used, which keeps the peak memory of
-    the build near what its result holds."""
+    index of its service (int32). Each concatenated column is dropped once
+    used, which keeps the peak memory of the build near what its result
+    holds."""
     trajs = [s.trajectory for s in services]
 
     def column(name):
         # the empty column keeps concatenate defined for an empty universe
         return np.concatenate([np.empty(0)] + [getattr(tr, name) for tr in trajs])
 
-    steps = _int_timesteps(column("t"))
-    if len(steps) > np.iinfo(np.int32).max:
-        raise InvalidInputError(f"{len(steps)} service samples, more than int32 positions")
-    sample = np.argsort(steps, kind="stable")
-    timesteps, first = np.unique(steps[sample], return_index=True)
+    steps = column("t").astype(np.int64)
+    order = np.argsort(steps, kind="stable")
+    timesteps, first = np.unique(steps[order], return_index=True)
     bounds = np.append(first, len(steps))
     del steps
     y = column("y")
-    key = _band_keys(np.repeat(bounds[:-1], np.diff(bounds)), y[sample])
-    sample = sample[key.argsort()]
+    key = _band_keys(np.repeat(bounds[:-1], np.diff(bounds)), y[order])
+    order = order[key.argsort()]
     # sorting moves rows only within their block, so the real parts
     # already stand in sorted order
-    key.imag = y[sample]
+    key.imag = y[order]
     del y
-    return timesteps, bounds, key, column("x")[sample], sample.astype(np.int32)
+    service = np.repeat(np.arange(len(trajs), dtype=np.int32), [len(tr) for tr in trajs])
+    return timesteps, bounds, key, column("x")[order], service[order]
 
 
 class ServiceColumns:
     """The service universe as flat columns, one row per service sample,
-    sorted by integer timestep ``int(t)`` and, within one timestep, by y.
+    sorted by timestep and, within one timestep, by y. Service ids must be
+    unique, and every service lies on the integer grid, so a block holds at
+    most one row of each service.
 
     The rows of ``timesteps[i]`` are ``bounds[i]:bounds[i + 1]``, its block;
-    ``x``/``y`` are the sample's position. ``sample`` (int32) is the sample's
-    position when all samples are listed service by service, in the services'
-    order and each service's in time order: within a block, it gives the
-    join order. ``offsets`` holds each service's first such position, so
-    ``service_of`` maps rows to services.
+    ``x``/``y`` are the sample's position and ``service`` (int32) the index
+    of its service in ``services``, held in id order, so ``service`` orders
+    rows by id, the join order within a block.
 
     The band index: ``band_key`` holds each row's key, its block start
     ``bounds[i]`` plus ``1j*y``, and is sorted; ``y`` is its imaginary part.
@@ -175,27 +167,21 @@ class ServiceColumns:
     one run, found by two binary searches over it. The index holds no radius
     and no distance mode.
 
-    Per service, in the services' (bundle) order: ``ids``, ``bandwidth``,
-    ``max_k``, and ``rank``, the position of its id among the distinct ids
-    sorted, which orders rows by id. Built once per scenario and read-only
-    afterwards.
+    Per service, in id order: ``ids``, ``bandwidth`` and ``max_k``. Built
+    once per scenario and read-only afterwards.
     """
 
     def __init__(self, services: Sequence[MovingService]):
-        self.services = tuple(services)
-        self.timesteps, self.bounds, self.band_key, self.x, self.sample = _band_sorted(self.services)
-        self.y = self.band_key.imag
-        self.offsets = np.cumsum([0] + [len(s.trajectory) for s in self.services])[:-1]
+        self.services = tuple(sorted(services, key=lambda s: s.id))
         ids = [s.id for s in self.services]
-        position = {sid: i for i, sid in enumerate(sorted(set(ids)))}
+        repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+        if repeated:
+            raise InvalidInputError(f"repeated service id {repeated[0]!r}")
+        self.timesteps, self.bounds, self.band_key, self.x, self.service = _band_sorted(self.services)
+        self.y = self.band_key.imag
         self.ids = np.array(ids, dtype=object)
-        self.rank = np.array([position[sid] for sid in ids], dtype=np.int64)
         self.bandwidth = np.array([s.bandwidth_b for s in self.services], dtype=np.float64)
         self.max_k = np.array([s.max_concurrent_k for s in self.services])
-
-    def service_of(self, rows: np.ndarray) -> np.ndarray:
-        """Index into ``services`` of each of ``rows``."""
-        return np.searchsorted(self.offsets, self.sample[rows], side="right") - 1
 
     @cached_property
     def gps_bad_before(self) -> np.ndarray:
@@ -205,11 +191,11 @@ class ServiceColumns:
 
 
 class JoinedSamples(Mapping):
-    """Result of the temporal join: for each distinct user timestep, the
-    universe rows sharing it, ``start[i]:start[i] + count[i]`` for
-    ``timesteps[i]``, possibly none. The rows are kept as these bounds and
-    listed, in universe order, only when one timestep is looked up; the
-    universe's ``sample`` orders them as joined."""
+    """Result of the temporal join: for user sample i, at ``timesteps[i]``,
+    the universe rows sharing its timestep, ``start[i]:start[i] + count[i]``,
+    possibly none. The rows are kept as these bounds and listed, in universe
+    order, only when one timestep is looked up; the universe's ``service``
+    orders them as joined."""
 
     def __init__(self, timesteps: np.ndarray, start: np.ndarray, count: np.ndarray):
         self.timesteps, self.start, self.count = timesteps, start, count
@@ -230,13 +216,13 @@ class JoinedSamples(Mapping):
 def temporal_map(universe: ServiceColumns, user: UserTrajectory) -> JoinedSamples:
     """Left-outer join of service samples onto the user's timesteps.
 
-    Every distinct integer user timestep maps to the universe rows sharing
-    it; timesteps no service covers map to no rows. Each timestep's rows are
-    one contiguous block of the timestep-sorted universe, found by binary
-    search over the universe's distinct timesteps, so the cost follows the
-    user's sample count, never the rows joined or the timestep values.
+    Every user timestep, one per user sample, maps to the universe rows
+    sharing it; timesteps no service covers map to no rows. Each timestep's
+    rows are one contiguous block of the timestep-sorted universe, found by
+    binary search over the universe's distinct timesteps, so the cost follows
+    the user's sample count, never the rows joined or the timestep values.
     """
-    timesteps = np.unique(_int_timesteps(user.trajectory.t))
+    timesteps = user.trajectory.t.astype(np.int64)
     start = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="left")]
     count = universe.bounds[np.searchsorted(universe.timesteps, timesteps, side="right")] - start
     return JoinedSamples(timesteps, start, count)
@@ -263,34 +249,27 @@ def spatial_map(
     """
     r_s = qos_params.sensing_radius_rs
     traj = user.trajectory
-    start, count = joined.start, joined.count
-    # index of the user sample at each joined timestep; a timestep with
-    # joined rows needs a user sample at exactly that timestep
-    at = np.minimum(np.searchsorted(traj.t, joined.timesteps), len(traj) - 1)
-    absent = (traj.t[at] != joined.timesteps) & (count > 0)
-    if absent.any():
-        raise OutOfRangeError(f"no sample at timestep {joined.timesteps[np.argmax(absent)]}")
-    # index of the user sample at t + 1, or at t where there is none
-    nxt = np.minimum(at + 1, len(traj) - 1)
-    nxt = np.where(traj.t[nxt] == joined.timesteps + 1, nxt, at)
+    ts, start, count = joined.timesteps, joined.start, joined.count
+    # joined timestep i is user sample i; the sample at t + 1 is the next
+    # one, or sample i itself where there is none
+    nxt = np.arange(len(ts)) + np.append(np.diff(ts) == 1, False)
     if mode is DistanceMode.HAVERSINE:
-        _check_joined_gps(universe, start, count, traj.x[at], traj.y[at])
+        _check_joined_gps(universe, start, count, traj.x, traj.y)
 
     # each joined timestep's band: one run of the band index
     joins = np.flatnonzero(count)
-    block, uy, h = start[joins], traj.y[at[joins]], _band_half_width(r_s, mode)
+    block, uy, h = start[joins], traj.y[joins], _band_half_width(r_s, mode)
     lo = np.searchsorted(universe.band_key, _band_keys(block, uy - h), side="left")
     width = np.searchsorted(universe.band_key, _band_keys(block, uy + h), side="right") - lo
     offset = np.cumsum(width) - width
     rows = np.arange(width.sum()) + np.repeat(lo - offset, width)
     step = np.repeat(joins, width)
-    a = at[step]
-    sx, sy = universe.x[rows], universe.y[rows]
-    near = np.flatnonzero(distances(traj.x[a], traj.y[a], sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
-    # back to join order: by timestep, then sample
-    near = near[np.lexsort((universe.sample[rows[near]], step[near]))]
-    rows, step, a = rows[near], step[near], a[near]
-    ax, ay, px, py = traj.x[a], traj.y[a], sx[near], sy[near]
+    ax, ay, sx, sy = traj.x[step], traj.y[step], universe.x[rows], universe.y[rows]
+    near = np.flatnonzero(distances(ax, ay, sx, sy, mode) < r_s * (1.0 + DISK_MARGIN))
+    # back to join order: by timestep, then service
+    near = near[np.lexsort((universe.service[rows[near]], step[near]))]
+    rows, step = rows[near], step[near]
+    ax, ay, px, py = ax[near], ay[near], sx[near], sy[near]
     if mode is DistanceMode.HAVERSINE:
         d = map(haversine_m, ax.tolist(), ay.tolist(), px.tolist(), py.tolist())
     else:
@@ -300,13 +279,13 @@ def spatial_map(
     step, rows, d = step[inside], rows[inside], d[inside]
     ax, ay, px, py = ax[inside], ay[inside], px[inside], py[inside]
     b = nxt[step]
-    service = universe.service_of(rows)
+    service = universe.service[rows]
     pdis = perpendicular_distance(px, py, ax, ay, traj.x[b], traj.y[b], mode)
     s = strength(pdis, qos_params)
     cap = capacity(s, universe.bandwidth[service], universe.max_k[service])
     return DiskPairs(
-        timestep=joined.timesteps[step], service=service, distance=d, strength=s, capacity=cap,
-        ids=universe.ids, rank=universe.rank,
+        timestep=ts[step], service=service, distance=d, strength=s, capacity=cap,
+        ids=universe.ids,
     )
 
 
@@ -335,10 +314,11 @@ def _check_joined_gps(
     universe: ServiceColumns, start: np.ndarray, count: np.ndarray, ux: np.ndarray, uy: np.ndarray
 ) -> None:
     """Range-check every joined pair, inside the disk or not: raise for the
-    first one in join order that holds a coordinate out of the GPS range,
-    naming its user sample if that is out of range, else its service sample.
-    The user samples ``(ux, uy)`` are per joined timestep; service rows are
-    counted through ``gps_bad_before``, not gathered."""
+    first one in join order (by timestep, then service id) that holds a
+    coordinate out of the GPS range, naming its user sample if that is out
+    of range, else its service sample. The user samples ``(ux, uy)`` are per
+    joined timestep; service rows are counted through ``gps_bad_before``,
+    not gathered."""
     before = universe.gps_bad_before
     bad_rows = before[start + count] - before[start]
     failing = (count > 0) & (_out_of_gps_range(ux, uy) | (bad_rows > 0))
@@ -347,28 +327,22 @@ def _check_joined_gps(
         check_gps(float(ux[i]), float(uy[i]))
         block = slice(start[i], start[i] + count[i])
         bad = np.flatnonzero(_out_of_gps_range(universe.x[block], universe.y[block]))
-        j = start[i] + bad[np.argmin(universe.sample[block][bad])]
+        j = start[i] + bad[np.argmin(universe.service[block][bad])]
         check_gps(float(universe.x[j]), float(universe.y[j]))
 
 
 def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
     """Keep services paired over runs of >= w consecutive timesteps.
 
-    The pairs are sorted once, by service id and then timestep, in integer
-    numpy. Of two samples of a service in one integer timestep the later one
-    is kept, and runs split where consecutive timesteps differ by more than
-    one. The survivors are re-sorted by timestep, then id.
+    Each (timestep, service) pair occurs once, and ``service`` indexes
+    services in id order. The pairs are sorted once, by service and then
+    timestep, in integer numpy, and runs split where consecutive timesteps
+    differ by more than one. The survivors are re-sorted by timestep, then id.
     """
     if w < 1:
         raise InvalidInputError(f"w must be >= 1, got {w}")
-    key = pairs.rank[pairs.service]
-    # lexsort is stable: within one (id, timestep) the join order, samples
-    # in time order, is kept, so the last of each group is the later sample
-    order = np.lexsort((pairs.timestep, key))
-    ts, key = pairs.timestep[order], key[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (key[1:] != key[:-1]) | (ts[1:] != ts[:-1])
-    order, ts, key = order[last], ts[last], key[last]
+    order = np.lexsort((pairs.timestep, pairs.service))
+    ts, key = pairs.timestep[order], pairs.service[order]
 
     start = np.ones(len(order), dtype=bool)
     start[1:] = (key[1:] != key[:-1]) | (ts[1:] - ts[:-1] != 1)
@@ -376,7 +350,7 @@ def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
     length = np.diff(np.append(first, len(order)))
     long = length >= w
     runs = zip(
-        pairs.ids[pairs.service[order[first[long]]]].tolist(),
+        pairs.ids[key[first[long]]].tolist(),
         ts[first[long]].tolist(),
         ts[first[long] + length[long] - 1].tolist(),
     )
@@ -418,7 +392,7 @@ def optimal_plan(
     head[1:] = ts[1:] != ts[:-1]
     best, best_ts = order[head], ts[head]
     # each user sample's timestep, matched to its best row if it has one
-    t = _int_timesteps(user.trajectory.t)
+    t = user.trajectory.t.astype(np.int64)
     i = np.searchsorted(best_ts, t)
     hit = i < len(best)
     hit[hit] = best_ts[i[hit]] == t[hit]
@@ -465,6 +439,6 @@ def table_plan_json(
     at, none = table.per_timestep, range(0)
     return [
         {"timestep": t, "candidates": cands[r.start : r.stop], "chosen": chosen_by_t[t]}
-        for t in _int_timesteps(user.trajectory.t).tolist()
+        for t in user.trajectory.t.astype(np.int64).tolist()
         for r in (at.get(t, none),)
     ]

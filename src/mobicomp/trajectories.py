@@ -9,8 +9,10 @@ composition read the columns directly. ``TrajectoryPoint``, the per-sample
 form, is kept for the edges that still work per sample: interpolation,
 resampling, ingestion and ``Trajectory.points``.
 
-Timesteps are global integer sequence indices once data has been ingested;
-fractional ``t`` values only appear on interpolated query results.
+Timesteps are global integer sequence indices: ``MovingService`` and
+``UserTrajectory`` refuse a timestep that is not an integer below 2**53, for
+which float64, int64 and t + 1 are exact. Only a bare ``Trajectory``, such
+as a raw trace before resampling, may hold a fractional ``t``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .ioutil import open_text, write_csv
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
 
 USER_ID_PREFIX = "user:"  # reserved id namespace for consumer trajectories
+DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action; no service's id
 
 _GRID_EPS = 1e-9
 
@@ -127,18 +130,29 @@ class Trajectory:
         return float(self.t[-1])
 
 
+def _check_grid(name: str, t: np.ndarray) -> None:
+    """Refuse a timestep of ``name`` that is not an integer below 2**53."""
+    off = (t != np.floor(t)) | (t >= 2.0**53)
+    if off.any():
+        raise InvalidInputError(f"{name}: timestep {t[off.argmax()]} is not an integer below 2**53")
+
+
 @dataclass(frozen=True)
 class UserTrajectory:
-    """A consumer path; ids live in the ``user:`` namespace."""
+    """A consumer path on the integer grid; ids live in the ``user:`` namespace."""
 
     id: str
     trajectory: Trajectory
 
+    def __post_init__(self):
+        _check_grid(f"user {self.id!r}", self.trajectory.t)
+
 
 @dataclass(frozen=True)
 class MovingService:
-    """A service id, its trajectory, and the static QoS constants: total
-    bandwidth and maximum concurrent requests."""
+    """A service id other than ``DUMMY_SERVICE``, its trajectory on the
+    integer grid, and the static QoS constants: total bandwidth and maximum
+    concurrent requests."""
 
     id: str
     trajectory: Trajectory
@@ -146,12 +160,16 @@ class MovingService:
     max_concurrent_k: int
 
     def __post_init__(self):
+        name = f"service {self.id!r}"
+        if self.id == DUMMY_SERVICE:
+            raise InvalidInputError(f"{name}: the id is reserved for the dummy action")
+        _check_grid(name, self.trajectory.t)
         if not (math.isfinite(self.bandwidth_b) and self.bandwidth_b > 0):
             raise InvalidInputError(
-                f"bandwidth_b must be finite and positive, got {self.bandwidth_b}"
+                f"{name}: bandwidth_b must be finite and positive, got {self.bandwidth_b}"
             )
         if self.max_concurrent_k < 1:
-            raise InvalidInputError("max_concurrent_k must be >= 1")
+            raise InvalidInputError(f"{name}: max_concurrent_k must be >= 1")
 
 
 def check_gps(x: float, y: float) -> None:

@@ -67,11 +67,11 @@ def scalar_capacity(strength_value, bandwidth_b, max_concurrent_k):
 
 def nested_loop_join(services, user):
     """Timestep join by exhaustive pairwise comparison; each joined service
-    sample as (service id, (x, y))."""
+    sample as (service id, (x, y)), in id order."""
     out = {}
     for up in user.trajectory.points:
         out[int(up.t)] = []
-    for svc in services:
+    for svc in sorted(services, key=lambda s: s.id):
         for sp in svc.trajectory.points:
             for up in user.trajectory.points:
                 if int(sp.t) == int(up.t):
@@ -81,9 +81,7 @@ def nested_loop_join(services, user):
 
 def brute_force_pairs(services, user, r_s):
     """All (timestep, service) pairs strictly inside the search disk, found by
-    scanning every combination with a from-scratch planar distance. A service
-    with two samples in one integer timestep (t and t + 0.5) gives one pair
-    there when either sample is inside."""
+    scanning every combination with a from-scratch planar distance."""
     pairs = set()
     user_at = {int(p.t): p for p in user.trajectory.points}
     for svc in services:
@@ -136,9 +134,7 @@ def rle_runs(timesteps):
 
 
 def brute_force_validated(services, user, r_s, w):
-    """Validated runs per service: brute-force pairs + RLE + length filter.
-    Pairs are a set, so a timestep with two samples of a service counts once
-    towards a run."""
+    """Validated runs per service: brute-force pairs + RLE + length filter."""
     pairs = brute_force_pairs(services, user, r_s)
     per_service = {}
     for t, sid in pairs:

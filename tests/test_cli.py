@@ -358,9 +358,38 @@ def bad_value_case(case, bundle, tmp_path):
     if case == "services_t_nan":
         append_line(bundle / "services.csv", "s0000,nan,1.0,1.0")
         return discover, f"{bundle / 'services.csv'} line "
+    if case in BAD_SERVICES:
+        rows, qos, named = BAD_SERVICES[case]
+        for row in rows:
+            append_line(bundle / "services.csv", row)
+        cfg = json.loads((bundle / "scenario.json").read_text())
+        cfg["service_qos"]["s0000"].update(qos)
+        (bundle / "scenario.json").write_text(json.dumps(cfg))
+        return discover, f"{bundle / 'services.csv'}, {bundle / 'scenario.json'}: {named}"
+    if case == "user_file_t_fraction":
+        user = tmp_path / "user.csv"
+        user.write_text("id,t,x,y\nuser:f,1,1.0,1.0\nuser:f,1.5,2.0,1.0\n")
+        return [*discover, "--user", str(user)], f"{user}: user 'user:f': timestep 1.5 "
     assert case == "users_x_inf"
     append_line(bundle / "users.csv", "user:u0000,26,inf,1.0")
     return [*train, *FAST_FLAGS], f"{bundle / 'users.csv'} line "
+
+
+# a service that cannot be built: the rows appended to services.csv, the
+# values set in s0000's service_qos entry, and the text that the error line
+# must hold after both files' names
+BAD_SERVICES = {
+    "services_t_fraction": (["s0000,1.5,1.0,1.0"], {}, "service 's0000': timestep 1.5 "),
+    "services_t_2_53": (
+        ["s0000,9007199254740992,1.0,1.0"], {}, "service 's0000': timestep 9007199254740992.0 "
+    ),
+    "services_dummy_id": (
+        ["__dummy__,1,1.0,1.0", "__dummy__,2,2.0,1.0"], {}, "service '__dummy__': the id is reserved"
+    ),
+    "service_qos_negative_bandwidth": (
+        [], {"bandwidth_bps": -1.0}, "service 's0000': bandwidth_b must be finite and positive"
+    ),
+}
 
 
 # a scenario.json key that holds a value of the wrong type; each is refused
@@ -379,6 +408,7 @@ BAD_VALUES = [
     "evaluate_negative_seed", "ingest_r_s_zero", "ingest_rate_nan", "ingest_w_zero",
     "scenario_r_s_zero", *BAD_SCENARIO_KEYS, "services_t_nan", "train_epsilon_min_nan",
     "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
+    *BAD_SERVICES, "user_file_t_fraction",
 ]
 
 
@@ -735,7 +765,7 @@ def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
          "--user", "user:u0000", "--out", str(out), "--quiet"]
     )
     assert code == 1
-    assert_one_error_line(capsys, "CheckpointError", "truncated")
+    assert "truncated" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
     assert not out.exists()
 
 

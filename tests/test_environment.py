@@ -49,6 +49,13 @@ class TestReset:
             Extents.from_universe([], [])
 
 
+class TestActionSpace:
+    def test_action_ids_are_the_service_ids_in_id_order_then_dummy(self):
+        user = line_user(3)
+        env = make_env([service_tracking(user, sid, 1, 3) for sid in ("c", "a", "b")], [user])
+        assert env.action_ids == ("a", "b", "c", DUMMY_SERVICE)
+
+
 class TestStepRewards:
     def _env_single_candidate(self):
         # one service tracks the user exactly, strength 1, B == K => scale 1

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobicomp import oracle
-from mobicomp.errors import InvalidInputError, OutOfRangeError
+from mobicomp.errors import InvalidInputError
 from mobicomp.oracle import (
     DISK_MARGIN,
     DUMMY_SERVICE,
@@ -57,8 +58,8 @@ def joined_pairs(services, user):
     joined = temporal_map(universe, user)
 
     def in_join_order(rows):
-        rows = rows[np.argsort(universe.sample[rows])]
-        return zip(universe.service_of(rows), universe.x[rows], universe.y[rows])
+        rows = rows[np.argsort(universe.service[rows])]
+        return zip(universe.service[rows], universe.x[rows], universe.y[rows])
 
     return {
         t: [(universe.services[k].id, (x, y)) for k, x, y in in_join_order(rows)]
@@ -75,12 +76,10 @@ def pair(t, sid, distance=1.0, strength=1.0, capacity=1.0):
     return (t, sid, distance, strength, capacity)
 
 
-def disk_pairs(rows, ids=None):
-    """``DiskPairs`` over ``pair`` rows, in the order given (the join order);
-    ``ids`` are the universe's service ids in bundle order (default: the
-    rows' ids, sorted)."""
-    ids = list(ids or sorted({r[1] for r in rows}))
-    rank = {sid: i for i, sid in enumerate(sorted(ids))}
+def disk_pairs(rows):
+    """``DiskPairs`` over ``pair`` rows, in the order given; the universe's
+    service ids are the rows' ids, in id order."""
+    ids = sorted({r[1] for r in rows})
     t, sid, d, s, cap = zip(*rows) if rows else [()] * 5
     return DiskPairs(
         timestep=np.array(t, dtype=np.int64),
@@ -89,7 +88,6 @@ def disk_pairs(rows, ids=None):
         strength=np.array(s, dtype=np.float64),
         capacity=np.array(cap, dtype=np.float64),
         ids=np.array(ids, dtype=object),
-        rank=np.array([rank[i] for i in ids], dtype=np.int64),
     )
 
 
@@ -205,38 +203,6 @@ class TestReduceValidate:
         assert runs([]) == {}
         assert runs([4]) == {"x": ((4, 4),)}
         assert runs([1, 2, 3, 7, 8, 12]) == {"x": ((1, 3), (7, 8), (12, 12))}
-        assert runs([3, 3, 4]) == {"x": ((3, 4),)}
-
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_duplicate_timesteps_count_once_and_the_later_sample_wins(self, data):
-        # services in a bundle order that is not id order, each with samples
-        # at integer timesteps, some repeated (t and t + 0.5 in one step)
-        ids = data.draw(st.permutations(["s3", "a", "s10", "b2"]))
-        n = data.draw(st.integers(1, 4))
-        value = st.floats(0.5, 9.5)
-        samples = {
-            sid: data.draw(st.lists(st.tuples(st.integers(0, 12), value, value, value), max_size=14))
-            for sid in ids[:n]
-        }
-        w = data.draw(st.integers(1, 4))
-        # join order: by timestep, then bundle order, then sample order
-        rows = sorted(
-            (pair(t, sid, d, s, c) for sid in ids[:n] for t, d, s, c in samples[sid]),
-            key=lambda r: (r[0], ids.index(r[1])),
-        )
-        table = reduce_validate(disk_pairs(rows, ids=ids), w=w)
-        expected_runs, expected_rows = {}, []
-        for sid in sorted(samples):
-            last = {t: (t, sid, d, s, c) for t, d, s, c in samples[sid]}
-            runs = tuple(r for r in rle_runs(list(last)) if r[1] - r[0] + 1 >= w)
-            if runs:
-                expected_runs[sid] = runs
-                expected_rows += [last[t] for a, b in runs for t in range(a, b + 1)]
-        assert table.validated == expected_runs
-        assert list(table.validated) == sorted(table.validated)
-        assert table_rows(table) == sorted(expected_rows, key=lambda r: (r[0], r[1]))
 
 
 class TestOptimalPlan:
@@ -264,12 +230,12 @@ class TestOptimalPlan:
         assert [s.chosen for s in plan.steps] == ["a"] * 3
 
     def test_equal_capacities_tie_to_the_smallest_id_in_any_bundle_order(self):
-        # bundle order c, a, d, b; c, a and b tie at both steps, d beats
-        # them at step 2 only
+        # pairs in the order c, a, d, b; c, a and b tie at both steps, d
+        # beats them at step 2 only
         rows = [pair(t, sid, capacity=7.0) for t in (1, 2) for sid in ("c", "a", "b")]
         rows.insert(4, pair(2, "d", capacity=8.0))
         rows.insert(1, pair(1, "d", capacity=6.0))
-        table = reduce_validate(disk_pairs(rows, ids=["c", "a", "d", "b"]), w=1)
+        table = reduce_validate(disk_pairs(rows), w=1)
         assert [r[1] for r in table_rows(table)] == ["a", "b", "c", "d"] * 2
         plan = optimal_plan(table, line_user(3), reward_scale=2.0)
         assert [(s.chosen, s.capacity, s.reward) for s in plan.steps] == [
@@ -346,34 +312,16 @@ class TestJsonEmission:
         assert set(cand) == {"service_id", "distance_m", "strength", "capacity_bps"}
         assert rows[2]["candidates"] == []
 
-    def test_one_candidate_per_service_and_timestep(self):
-        # two samples of one service fall on integer timestep 1: the emitted
-        # candidate is the one the plan and the environment price
-        user = line_user(3)
-        svc = MovingService(
-            id="a", trajectory=traj([(1, 10, 1), (1.5, 15, 1), (2, 20, 1), (3, 30, 1)]),
-            bandwidth_b=4e6, max_concurrent_k=2,
-        )
-        table = discover([svc], user, w=1)
-        assert table.validated == {"a": ((1, 3),)}
-        plan = optimal_plan(table, user)
-        rows = table_plan_json(table, plan, user)
-        assert [len(r["candidates"]) for r in rows] == [1, 1, 1]
-        assert rows[0]["candidates"][0]["distance_m"] == candidates_at(table, 1)[0][2]
-        assert plan.steps[0].capacity == rows[0]["candidates"][0]["capacity_bps"]
-
 
 M_PER_DEG = math.pi * 6_371_000.0 / 180.0
 
 
 @st.composite
-def universes(draw, gps=False, half_steps=False):
+def universes(draw, gps=False):
     """One user and up to six services on sparse integer timesteps: gaps,
     services that start before, end after or sit inside the user's span,
     and absolute timesteps up to 10^12. Coordinates are metres in a 40 m
-    square, placed around Sydney as lon/lat when ``gps`` is set. With
-    ``half_steps``, services also have samples at some t + 0.5, a second
-    sample within integer timestep t."""
+    square, placed around Sydney as lon/lat when ``gps`` is set."""
     offset = draw(st.sampled_from([0, 1_000, 10**6, 10**12]))
     coord = st.floats(0.0, 40.0)
 
@@ -387,16 +335,10 @@ def universes(draw, gps=False, half_steps=False):
     user = UserTrajectory(
         id="user:h", trajectory=trajectory(draw(st.sets(st.integers(1, 40), min_size=1, max_size=25)))
     )
-    def service_steps():
-        steps = draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))
-        if half_steps:
-            steps |= {t + 0.5 for t in draw(st.sets(st.sampled_from(sorted(steps))))}
-        return steps
-
     services = [
         MovingService(
             id=f"s{i}",
-            trajectory=trajectory(service_steps()),
+            trajectory=trajectory(draw(st.sets(st.integers(0, 45), min_size=1, max_size=25))),
             bandwidth_b=draw(st.floats(1e6, 9e6)),
             max_concurrent_k=draw(st.integers(1, 4)),
         )
@@ -469,18 +411,6 @@ class TestColumnarOracle:
         assert table.validated == validated
         assert surviving_pairs(table) == surviving
 
-    @given(universes(half_steps=True))
-    @settings(max_examples=150, deadline=None)
-    def test_two_samples_in_one_timestep_match_brute_force(self, universe):
-        services, user = universe
-        assert joined_pairs(services, user) == nested_loop_join(services, user)
-        pairs = run_spatial(services, user)
-        assert pair_keys(pairs) == brute_force_pairs(services, user, 15.0)
-        validated, surviving = brute_force_validated(services, user, 15.0, w=1)
-        table = discover(services, user, w=1)
-        assert table.validated == validated
-        assert surviving_pairs(table) == surviving
-
     @given(universes(gps=True))
     @settings(max_examples=100, deadline=None)
     def test_haversine_matches_great_circle_away_from_the_edge(self, universe):
@@ -540,13 +470,6 @@ class TestColumnarOracle:
         assert table.validated == {"a": ((big, big + 1),)}
         assert sorted(table.per_timestep) == [big, big + 1]
 
-    def test_timestep_beyond_int64_rejected(self):
-        user = line_user(3)
-        svc = MovingService(id="a", trajectory=traj([(1, 0, 0), (1e19, 0, 0)]),
-                            bandwidth_b=4e6, max_concurrent_k=2)
-        with pytest.raises(InvalidInputError, match="64-bit"):
-            discover([svc], user)
-
     def test_gps_range_checked_on_every_joined_pair(self):
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         far = MovingService(id="far", trajectory=traj([(2, 200.0, 0.0)]),
@@ -568,12 +491,43 @@ class TestColumnarOracle:
         with pytest.raises(InvalidInputError, match=r"\(200\.0, 0\.0\)"):
             discover([svc], user, w=1, mode=GPS)
 
-    def test_joined_timestep_without_exact_user_sample(self):
-        user = UserTrajectory(id="user:f", trajectory=traj([(1.5, 0, 0), (2.5, 0, 0)]))
-        svc = MovingService(id="a", trajectory=traj([(1, 100, 0)]),
-                            bandwidth_b=4e6, max_concurrent_k=2)
-        with pytest.raises(OutOfRangeError, match="timestep 1$"):
-            discover([svc], user)
+
+class TestGridInvariant:
+    """Services and users lie on one integer grid, and service ids are unique
+    and never the dummy action's: anything else is refused where it is built."""
+
+    @pytest.mark.parametrize("t", [1.5, 2.0**53, 1e19])
+    def test_service_timestep_off_the_grid_refused(self, t):
+        with pytest.raises(InvalidInputError, match=re.escape(f"service 'a': timestep {t} ")):
+            MovingService(id="a", trajectory=traj([(1, 0, 0), (t, 0, 0)]),
+                          bandwidth_b=4e6, max_concurrent_k=2)
+
+    @pytest.mark.parametrize("t", [1.5, 2.0**53])
+    def test_user_timestep_off_the_grid_refused(self, t):
+        with pytest.raises(InvalidInputError, match=re.escape(f"user 'user:f': timestep {t} ")):
+            UserTrajectory(id="user:f", trajectory=traj([(1, 0, 0), (t, 0, 0)]))
+
+    def test_last_grid_timestep_joins(self):
+        top = 2**53 - 1
+        user = UserTrajectory(id="user:t", trajectory=traj([(top - 1, 0, 0), (top, 10, 0)]))
+        svc = service_tracking(user, "a", top - 1, top)
+        assert discover([svc], user).validated == {"a": ((top - 1, top),)}
+
+    def test_repeated_service_id_refused(self):
+        user = line_user(3)
+        services = [service_tracking(user, "a", 1, 2), service_tracking(user, "a", 2, 3)]
+        with pytest.raises(InvalidInputError, match="repeated service id 'a'"):
+            ServiceColumns(services)
+
+    def test_dummy_service_id_refused(self):
+        with pytest.raises(InvalidInputError, match=f"service {DUMMY_SERVICE!r}: the id is reserved"):
+            service_tracking(line_user(2), DUMMY_SERVICE, 1, 2)
+
+    def test_services_held_in_id_order(self):
+        user = line_user(3)
+        universe = ServiceColumns([service_tracking(user, sid, 1, 3) for sid in "cab"])
+        assert universe.ids.tolist() == ["a", "b", "c"]
+        assert [s.id for s in universe.services] == ["a", "b", "c"]
 
 
 def band_edge(mode, origin, sign):
@@ -613,44 +567,6 @@ class TestBandIndex:
         if mode is PLANAR and origin == (0.0, 0.0):
             assert abs(y_out) == 15.0  # exactly r_s is outside
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_later_sample_wins_among_services_sharing_one_y(self, data):
-        # every service sits at one y; a second sample at t + 0.5, with a
-        # smaller y, comes first in the band order but is the later sample
-        y0 = data.draw(st.sampled_from([0.0, 6.0, -9.5]))
-        user = line_user(10)
-        later = {}
-        services = []
-        for i in range(data.draw(st.integers(1, 8))):
-            steps = sorted(data.draw(st.sets(st.integers(1, 10), min_size=1, max_size=10)))
-            halves = data.draw(st.sets(st.sampled_from(steps)))
-            pts = []
-            for t in steps:
-                pts.append((t, 10.0 * t + data.draw(st.floats(-14.0, 14.0)), y0))
-                if t in halves:
-                    pts.append((t + 0.5, 10.0 * t + data.draw(st.floats(-14.0, 14.0)),
-                                y0 - data.draw(st.floats(0.5, 9.0))))
-            services.append(MovingService(id=f"s{i}", trajectory=traj(pts),
-                                          bandwidth_b=4e6, max_concurrent_k=2))
-        w = data.draw(st.integers(1, 3))
-        # reference: per (timestep, service), the last sample inside the disk
-        for svc in services:
-            for p in svc.trajectory.points:
-                d = distance(10.0 * int(p.t), 0.0, p.x, p.y, PLANAR)
-                if d < 15.0:
-                    later[(int(p.t), svc.id)] = d
-        expected_rows = []
-        expected_runs = {}
-        for sid in sorted({sid for _, sid in later}):
-            runs = tuple(r for r in rle_runs([t for t, s in later if s == sid]) if r[1] - r[0] + 1 >= w)
-            if runs:
-                expected_runs[sid] = runs
-                expected_rows += [(t, sid, later[(t, sid)]) for a, b in runs for t in range(a, b + 1)]
-        table = discover(services, user, w=w)
-        assert table.validated == expected_runs
-        assert [r[:3] for r in table_rows(table)] == sorted(expected_rows)
-
     def test_gps_bad_row_far_outside_the_band_is_still_checked(self):
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         near = gps_service("near", [(t, SYDNEY[0], SYDNEY[1] + 1e-5) for t in (1, 2, 3)])
@@ -661,13 +577,14 @@ class TestBandIndex:
 
     def test_gps_first_bad_service_row_in_join_order(self):
         # two bad rows at t=2: s1's has the smaller y, so it comes first in
-        # the band order, but s0 comes first in the bundle
+        # the band order, and it comes first in the bundle, but s0 comes
+        # first in id order
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         s0 = gps_service("s0", [(2, 181.0, 45.0)])
         s1 = gps_service("s1", [(2, -190.0, -45.0)])
         late = gps_service("late", [(1, 0.0, 0.0), (3, 0.0, 95.0)])
         with pytest.raises(InvalidInputError, match=r"\(181\.0, 45\.0\)"):
-            discover([s0, s1, late], user, mode=GPS)
+            discover([s1, s0, late], user, mode=GPS)
 
     def test_gps_bad_user_sample_comes_before_its_timesteps_service_rows(self):
         user = UserTrajectory(
