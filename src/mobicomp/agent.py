@@ -149,7 +149,7 @@ def select_action(
     n = len(model.action_ids)
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(n))
-    q = network.forward(model.network, state, train_mode=False)
+    q = network.forward(model.network, state)
     return int(np.argmax(q))
 
 
@@ -159,7 +159,7 @@ def q_targets(model: PolicyModel, batch: Transitions, gamma: float) -> np.ndarra
     terminal transitions."""
     if len(batch.rewards) == 0:
         raise InvalidInputError("q_targets needs a non-empty batch")
-    next_q = network.forward(model.network, batch.next_states, train_mode=False)
+    next_q = network.forward(model.network, batch.next_states)
     return batch.rewards + np.where(batch.done, 0.0, gamma * next_q.max(axis=1))
 
 
@@ -248,7 +248,7 @@ def compose(model: PolicyModel, env: Environment, user: UserTrajectory) -> Compo
             f"({len(model.action_ids)} vs {len(env.action_ids)} actions)"
         )
     states = encode_states(user.trajectory, model.extents)
-    q = network.forward(model.network, states, train_mode=False)
+    q = network.forward(model.network, states)
     greedy = np.argmax(q, axis=1)
 
     env.reset(user)

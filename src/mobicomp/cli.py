@@ -24,6 +24,7 @@ from .datasets import (
     DEFAULT_SERVICE_QOS,
     ScenarioSpec,
     Scenario,
+    built,
     default_scenario_spec,
     generate,
     ingest_gps,
@@ -224,17 +225,11 @@ def _cmd_ingest(args) -> int:
     ids = [ident for ident, _ in result.trajectories]
     service_ids, user_ids = split_services_users(ids, args.user_fraction)
     by_id = dict(result.trajectories)
-    services = [
-        MovingService(
-            id=sid,
-            trajectory=by_id[sid],
-            bandwidth_b=DEFAULT_SERVICE_QOS["bandwidth_bps"],
-            max_concurrent_k=DEFAULT_SERVICE_QOS["max_concurrent"],
-        )
-        for sid in service_ids
-    ]
+    # a trace off the integer grid is named with the raw file that holds it
+    qos = DEFAULT_SERVICE_QOS["bandwidth_bps"], DEFAULT_SERVICE_QOS["max_concurrent"]
+    services = [built(args.input, MovingService, sid, by_id[sid], *qos) for sid in service_ids]
     users = [
-        UserTrajectory(id=f"{USER_ID_PREFIX}{uid}", trajectory=by_id[uid]) for uid in user_ids
+        built(args.input, UserTrajectory, f"{USER_ID_PREFIX}{uid}", by_id[uid]) for uid in user_ids
     ]
     if not services or not users:
         raise InvalidInputError(

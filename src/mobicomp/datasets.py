@@ -27,7 +27,6 @@ from .trajectories import (
     DistanceMode,
     MovingService,
     Trajectory,
-    TrajectoryPoint,
     UserTrajectory,
     dump_trajectories_csv,
     load_trajectories_csv,
@@ -343,7 +342,7 @@ def _csv_path(path: Path, key: str, name) -> Path:
     return path.parent / name
 
 
-def _built(files, make, *args):
+def built(files, make, *args):
     """``make(*args)``, with an ``InvalidInputError`` it raises prefixed by
     ``files``, the file or files that hold the refused values."""
     try:
@@ -355,7 +354,7 @@ def _built(files, make, *args):
 def load_users(path: str | Path) -> list[UserTrajectory]:
     """The users of a trajectory CSV; a user off the integer grid is an
     ``InvalidInputError`` naming the file and the user."""
-    return [_built(path, UserTrajectory, *row) for row in load_trajectories_csv(path)]
+    return [built(path, UserTrajectory, *row) for row in load_trajectories_csv(path)]
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -397,7 +396,7 @@ def load_scenario(path: str | Path) -> Scenario:
         where = f" for service {sid}"
         bandwidth = _number(path, entry, "bandwidth_bps", where=where)
         k = _number(path, entry, "max_concurrent", kind=int, where=where)
-        services.append(_built(f"{services_csv}, {path}", MovingService, sid, traj, bandwidth, k))
+        services.append(built(f"{services_csv}, {path}", MovingService, sid, traj, bandwidth, k))
     return Scenario(
         services=services,
         users=load_users(users_csv),
@@ -474,26 +473,27 @@ def _read_traces(
 def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
     """Indoor positioning traces: rows of (person_id, wall_clock_s, x, y).
 
-    Unsynchronised wall-clock samples are resampled at the fixed rate against
-    a file-global origin, so everyone lands on one shared integer timestep
-    grid (global sequences starting at 1); gaps are filled by linear
-    interpolation. Coordinates are treated as planar metres; that unit choice
-    is a configuration of this ingester, not a property of the format.
+    Unsynchronised wall-clock samples, of either sign, are resampled at the
+    fixed rate against a file-global origin, the earliest time in the file,
+    so everyone lands on one shared integer timestep grid (global sequences
+    starting at 1); gaps are filled by linear interpolation. Of a person's
+    samples at one time, the one smallest in (x, y) is kept and the rest are
+    counted in ``skipped_rows``. A person whose trace covers fewer than two
+    grid points, or 2**53 or more, is rejected. Coordinates are
+    treated as planar metres; that unit choice is a configuration of this
+    ingester, not a property of the format.
     """
     if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
     raw, skipped, origin = _read_traces(path, lambda x, y: True)
     result = IngestResult(trajectories=[], skipped_rows=skipped)
     for pid, samples in raw.items():
-        pts, prev = [], None
-        for wall, x, y in sorted(samples):
-            if prev is not None and wall <= prev:
-                result.skipped_rows += 1
-                continue
-            pts.append(TrajectoryPoint(t=wall, x=x, y=y))
-            prev = wall
+        cols = np.array(samples, np.float64).T  # wall, x, y
+        wall, x, y = cols[:, np.lexsort(cols[::-1])]  # sorted by (wall, x, y)
+        first = np.r_[True, wall[1:] != wall[:-1]]
+        result.skipped_rows += int(np.count_nonzero(~first))
         try:
-            traj = resample(Trajectory(tuple(pts)), rate, origin=origin)
+            traj = resample(wall[first], x[first], y[first], rate, origin)
         except InvalidInputError:
             result.rejected_ids.append(pid)
             continue
@@ -505,24 +505,23 @@ def ingest_gps(path: str | Path) -> IngestResult:
     """1 Hz GPS trips: rows of (trip_id, epoch_seconds, lon, lat).
 
     Each trip becomes one trajectory on one file-global integer grid,
-    t = epoch - first_epoch_in_file + 1, so trips keep their sampling gaps
-    and their offsets from each other and only trips recorded at the same
-    time share timesteps. Trips whose timestamps are not strictly increasing
-    in file order are rejected.
+    t = round(epoch - first_epoch_in_file) + 1, so trips keep their sampling
+    gaps and their offsets from each other and only trips recorded at the
+    same time share timesteps. Epochs may have either sign. A trip is
+    rejected when its timesteps do not strictly increase in file order or
+    when an offset from the first epoch is beyond float64.
     """
     raw, skipped, origin = _read_traces(
         path, lambda lon, lat: -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
     )
     result = IngestResult(trajectories=[], skipped_rows=skipped)
     for tid, samples in raw.items():
+        epoch, lon, lat = np.array(samples, np.float64).T
+        with np.errstate(over="ignore"):  # an offset beyond float64 is inf, refused below
+            t = np.round(epoch - origin) + 1
         try:
-            traj = Trajectory(
-                tuple(
-                    TrajectoryPoint(t=int(round(e - origin)) + 1, x=lon, y=lat)
-                    for e, lon, lat in samples
-                )
-            )
-        except InvalidInputError:  # epochs that do not increase or round onto one timestep
+            traj = Trajectory.from_columns(t, lon, lat)
+        except InvalidInputError:  # epochs that do not increase, share a timestep or overflow
             result.rejected_ids.append(tid)
             continue
         result.trajectories.append((tid, traj))

@@ -9,10 +9,6 @@ class InvalidInputError(MobicompError, ValueError):
     """Malformed or out-of-contract input values."""
 
 
-class OutOfRangeError(MobicompError, ValueError):
-    """A query outside the span covered by the data (no extrapolation)."""
-
-
 class ContractViolationError(MobicompError):
     """A precondition the caller was responsible for did not hold."""
 

@@ -136,10 +136,10 @@ def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
     return arr, was_vector
 
 
-def forward(state: NetworkState, x: np.ndarray, train_mode: bool = False) -> np.ndarray:
-    """Q-values for one encoded state vector or a batch of them."""
+def forward(state: NetworkState, x: np.ndarray) -> np.ndarray:
+    """Q-values, in eval mode, for one encoded state vector or a batch of them."""
     X, was_vector = _as_batch(x, state.spec.input_dim, "input")
-    _, _, out = _forward_cached(state, X, train_mode)
+    _, _, out = _forward_cached(state, X, False)
     return out[0] if was_vector else out
 
 

@@ -1,13 +1,13 @@
-"""Trajectory data model: timestamped samples, constant-speed interpolation,
-fixed-rate resampling, and the planar/great-circle distance metrics every
-other module builds on.
+"""Trajectory data model: timestamped samples, fixed-rate resampling of raw
+traces by constant-speed interpolation, and the planar/great-circle distance
+metrics every other module builds on.
 
 A ``Trajectory`` is stored as three read-only float64 columns, ``t``, ``x``
-and ``y``, one entry per sample; the generator and the CSV reader build it
-from columns (``Trajectory.from_columns``), and discovery, state encoding and
-composition read the columns directly. ``TrajectoryPoint``, the per-sample
-form, is kept for the edges that still work per sample: interpolation,
-resampling, ingestion and ``Trajectory.points``.
+and ``y``, one entry per sample; the generator, the CSV reader, resampling and
+ingestion build it from columns (``Trajectory.from_columns``), and discovery,
+state encoding and composition read the columns directly. ``TrajectoryPoint``
+is the public per-sample view: ``Trajectory(points)`` builds a trajectory
+from points and ``Trajectory.points`` lists its samples as points.
 
 Timesteps are global integer sequence indices: ``MovingService`` and
 ``UserTrajectory`` refuse a timestep that is not an integer below 2**53, for
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError
+from .errors import InvalidInputError
 from .ioutil import open_text, write_csv
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
@@ -121,14 +121,6 @@ class Trajectory:
         """The samples as points, the per-sample form of the I/O edges."""
         return tuple(map(TrajectoryPoint, self.t.tolist(), self.x.tolist(), self.y.tolist()))
 
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
-
 
 def _check_grid(name: str, t: np.ndarray) -> None:
     """Refuse a timestep of ``name`` that is not an integer below 2**53."""
@@ -211,54 +203,43 @@ def distances(
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def position_at(traj: Trajectory, t_query: float) -> TrajectoryPoint:
-    """Position at ``t_query`` under the constant-speed-between-samples model.
+def resample(t, x, y, rate: float, origin: float) -> Trajectory:
+    """Resample the raw trace ``(t[i], x[i], y[i])``, finite and strictly
+    ascending in ``t`` of either sign, onto the uniform grid
+    ``origin + k*rate`` and renumber timesteps.
 
-    A query at a stored sample returns that sample's position unchanged;
-    queries outside the recorded span raise OutOfRangeError (a trajectory does
-    not exist beyond its span).
-    """
-    if t_query < traj.t_min or t_query > traj.t_max:
-        raise OutOfRangeError(
-            f"t={t_query} outside trajectory span [{traj.t_min}, {traj.t_max}]"
-        )
-    i = int(np.searchsorted(traj.t, t_query))
-    if traj.t[i] == t_query:
-        return TrajectoryPoint(t=t_query, x=float(traj.x[i]), y=float(traj.y[i]))
-    t0, t1 = traj.t[i - 1 : i + 1].tolist()
-    x0, x1 = traj.x[i - 1 : i + 1].tolist()
-    y0, y1 = traj.y[i - 1 : i + 1].tolist()
-    frac = (t_query - t0) / (t1 - t0)
-    return TrajectoryPoint(t=t_query, x=x0 + frac * (x1 - x0), y=y0 + frac * (y1 - y0))
-
-
-def resample(traj: Trajectory, rate: float, origin: float | None = None) -> Trajectory:
-    """Resample onto the uniform grid ``origin + k*rate`` and renumber timesteps.
-
-    Output timesteps are the 1-based grid indices (``t = k + 1``), so a
-    trajectory resampled from its own start gets t = 1, 2, ... and multiple
-    trajectories resampled against a shared origin land on one global integer
-    sequence. Gaps are filled by linear interpolation; there is no
-    extrapolation beyond the recorded span.
+    Output timesteps are the 1-based grid indices (``t = k + 1``), so a trace
+    resampled from its own start gets t = 1, 2, ... and multiple traces
+    resampled against a shared origin land on one global integer sequence.
+    A grid point on a stored sample takes that sample's coordinates; one
+    between two samples is interpolated at constant speed between them.
+    There is no extrapolation beyond the recorded span. A span that covers
+    fewer than two grid points, or 2**53 or more, is refused.
     """
     if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
-    if origin is None:
-        origin = traj.t_min
-    span_lo, span_hi = traj.t_min, traj.t_max
-    k_min = math.ceil((span_lo - origin) / rate - _GRID_EPS)
-    k_max = math.floor((span_hi - origin) / rate + _GRID_EPS)
-    if k_max - k_min < 1:
-        raise InvalidInputError(
-            f"trajectory span [{span_lo}, {span_hi}] covers fewer than two grid "
-            f"points at rate {rate}"
-        )
-    out = []
-    for k in range(k_min, k_max + 1):
-        tw = min(max(origin + k * rate, span_lo), span_hi)
-        p = position_at(traj, tw)
-        out.append(TrajectoryPoint(t=k + 1, x=p.x, y=p.y))
-    return Trajectory(tuple(out))
+    t, x, y = (np.asarray(c, np.float64) for c in (t, x, y))
+    span_lo, span_hi = float(t[0]), float(t[-1])
+    # every step runs under errstate: an overflow, on a row whose result is
+    # not used or in a span refused below, must not warn
+    with np.errstate(all="ignore"):
+        k_min = np.ceil((span_lo - origin) / rate - _GRID_EPS)
+        k_max = np.floor((span_hi - origin) / rate + _GRID_EPS)
+        if not 1 <= k_max - k_min < 2.0**53:  # false for an overflow to inf too
+            raise InvalidInputError(
+                f"trajectory span [{span_lo}, {span_hi}] covers fewer than two grid "
+                f"points, or 2**53 or more, at rate {rate}"
+            )
+        k = np.arange(k_min, k_max + 1)
+        tw = np.minimum(np.maximum(origin + k * rate, span_lo), span_hi)
+        j = np.searchsorted(t, tw)
+        on_sample = t[j] == tw
+        j1 = np.maximum(j, 1)  # j is 0 only on the first sample
+        j0 = j1 - 1
+        frac = (tw - t[j0]) / (t[j1] - t[j0])
+        xs = np.where(on_sample, x[j], x[j0] + frac * (x[j1] - x[j0]))
+        ys = np.where(on_sample, y[j], y[j0] + frac * (y[j1] - y[j0]))
+    return Trajectory.from_columns(k + 1, xs, ys)
 
 
 def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path) -> None:

@@ -12,6 +12,30 @@ from mobicomp.errors import ContractViolationError, InvalidInputError
 from mobicomp.trajectories import DistanceMode, distance
 
 
+def scalar_resample(t, x, y, rate, origin):
+    """The ``(k + 1, x, y)`` samples of a raw trace resampled onto the grid
+    ``origin + k*rate``, one grid point at a time: the query time is clamped
+    to the span, found by a linear scan, and takes the stored sample's
+    position when it lands on one, else the constant-speed interpolation
+    between the samples around it."""
+    t, x, y = (list(map(float, c)) for c in (t, x, y))
+    k_min = math.ceil((t[0] - origin) / rate - 1e-9)
+    k_max = math.floor((t[-1] - origin) / rate + 1e-9)
+    out = []
+    for k in range(k_min, k_max + 1):
+        tq = min(max(origin + k * rate, t[0]), t[-1])
+        i = 0
+        while t[i] < tq:
+            i += 1
+        if t[i] == tq:
+            out.append((k + 1, x[i], y[i]))
+            continue
+        frac = (tq - t[i - 1]) / (t[i] - t[i - 1])
+        x_k, y_k = x[i - 1] + frac * (x[i] - x[i - 1]), y[i - 1] + frac * (y[i] - y[i - 1])
+        out.append((k + 1, x_k, y_k))
+    return out
+
+
 def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
     """Great-circle distance via the Vincenty sphere (atan2) formula; an
     independent derivation from the haversine implementation under test."""

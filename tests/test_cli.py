@@ -333,6 +333,10 @@ def bad_value_case(case, bundle, tmp_path):
         return [*ingest, "--rate", "nan"], "rate"
     if case == "ingest_w_zero":
         return [*ingest, "--w", "0"], "--w"
+    if case == "ingest_gps_t_2_53":
+        raw.write_text("trip,epoch,lon,lat\nt1,0,1,1\nt1,1,1,1\nt2,0,2,2\nt2,1e16,2,2\n")
+        named = f"{raw}: user 'user:t2': timestep 1e+16 is not an integer below 2**53"
+        return ["ingest", "--format", "gps", *ingest[3:]], named
     if case == "scenario_r_s_zero":
         cfg = json.loads((bundle / "scenario.json").read_text())
         cfg["qos"] = {"r_s_meters": 0}
@@ -405,7 +409,8 @@ BAD_SCENARIO_KEYS = {
 }
 
 BAD_VALUES = [
-    "evaluate_negative_seed", "ingest_r_s_zero", "ingest_rate_nan", "ingest_w_zero",
+    "evaluate_negative_seed", "ingest_gps_t_2_53", "ingest_r_s_zero", "ingest_rate_nan",
+    "ingest_w_zero",
     "scenario_r_s_zero", *BAD_SCENARIO_KEYS, "services_t_nan", "train_epsilon_min_nan",
     "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
     *BAD_SERVICES, "user_file_t_fraction",

@@ -275,6 +275,31 @@ class TestIngestIndoor:
         assert result.rejected_ids == ["p1"]
         assert [pid for pid, _ in result.trajectories] == ["p2"]
 
+    def test_negative_wall_clock_times_resampled_from_grid_timestep_one(self, tmp_path):
+        raw = tmp_path / "indoor.csv"
+        raw.write_text("p0,-1.0,0,0\np0,-0.5,1,1\n")
+        result = ingest_indoor(raw, rate=0.25)
+        assert result.rejected_ids == [] and result.skipped_rows == 0
+        pts = dict(result.trajectories)["p0"].points
+        assert [(p.t, p.x, p.y) for p in pts] == [(1, 0.0, 0.0), (2, 0.5, 0.5), (3, 1.0, 1.0)]
+
+    def test_trace_beyond_the_grid_rejected(self, tmp_path):
+        raw = tmp_path / "indoor.csv"
+        # 1e308 s at 0.04 s a step is beyond float64: p0 is refused, with no warning
+        raw.write_text("p0,0,0,0\np0,1e308,1,1\np1,0,0,0\np1,0.04,1,1\n")
+        result = ingest_indoor(raw, rate=0.04)
+        assert result.rejected_ids == ["p0"]
+        assert [pid for pid, _ in result.trajectories] == ["p1"]
+
+    def test_repeated_time_keeps_the_sample_smallest_in_x_then_y(self, tmp_path):
+        raw = tmp_path / "indoor.csv"
+        # the later row of the repeated 0.04 has the smaller x and is kept
+        raw.write_text("p1,0.00,0,0\np1,0.04,5,5\np1,0.04,3,1\np1,0.08,8,8\n")
+        result = ingest_indoor(raw, rate=0.04)
+        assert result.skipped_rows == 1
+        pts = dict(result.trajectories)["p1"].points
+        assert [(p.t, p.x, p.y) for p in pts] == [(1, 0.0, 0.0), (2, 3.0, 1.0), (3, 8.0, 8.0)]
+
     def test_empty_file_rejected(self, tmp_path):
         raw = tmp_path / "empty.csv"
         raw.write_text("person,time,x,y\n")
@@ -354,6 +379,14 @@ class TestIngestGps:
         result = ingest_gps(raw)
         steps = {tid: [p.t for p in traj.points] for tid, traj in result.trajectories}
         assert steps == {"early": [1, 2], "late": [3601, 3602]}
+
+    def test_trip_whose_offset_overflows_rejected(self, tmp_path):
+        raw = tmp_path / "gps.csv"
+        # 1e308 - (-1e308) is beyond float64: the trip is refused, with no warning
+        raw.write_text("trip,epoch,lon,lat\nt1,-1e308,0,0\nt2,1e308,1,1\n")
+        result = ingest_gps(raw)
+        assert result.rejected_ids == ["t2"]
+        assert [(tid, traj.t.tolist()) for tid, traj in result.trajectories] == [("t1", [1.0])]
 
 
 class TestCanonicalIdempotence:

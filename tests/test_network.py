@@ -6,6 +6,7 @@ import pytest
 from mobicomp.errors import CheckpointError, InvalidInputError, TrainingDivergenceError
 from mobicomp.network import (
     NetworkSpec,
+    _forward_cached,
     _loss_and_grads,
     forward,
     init_network,
@@ -238,10 +239,10 @@ class TestDropout:
         spec = NetworkSpec(input_dim=3, hidden_layers=(32,), output_dim=2, dropout_p=0.5)
         state = init_network(spec, seed=7)
         x = np.array([1.0, 2.0, 3.0])
-        eval_1 = forward(state, x, train_mode=False)
-        eval_2 = forward(state, x, train_mode=False)
+        eval_1 = forward(state, x)
+        eval_2 = forward(state, x)
         assert np.array_equal(eval_1, eval_2)
-        train_out = [forward(state, x, train_mode=True) for _ in range(8)]
+        train_out = [_forward_cached(state, x[None, :], True)[2][0] for _ in range(8)]
         assert any(not np.array_equal(t, eval_1) for t in train_out)
 
     def test_inverted_dropout_expectation(self):
@@ -250,9 +251,9 @@ class TestDropout:
         spec = NetworkSpec(input_dim=3, hidden_layers=(64,), output_dim=4, dropout_p=0.5)
         state = init_network(spec, seed=8)
         x = np.array([0.5, -1.0, 2.0])
-        eval_out = forward(state, x, train_mode=False)
+        eval_out = forward(state, x)
         n = 40_000
-        mean = forward(state, np.tile(x, (n, 1)), train_mode=True).mean(axis=0)
+        mean = _forward_cached(state, np.tile(x, (n, 1)), True)[2].mean(axis=0)
         denom = np.maximum(np.abs(eval_out), 1e-9)
         assert np.max(np.abs(mean - eval_out) / denom) < 0.02
 

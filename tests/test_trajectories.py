@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobicomp.errors import InvalidInputError, OutOfRangeError
+from mobicomp.errors import InvalidInputError
 from mobicomp.trajectories import (
     DistanceMode,
     Trajectory,
@@ -16,12 +16,11 @@ from mobicomp.trajectories import (
     distance,
     dump_trajectories_csv,
     load_trajectories_csv,
-    position_at,
     resample,
 )
 
 from conftest import traj
-from oracles import great_circle_vincenty
+from oracles import great_circle_vincenty, scalar_resample
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
 GPS = DistanceMode.HAVERSINE
@@ -87,48 +86,72 @@ class TestDistance:
         assert dab <= dac + dcb + 1e-7
 
 
-class TestPositionAt:
-    def test_midpoint_of_constant_speed_segment(self):
-        tr = traj([(0, 0, 0), (2, 4, 0)])
-        got = position_at(tr, 1.0)
-        assert (got.t, got.x, got.y) == (1.0, 2.0, 0.0)
-
-    def test_exact_sample_returned_unchanged(self):
-        tr = traj([(0, 0, 0), (2, 4, 0), (5, 1, 9)])
-        assert position_at(tr, 2) == tr.points[1] == TrajectoryPoint(t=2, x=4.0, y=0.0)
-
-    def test_hand_interpolation(self):
-        tr = traj([(0, 0, 0), (10, 10, 20)])
-        got = position_at(tr, 2.5)
-        assert (got.t, got.x, got.y) == (2.5, 2.5, 5.0)
-
-    def test_no_extrapolation(self):
-        tr = traj([(1, 0, 0), (2, 1, 1)])
-        with pytest.raises(OutOfRangeError):
-            position_at(tr, 0.999)
-        with pytest.raises(OutOfRangeError):
-            position_at(tr, 2.001)
-
-    @given(st.floats(0.0, 1.0), st.floats(1e-9, 1e-6))
-    @settings(max_examples=100)
-    def test_continuity_at_segment_boundary(self, frac, delta):
-        tr = traj([(0, 0, 0), (1, 3, -2), (2, -1, 5)])
-        t0 = 1.0  # the interior sample, where two segments meet
-        before = position_at(tr, max(0.0, t0 - delta))
-        after = position_at(tr, min(2.0, t0 + delta))
-        assert math.hypot(after.x - before.x, after.y - before.y) < 1e-4
+def resampled(tr, rate, origin=None):
+    """``tr`` resampled at ``rate`` from ``origin``, by default its start."""
+    return resample(tr.t, tr.x, tr.y, rate, tr.t[0] if origin is None else origin)
 
 
 class TestResample:
+    def test_midpoint_of_constant_speed_segment(self):
+        out = resampled(traj([(0, 0, 0), (2, 4, 0)]), 1.0)
+        assert out.points[1] == TrajectoryPoint(t=2, x=2.0, y=0.0)
+
+    def test_exact_sample_returned_unchanged(self):
+        tr = traj([(0, 0, 0), (2, 4, 0), (5, 1, 9)])
+        out = resampled(tr, 2.0, origin=-2.0)
+        assert out.points[:2] == (TrajectoryPoint(2, 0.0, 0.0), TrajectoryPoint(3, 4.0, 0.0))
+
+    def test_hand_interpolation(self):
+        out = resampled(traj([(0, 0, 0), (10, 10, 20)]), 2.5)
+        assert out.points[1] == TrajectoryPoint(t=2, x=2.5, y=5.0)
+
+    def test_no_extrapolation(self):
+        # the grid runs from 0, but only its points within [1, 2] are kept
+        out = resampled(traj([(1, 0, 0), (2, 1, 1)]), 0.5, origin=0.0)
+        assert out.t.tolist() == [3, 4, 5]
+        assert out.x.tolist() == [0.0, 0.5, 1.0]
+
+    @given(st.floats(1e-3, 0.1), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=100)
+    def test_continuity_at_segment_boundary(self, rate, phase):
+        tr = traj([(0, 0, 0), (1, 3, -2), (2, -1, 5)])
+        # neighbouring grid points, those around the interior sample at t = 1
+        # too, are no further apart than the faster segment's speed allows
+        out = resampled(tr, rate, origin=-phase * rate)
+        steps = np.hypot(np.diff(out.x), np.diff(out.y))
+        assert steps.max() <= math.hypot(-4, 7) * rate * (1 + 1e-9)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_equals_the_scalar_reference(self, data):
+        rate = data.draw(st.floats(0.01, 10.0))
+        origin = data.draw(st.floats(-1e3, 1e3))
+        n = data.draw(st.integers(1, 10))
+        if data.draw(st.booleans()):  # every sample on a grid point
+            ks = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+            t = [origin + int(k) * rate for k in ks]
+        else:
+            steps = data.draw(st.lists(st.floats(1e-3, 20.0), min_size=n, max_size=n))
+            t = (origin + np.cumsum(steps)).tolist()
+        coords = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+        x, y = data.draw(coords), data.draw(coords)
+        want = scalar_resample(t, x, y, rate, origin)
+        if len(want) < 2:
+            with pytest.raises(InvalidInputError, match="fewer than two grid points"):
+                resample(t, x, y, rate, origin)
+            return
+        out = resample(t, x, y, rate, origin)
+        assert list(zip(out.t.tolist(), out.x.tolist(), out.y.tolist())) == want
+
     def test_uniform_input_renumbered_from_one(self):
         tr = traj([(10.0, 1, 2), (10.5, 3, 4), (11.0, 5, 6)])
-        out = resample(tr, 0.5)
+        out = resampled(tr, 0.5)
         assert [pt.t for pt in out.points] == [1, 2, 3]
         assert [(pt.x, pt.y) for pt in out.points] == [(1, 2), (3, 4), (5, 6)]
 
     def test_gap_filled_at_segment_midpoint(self):
         tr = traj([(0.0, 0, 0), (0.08, 8, 4)])
-        out = resample(tr, 0.04)
+        out = resampled(tr, 0.04)
         assert len(out) == 3
         mid = out.points[1]
         assert (mid.t, mid.x, mid.y) == (2, 4.0, 2.0)
@@ -136,19 +159,24 @@ class TestResample:
     def test_rate_larger_than_span_errors(self):
         tr = traj([(0.0, 0, 0), (0.03, 1, 1)])
         with pytest.raises(InvalidInputError):
-            resample(tr, 0.04)
+            resampled(tr, 0.04)
 
     def test_nonpositive_rate_rejected(self):
         tr = traj([(0, 0, 0), (1, 1, 1)])
         for rate in (0.0, -0.5, math.nan):
             with pytest.raises(InvalidInputError):
-                resample(tr, rate)
+                resampled(tr, rate)
+
+    def test_span_beyond_the_grid_rejected(self):
+        # (1e308 - -1e308) / 0.5 overflows float64: refused, with no warning
+        with pytest.raises(InvalidInputError, match="2\\*\\*53 or more"):
+            resample([-1e308, 1e308], [0.0, 1.0], [0.0, 1.0], 0.5, -1e308)
 
     def test_shared_origin_aligns_grids(self):
         early = traj([(0.0, 0, 0), (1.0, 10, 0)])
         late = traj([(0.5, 5, 5), (1.0, 10, 5)])
-        a = resample(early, 0.25, origin=0.0)
-        b = resample(late, 0.25, origin=0.0)
+        a = resampled(early, 0.25, origin=0.0)
+        b = resampled(late, 0.25, origin=0.0)
         assert [pt.t for pt in a.points] == [1, 2, 3, 4, 5]
         assert [pt.t for pt in b.points] == [3, 4, 5]
 
@@ -161,7 +189,7 @@ class TestResample:
         tr = traj([(i * 0.37, i * 1.5, -i) for i in range(n)])
         if (n - 1) * 0.37 < rate:
             return
-        out = resample(tr, rate)
+        out = resampled(tr, rate)
         ts = out.t.tolist()
         assert all(t.is_integer() for t in ts)
         assert all(b - a == 1 for a, b in zip(ts, ts[1:]))
