@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from mobicomp.errors import ContractViolationError, InvalidInputError
+from mobicomp.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from mobicomp.trajectories import DistanceMode, distance
 
 
@@ -214,3 +215,22 @@ def quadratic_convergence(cum_rewards, ma, final_tail, band_fraction):
         if all(abs(v - final) <= band for v in ma[i:]):
             return i + 1, True, final
     return len(ma), False, final
+
+
+def unblocked_adam_update(state, grads_w, grads_b, lr):
+    """``network._apply_update`` as one whole-array pass per operation: the
+    reference the cache-blocked update must match byte for byte."""
+    state.adam_t += 1
+    t = state.adam_t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for i in range(len(state.weights)):
+        for params, grad, m, v in (
+            (state.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
+            (state.biases[i], grads_b[i], state.m_b[i], state.v_b[i]),
+        ):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            params -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from mobicomp.agent import AgentConfig
 from mobicomp.cli import DEFAULT_SEED, _config_from, build_parser, dispatch
 from mobicomp.datasets import ScenarioSpec, generate, write_scenario_bundle
 from mobicomp.ioutil import sha256_file
+from mobicomp.network import NetworkSpec, init_network, save
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode, Trajectory, TrajectoryPoint
 
@@ -772,6 +774,21 @@ def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
     assert code == 1
     assert "truncated" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
     assert not out.exists()
+
+
+def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsys):
+    blob = bytearray(save(init_network(NetworkSpec(3, (4,), 2), seed=0)))
+    # dropout_p follows magic, version, input_dim, n_hidden, the hidden width
+    # and output_dim
+    blob[24:32] = struct.pack("<d", 1.5)
+    model = tmp_path / "dropout.ckpt"
+    model.write_bytes(policy_file(bytes(blob)))
+    code = dispatch(
+        ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
+         "--user", "user:u0000", "--out", str(tmp_path / "p.json"), "--quiet"]
+    )
+    assert code == 1
+    assert "dropout_p" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
 
 
 def test_evaluate_threshold_gates_exit_code(bundle, tmp_path):

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from mobicomp import network
 from mobicomp.errors import CheckpointError, InvalidInputError, TrainingDivergenceError
 from mobicomp.network import (
     NetworkSpec,
@@ -16,6 +17,7 @@ from mobicomp.network import (
 )
 
 from conftest import wrapping_network_blob
+from oracles import unblocked_adam_update
 
 
 def zeroed(spec, seed=0):
@@ -37,8 +39,9 @@ def taken_action_loss(state, X, actions, y):
 def gradient_check(state, X, actions, y, n_samples=40, step=1e-5, seed=0):
     """Max relative error between the analytic gradients of the taken-action
     loss and central differences of ``taken_action_loss``, probed on a random
-    parameter subset with dropout disabled."""
-    _, grads_w, grads_b = _loss_and_grads(state, X, np.asarray(actions), y, train_mode=False)
+    parameter subset; ``state`` has no dropout, so the train-mode pass is the
+    eval-mode one."""
+    _, grads_w, grads_b = _loss_and_grads(state, X, np.asarray(actions), y)
     rng = np.random.default_rng(seed)
     params = list(zip(state.weights, grads_w)) + list(zip(state.biases, grads_b))
     worst = 0.0
@@ -312,6 +315,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load(wrapping_network_blob())
 
+    @pytest.mark.parametrize(
+        "at, field, match",
+        [
+            # the one hidden width follows magic, version, input_dim, n_hidden
+            (16, struct.pack("<I", 0), "layer widths"),
+            # dropout_p follows the hidden width and output_dim
+            (24, struct.pack("<d", 1.5), "dropout_p"),
+            (24, struct.pack("<d", float("nan")), "dropout_p"),
+        ],
+        ids=["zero_hidden_width", "dropout_1.5", "dropout_nan"],
+    )
+    def test_header_the_spec_refuses_rejected(self, at, field, match):
+        blob = bytearray(save(self._trained_state()))
+        blob[at : at + len(field)] = field
+        with pytest.raises(CheckpointError, match=match):
+            load(bytes(blob))
+
     @pytest.mark.parametrize("byte", [0, 2])
     def test_optimizer_other_than_adam_rejected(self, byte):
         blob = bytearray(save(self._trained_state()))
@@ -337,3 +357,42 @@ class TestDeterminism:
 
         a, b = run(), run()
         assert save(a) == save(b)
+
+
+def trained_blob(spec, steps, seed=12):
+    """``save()`` bytes after ``steps`` train_batch calls on random batches."""
+    state = init_network(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        X = rng.standard_normal((8, spec.input_dim))
+        actions = rng.integers(spec.output_dim, size=8)
+        train_batch(state, X, actions, rng.standard_normal(8), lr=0.01)
+    return save(state)
+
+
+class TestBlockedAdam:
+    """The update runs in first-axis slices of about ``_ADAM_BLOCK`` elements
+    with the same per-element operations as one whole-array pass."""
+
+    def unblocked_blob(self, monkeypatch, spec, steps):
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_apply_update", unblocked_adam_update)
+            return trained_blob(spec, steps)
+
+    @pytest.mark.parametrize("block", [3, 20])
+    def test_small_blocks_match_the_unblocked_update(self, monkeypatch, block):
+        spec = NetworkSpec(input_dim=7, hidden_layers=(9, 7), output_dim=4, dropout_p=0.3)
+        # every weight array spans several slices: at block 3 each row is
+        # wider than a block and the biases span several slices too, at
+        # block 20 each weight array's last slice is partial and the biases
+        # fit in one slice
+        for rows, cols in spec.layer_dims:
+            per_slice = max(1, block // cols)
+            assert rows > per_slice and (cols > block or rows % per_slice)
+        expected = self.unblocked_blob(monkeypatch, spec, steps=12)
+        monkeypatch.setattr(network, "_ADAM_BLOCK", block)
+        assert trained_blob(spec, steps=12) == expected
+
+    def test_default_network_matches_the_unblocked_update(self, monkeypatch):
+        spec = NetworkSpec(input_dim=3, hidden_layers=(512, 512), output_dim=201, dropout_p=0.5)
+        assert trained_blob(spec, steps=3) == self.unblocked_blob(monkeypatch, spec, steps=3)
