@@ -67,12 +67,13 @@ def random_universe(rng, n_services, n_steps, area=100.0, r_s=15.0):
     return services, user
 
 
-def policy_file(net_blob: bytes) -> bytes:
+def policy_file(net_blob: bytes, **extents: float) -> bytes:
     """A policy model file holding ``net_blob``, laid out as
-    ``agent.save_model`` writes one, with a valid header."""
+    ``agent.save_model`` writes one, with a valid header whose extents are
+    0.0 but for those given."""
+    zero = dict.fromkeys(["t_min", "t_max", "x_min", "x_max", "y_min", "y_max"], 0.0)
     header = json.dumps(
-        {"action_ids": ["a", "__dummy__"], "extents": dict.fromkeys(
-            ["t_min", "t_max", "x_min", "x_max", "y_min", "y_max"], 0.0)},
+        {"action_ids": ["a", "__dummy__"], "extents": {**zero, **extents}},
         sort_keys=True,
     ).encode()
     return b"".join([

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from mobicomp.oracle import DUMMY_SERVICE
 from conftest import line_user, make_env, policy_file, service_tracking, wrapping_network_blob
 
 EXTENTS = Extents(t_min=0, t_max=1, x_min=0, x_max=1, y_min=0, y_max=1)
+EXTENT_FIELDS = asdict(EXTENTS)
 
 # a config proven to learn the desk-size fixtures reliably
 FAST_LEARNER = dict(
@@ -371,9 +374,11 @@ class TestModelSerialization:
             json.dumps({"action_ids": ["a", DUMMY_SERVICE]}).encode(),
             json.dumps({"action_ids": ["a"], "extents": [0, 1]}).encode(),
             json.dumps({"action_ids": ["a"], "extents": {"t_min": "x"}}).encode(),
+            json.dumps({"action_ids": ["a"], "extents": {**EXTENT_FIELDS, "x_max": math.nan}}).encode(),
+            json.dumps({"action_ids": ["a"], "extents": {**EXTENT_FIELDS, "t_min": -math.inf}}).encode(),
         ],
         ids=["not_utf8", "invalid_json", "not_object", "no_action_ids", "no_extents",
-             "extents_not_object", "extents_not_numeric"],
+             "extents_not_object", "extents_not_numeric", "extent_nan", "extent_inf"],
     )
     def test_bad_header_is_checkpoint_error(self, header):
         blob = network.save(init_network(NetworkSpec(3, (4,), 2), seed=0))

@@ -395,12 +395,19 @@ BAD_SERVICES = {
     "service_qos_negative_bandwidth": (
         [], {"bandwidth_bps": -1.0}, "service 's0000': bandwidth_b must be finite and positive"
     ),
+    "service_qos_fractional_max_concurrent": (
+        [], {"max_concurrent": 2.5}, "max_concurrent for service s0000 must be an integer, got 2.5"
+    ),
+    "service_qos_bool_bandwidth": (
+        [], {"bandwidth_bps": True}, "bandwidth_bps for service s0000 must be a number, got True"
+    ),
 }
 
 
-# a scenario.json key that holds a value of the wrong type; each is refused
-# when the file is read, "default_service_qos" too, although every generated
-# service has its own service_qos entry
+# a scenario.json key that holds a value of the wrong type, or a w below 1;
+# each is refused when the file is read, "default_service_qos" too, although
+# every generated service has its own service_qos entry, and no number is
+# truncated or read from a string
 BAD_SCENARIO_KEYS = {
     "scenario_services_csv_number": ("services_csv", 5),
     "scenario_users_csv_list": ("users_csv", ["users.csv"]),
@@ -408,6 +415,11 @@ BAD_SCENARIO_KEYS = {
     "scenario_rewards_str": ("rewards", "x"),
     "scenario_service_qos_list": ("service_qos", []),
     "scenario_default_service_qos_number": ("default_service_qos", 5),
+    "scenario_w_fraction": ("w", 2.7),
+    "scenario_w_bool": ("w", True),
+    "scenario_w_str": ("w", "2"),
+    "scenario_w_zero": ("w", 0),
+    "scenario_seed_fraction": ("seed", 1.5),
 }
 
 BAD_VALUES = [
@@ -609,6 +621,27 @@ def test_discover_bytes_do_not_depend_on_the_scenario_path_spelling(bundle, tmp_
     assert len(digests) == 1
 
 
+def test_haversine_service_out_of_gps_range_is_one_line_error(tmp_path, capsys):
+    # the bad sample is at t=26, where no user has one: every service sample
+    # is range-checked, not only those joined with a user
+    spec = ScenarioSpec.from_dict(SPEC)
+    services, users = generate(spec)
+    scen = tmp_path / "scen"
+    write_scenario_bundle(
+        scen, to_lonlat(services), to_lonlat(users), QosParams.defaults_for(spec.r_s_meters),
+        spec.w, DistanceMode.HAVERSINE, seed=spec.seed,
+    )
+    append_line(scen / "services.csv", "s0003,26,200.0,-33.87")
+    out = tmp_path / "out" / "d.json"
+    assert dispatch(["discover", "--scenario", str(scen / "scenario.json"),
+                     "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "error: InvalidInputError: service 's0003': GPS coordinates out of range: (200.0, -33.87)"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def raw_traces(fmt):
     """A small raw file of six traces with a header, a malformed row, and a
     repeated wall-clock time (indoor) or an off-Earth row and a trip whose
@@ -789,6 +822,20 @@ def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsy
     )
     assert code == 1
     assert "dropout_p" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+
+
+def test_model_header_non_finite_extent_is_one_line_error(bundle, tmp_path, capsys):
+    blob = save(init_network(NetworkSpec(3, (4,), 2), seed=0))
+    model = tmp_path / "extent.ckpt"
+    model.write_bytes(policy_file(blob, x_max=math.nan))
+    out = tmp_path / "p.json"
+    code = dispatch(
+        ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
+         "--user", "user:u0000", "--out", str(out), "--quiet"]
+    )
+    assert code == 1
+    assert "x_max" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+    assert not out.exists()
 
 
 def test_evaluate_threshold_gates_exit_code(bundle, tmp_path):

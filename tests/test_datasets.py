@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import asdict
 
@@ -379,6 +380,23 @@ class TestIngestGps:
         result = ingest_gps(raw)
         steps = {tid: [p.t for p in traj.points] for tid, traj in result.trajectories}
         assert steps == {"early": [1, 2], "late": [3601, 3602]}
+
+    def test_rows_on_the_box_edges_kept_and_one_step_outside_skipped(self, tmp_path):
+        lon_out, lat_out = math.nextafter(180.0, math.inf), math.nextafter(-90.0, -math.inf)
+        rows = [
+            ("a", 0, 180.0, 90.0), ("a", 1, -180.0, -90.0), ("a", 2, lon_out, 0.0),
+            ("a", 3, 0.0, lat_out), ("b", 4, -lon_out, 0.0), ("c", 5, 0.0, -0.0),
+            ("c", 6, 0.0, -lat_out),
+        ]
+        raw = tmp_path / "gps.csv"
+        raw.write_text("trip,epoch,lon,lat\n" + "".join(f"{i},{t},{x!r},{y!r}\n" for i, t, x, y in rows))
+        result = ingest_gps(raw)
+        # the rule of the per-row range filter, as written before the shared helper
+        kept = [r for r in rows if -180.0 <= r[2] <= 180.0 and -90.0 <= r[3] <= 90.0]
+        assert result.skipped_rows == len(rows) - len(kept) == 4
+        got = [(tid, tr.t.tolist(), tr.x.tolist(), tr.y.tolist()) for tid, tr in result.trajectories]
+        assert got == [("a", [1.0, 2.0], [180.0, -180.0], [90.0, -90.0]), ("c", [6.0], [0.0], [-0.0])]
+        assert result.rejected_ids == []
 
     def test_trip_whose_offset_overflows_rejected(self, tmp_path):
         raw = tmp_path / "gps.csv"

@@ -167,6 +167,15 @@ class TestSweep:
         assert trained == []
 
 
+    def test_empty_held_out_split_rejected_before_any_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(evaluation, "train_on_scenario", lambda *a: trained.append(a))
+        cfg = AgentConfig(repetition=2, seed=3, **FAST)
+        with pytest.raises(InvalidInputError, match="1 training and 0 held-out users"):
+            run_accuracy_sweep(tiny_scenario(n_users=1), None, cfg)
+        assert trained == []
+
+
 class TestTiming:
     def test_empty_universe_does_not_crash(self):
         scenario = tiny_scenario()

@@ -474,22 +474,39 @@ class TestColumnarOracle:
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         far = MovingService(id="far", trajectory=traj([(2, 200.0, 0.0)]),
                             bandwidth_b=4e6, max_concurrent_k=2)
-        with pytest.raises(InvalidInputError, match="200.0"):
+        with pytest.raises(InvalidInputError, match=r"^service 'far': .*\(200\.0, 0\.0\)$"):
             discover([far], user, mode=GPS)
+        # a sample no user timestep joins is refused too
         unjoined = MovingService(id="later", trajectory=traj([(9, 200.0, 0.0)]),
                                  bandwidth_b=4e6, max_concurrent_k=2)
-        assert discover([unjoined], user, mode=GPS).validated == {}
+        with pytest.raises(InvalidInputError, match=r"^service 'later': .*\(200\.0, 0\.0\)$"):
+            discover([unjoined], user, mode=GPS)
 
     def test_gps_range_checked_on_the_next_user_sample(self):
-        # the join only range-checks the user's sample at t; its sample at
-        # t + 1, the far end of the path segment, is checked when priced
+        # the user's sample at t + 1, the far end of a priced path segment,
+        # is range-checked with the rest of the trajectory
         user = UserTrajectory(
             id="user:g", trajectory=traj([(1, *SYDNEY), (2, 200.0, 0.0)])
         )
         svc = MovingService(id="a", trajectory=traj([(1, SYDNEY[0], SYDNEY[1] + 1e-5)]),
                             bandwidth_b=4e6, max_concurrent_k=2)
-        with pytest.raises(InvalidInputError, match=r"\(200\.0, 0\.0\)"):
+        with pytest.raises(InvalidInputError, match=r"^user 'user:g': .*\(200\.0, 0\.0\)$"):
             discover([svc], user, w=1, mode=GPS)
+
+    def test_gps_universe_checked_once(self, monkeypatch):
+        user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
+        universe = ServiceColumns([gps_service("a", [(t, *SYDNEY) for t in (1, 2, 3)])])
+        for _ in range(2):
+            oracle.discover(universe, user, QOS, w=2, mode=GPS)
+        assert universe.gps_bad_service == -1
+        # the cached result is read, not recomputed
+        monkeypatch.setattr(oracle, "in_gps_range", None)
+        assert oracle.discover(universe, user, QOS, w=2, mode=GPS).validated == {"a": ((1, 3),)}
+
+    def test_planar_coordinates_are_not_range_checked(self):
+        user = UserTrajectory(id="user:p", trajectory=stationary(500.0, -300.0, n=3))
+        svc = gps_service("a", [(t, 500.0, -300.0) for t in (1, 2, 3)])
+        assert discover([svc], user).validated == {"a": ((1, 3),)}
 
 
 class TestGridInvariant:
@@ -576,21 +593,26 @@ class TestBandIndex:
             discover([near, far], user, mode=GPS)
 
     def test_gps_first_bad_service_row_in_join_order(self):
-        # two bad rows at t=2: s1's has the smaller y, so it comes first in
-        # the band order, and it comes first in the bundle, but s0 comes
-        # first in id order
+        # s1's bad row has the smaller y at t=2 and s1 comes first in the
+        # bundle, but "late", bad only at t=3, comes first in id order
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         s0 = gps_service("s0", [(2, 181.0, 45.0)])
         s1 = gps_service("s1", [(2, -190.0, -45.0)])
         late = gps_service("late", [(1, 0.0, 0.0), (3, 0.0, 95.0)])
-        with pytest.raises(InvalidInputError, match=r"\(181\.0, 45\.0\)"):
+        with pytest.raises(InvalidInputError, match=r"^service 'late': .*\(0\.0, 95\.0\)$"):
             discover([s1, s0, late], user, mode=GPS)
+        # of one service, its first bad sample in time is named
+        both = gps_service("both", [(1, 0.0, -91.0), (2, 0.0, 0.0), (3, -181.0, -95.0)])
+        with pytest.raises(InvalidInputError, match=r"^service 'both': .*\(0\.0, -91\.0\)$"):
+            discover([both], user, mode=GPS)
 
     def test_gps_bad_user_sample_comes_before_its_timesteps_service_rows(self):
-        user = UserTrajectory(
-            id="user:g", trajectory=traj([(1, 200.0, 0.0), (2, 210.0, 0.0), (3, *SYDNEY)])
-        )
-        # no service at t=1, so the user's bad sample there is never joined
-        svc = gps_service("s", [(2, 300.0, 0.0), (3, *SYDNEY)])
-        with pytest.raises(InvalidInputError, match=r"\(210\.0, 0\.0\)"):
-            discover([svc], user, mode=GPS)
+        # a bad user sample is refused wherever it lies, at t=1 too, where
+        # no service has a sample
+        svc = gps_service("s", [(2, *SYDNEY), (3, *SYDNEY)])
+        for t_bad in (1, 2, 3):
+            samples = [(t, *SYDNEY) for t in (1, 2, 3)]
+            samples[t_bad - 1] = (t_bad, 210.0, 0.0)
+            user = UserTrajectory(id="user:g", trajectory=traj(samples))
+            with pytest.raises(InvalidInputError, match=r"^user 'user:g': .*\(210\.0, 0\.0\)$"):
+                discover([svc], user, mode=GPS)

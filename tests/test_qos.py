@@ -235,20 +235,17 @@ def assert_column_equals_scalar(column, scalar, *cols):
 def segment_rows(draw, gps):
     """One (sx, sy, ax, ay, bx, by) row: a random one, a zero-length segment
     (the last timestep), a service at the segment start whose projection is
-    -0.0 (the segment heads to negative x and y), a service past either end
-    (the clamp at 0 and 1), or, for GPS, a segment end or service out of
-    range."""
+    -0.0 (the segment heads to negative x and y), or a service past either
+    end (the clamp at 0 and 1). GPS rows stay in range: discovery checks
+    every coordinate before pricing."""
     if gps:
-        lon, lat = st.floats(-180.0, 180.0), st.floats(-89.0, 89.0)
+        lon, lat = st.floats(-179.0, 179.0), st.floats(-89.0, 89.0)
         step = st.floats(-1e-3, 1e-3)
     else:
         lon = lat = st.floats(-1e3, 1e3)
         step = st.floats(-60.0, 60.0)
     ax, ay = draw(lon), draw(lat)
-    kind = draw(st.sampled_from(
-        ["random", "zero", "negative_zero", "before", "past", "outside"] if gps
-        else ["random", "zero", "negative_zero", "before", "past"]
-    ))
+    kind = draw(st.sampled_from(["random", "zero", "negative_zero", "before", "past"]))
     vx, vy = draw(step), draw(step)
     sx, sy = ax + draw(step), ay + draw(step)
     if kind == "random":
@@ -259,12 +256,8 @@ def segment_rows(draw, gps):
         sx, sy, bx, by = ax, ay, ax - abs(vx) - 1e-6, ay - abs(vy) - 1e-6
     elif kind == "before":
         bx, by, sx, sy = ax + vx, ay + vy, ax - 2.0 * vx, ay - 2.0 * vy
-    elif kind == "past":
-        bx, by, sx, sy = ax + vx, ay + vy, ax + 3.0 * vx, ay + 3.0 * vy
     else:
-        bx, by = draw(st.sampled_from([(200.0, 0.0), (0.0, -95.0), (math.nan, 0.0)]))
-        if draw(st.booleans()):
-            sx, sy, bx, by = bx, by, ax, ay
+        bx, by, sx, sy = ax + vx, ay + vy, ax + 3.0 * vx, ay + 3.0 * vy
     return sx, sy, ax, ay, bx, by
 
 

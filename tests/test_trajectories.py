@@ -13,8 +13,10 @@ from mobicomp.trajectories import (
     DistanceMode,
     Trajectory,
     TrajectoryPoint,
+    check_gps,
     distance,
     dump_trajectories_csv,
+    in_gps_range,
     load_trajectories_csv,
     resample,
 )
@@ -30,6 +32,22 @@ GPS = DistanceMode.HAVERSINE
 SYDNEY_A = (151.2093, -33.8688)  # lon, lat
 SYDNEY_B = (151.2094, -33.8688)
 SYDNEY_EXPECTED_M = 9.232691315294941
+
+
+# the GPS box edges, one step outside them, and values well inside and out
+GPS_EDGE_FLOATS = st.sampled_from(
+    [e for edge in (90.0, 180.0) for s in (1.0, -1.0)
+     for e in (s * edge, math.nextafter(s * edge, s * math.inf))]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def assert_check_gps(x, y, inside):
+    """``check_gps(x, y)`` passes when ``inside``, and raises otherwise."""
+    if inside:
+        check_gps(x, y)
+    else:
+        with pytest.raises(InvalidInputError, match=re.escape(f"({x}, {y})")):
+            check_gps(x, y)
 
 
 class TestDistance:
@@ -54,6 +72,29 @@ class TestDistance:
             distance(181.0, 0.0, 0.0, 0.0, GPS)
         with pytest.raises(InvalidInputError):
             distance(0.0, 0.0, 0.0, -90.5, GPS)
+
+    def test_gps_box_edges_inside_and_one_step_out_outside(self):
+        up, down = math.inf, -math.inf
+        inside = [(180.0, 0.0), (-180.0, 0.0), (0.0, 90.0), (0.0, -90.0), (180.0, -90.0),
+                  (-180.0, 90.0), (-0.0, -0.0)]
+        outside = [(math.nextafter(180.0, up), 0.0), (math.nextafter(-180.0, down), 0.0),
+                   (0.0, math.nextafter(90.0, up)), (0.0, math.nextafter(-90.0, down)),
+                   (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (0.0, math.nan)]
+        for points, want in ((inside, True), (outside, False)):
+            xs, ys = (np.array(c) for c in zip(*points))
+            assert in_gps_range(xs, ys).tolist() == [want] * len(points)
+            for x, y in points:
+                assert in_gps_range(x, y) is want
+                assert_check_gps(x, y, want)
+
+    @given(st.lists(st.tuples(GPS_EDGE_FLOATS, GPS_EDGE_FLOATS), max_size=8))
+    def test_gps_box_column_and_scalar_forms_agree_with_check_gps(self, points):
+        xs, ys = (np.array(c, dtype=np.float64) for c in zip(*points)) if points else [np.empty(0)] * 2
+        got = in_gps_range(xs, ys)
+        assert got.dtype == bool and got.shape == (len(points),)
+        assert got.tolist() == [in_gps_range(x, y) for x, y in points]
+        for (x, y), want in zip(points, got.tolist()):
+            assert_check_gps(x, y, want)
 
     @given(
         st.tuples(
