@@ -304,6 +304,9 @@ def load_model(data: bytes) -> PolicyModel:
         extents = Extents.from_dict(header["extents"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"bad policy model header: {exc!r}") from None
+    for name, value in asdict(extents).items():
+        if not math.isfinite(value):
+            raise CheckpointError(f"bad policy model header: extent {name} is {value}")
     (nlen,) = struct.unpack("<I", data[12 + hlen : 16 + hlen])
     blob = data[16 + hlen : 16 + hlen + nlen]
     if len(blob) != nlen or 16 + hlen + nlen != len(data):

@@ -29,6 +29,7 @@ from .trajectories import (
     Trajectory,
     UserTrajectory,
     dump_trajectories_csv,
+    in_gps_range,
     load_trajectories_csv,
     parse_row,
     resample,
@@ -313,17 +314,21 @@ def write_scenario_bundle(
     return out / "scenario.json"
 
 
-def _number(path: Path, section: dict, key: str, default=None, kind=float, where: str = ""):
+def _number(path, section: dict, key: str, default=None, kind=float, where: str = ""):
     """``kind`` of ``section[key]``, or of ``default`` when the key is absent;
-    with no default the key is required. A missing key or a value that is not
-    a number is an ``InvalidInputError`` naming the file and the key."""
+    with no default the key is required. A missing key, a value that is not a
+    JSON number (a bool or a string included) or, with ``kind=int``, one that
+    is not integral is an ``InvalidInputError`` naming ``path`` and the key."""
     if key not in section and default is None:
         raise InvalidInputError(f"{path}: missing key {key!r}{where}")
     value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{path}: {key}{where} must be a number, got {value!r}") from None
+    if type(value) in (int, float) and (kind is float or type(value) is int or value.is_integer()):
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond float64
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise InvalidInputError(f"{path}: {key}{where} must be {noun}, got {value!r}")
 
 
 def _section(path: Path, cfg: dict, key: str, default: dict, where: str = "") -> dict:
@@ -390,21 +395,27 @@ def load_scenario(path: str | Path) -> Scenario:
     default_qos = _section(path, cfg, "default_service_qos", DEFAULT_SERVICE_QOS)
     service_qos = _section(path, cfg, "service_qos", {})
 
+    w = _number(path, cfg, "w", ScenarioSpec.w, kind=int)
+    if w < 1:
+        raise InvalidInputError(f"{path}: w must be >= 1, got {w}")
+    seed = _number(path, cfg, "seed", 0, kind=int)
+
     services = []
+    files = f"{services_csv}, {path}"
     for sid, traj in load_trajectories_csv(services_csv):
         entry = _section(path, service_qos, sid, default_qos, where=" in service_qos")
         where = f" for service {sid}"
-        bandwidth = _number(path, entry, "bandwidth_bps", where=where)
-        k = _number(path, entry, "max_concurrent", kind=int, where=where)
-        services.append(built(f"{services_csv}, {path}", MovingService, sid, traj, bandwidth, k))
+        bandwidth = _number(files, entry, "bandwidth_bps", where=where)
+        k = _number(files, entry, "max_concurrent", kind=int, where=where)
+        services.append(built(files, MovingService, sid, traj, bandwidth, k))
     return Scenario(
         services=services,
         users=load_users(users_csv),
         qos_params=qos_params,
-        w=_number(path, cfg, "w", ScenarioSpec.w, kind=int),
+        w=w,
         mode=mode,
         rewards=rewards,
-        seed=_number(path, cfg, "seed", 0, kind=int),
+        seed=seed,
     )
 
 
@@ -511,9 +522,7 @@ def ingest_gps(path: str | Path) -> IngestResult:
     rejected when its timesteps do not strictly increase in file order or
     when an offset from the first epoch is beyond float64.
     """
-    raw, skipped, origin = _read_traces(
-        path, lambda lon, lat: -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
-    )
+    raw, skipped, origin = _read_traces(path, in_gps_range)
     result = IngestResult(trajectories=[], skipped_rows=skipped)
     for tid, samples in raw.items():
         epoch, lon, lat = np.array(samples, np.float64).T

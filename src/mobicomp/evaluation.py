@@ -184,6 +184,11 @@ def run_accuracy_sweep(
     the seeded 70% split; ``None`` means the whole split) and score it on the
     held-out 30%."""
     train_users, test_users = split_train_test(scenario.users, seed=config.seed)
+    if not test_users:
+        raise InvalidInputError(
+            f"accuracy needs a held-out user, but the split has {len(train_users)} "
+            "training and 0 held-out users"
+        )
     if trajectory_counts is None:
         trajectory_counts = [len(train_users)]
     if sorted(trajectory_counts) != list(trajectory_counts):

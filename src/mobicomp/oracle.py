@@ -20,7 +20,9 @@ every emitted float is the one-pair formula's, bit for bit. The reduce phase
 sorts the pairs by service and timestep in integer numpy and keeps services
 paired over at least ``w`` strictly consecutive timesteps; a
 ``CandidateTable`` holds the survivors as columns, and the plan and the JSON
-rows are read from them.
+rows are read from them. In haversine mode ``discover`` first range-checks
+the universe, once, and the user, so every later phase takes coordinates
+inside the GPS box.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
-    DUMMY_SERVICE, EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, check_gps,
-    distances, haversine_m,
+    DUMMY_SERVICE, EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, distances,
+    haversine_m, in_gps_range,
 )
 
 
@@ -184,10 +186,11 @@ class ServiceColumns:
         self.max_k = np.array([s.max_concurrent_k for s in self.services])
 
     @cached_property
-    def gps_bad_before(self) -> np.ndarray:
-        """Number of rows out of the GPS range before each row, and in all
-        (``len(x) + 1`` entries); built on first use, by haversine discovery."""
-        return np.append(0, np.cumsum(_out_of_gps_range(self.x, self.y)))
+    def gps_bad_service(self) -> MovingService | None:
+        """The first service in id order with a sample out of the GPS box, or
+        None; found on first use, by haversine discovery."""
+        bad = self.service[~in_gps_range(self.x, self.y)]
+        return self.services[bad.min()] if bad.size else None
 
 
 class JoinedSamples(Mapping):
@@ -245,7 +248,8 @@ def spatial_map(
     ``_band_half_width``); a numpy prefilter over them, widened by
     ``DISK_MARGIN``, picks the rows whose exact distance is then taken, in
     join order. The pairs inside are priced by one call each of
-    ``perpendicular_distance``, ``strength`` and ``capacity``.
+    ``perpendicular_distance``, ``strength`` and ``capacity``. Haversine
+    coordinates must be range-checked, as ``discover`` does.
     """
     r_s = qos_params.sensing_radius_rs
     traj = user.trajectory
@@ -253,8 +257,6 @@ def spatial_map(
     # joined timestep i is user sample i; the sample at t + 1 is the next
     # one, or sample i itself where there is none
     nxt = np.arange(len(ts)) + np.append(np.diff(ts) == 1, False)
-    if mode is DistanceMode.HAVERSINE:
-        _check_joined_gps(universe, start, count, traj.x, traj.y)
 
     # each joined timestep's band: one run of the band index
     joins = np.flatnonzero(count)
@@ -305,30 +307,13 @@ def _band_half_width(r_s: float, mode: DistanceMode) -> float:
     return r_s * (1.0 + DISK_MARGIN)
 
 
-def _out_of_gps_range(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Where (x, y) fails ``check_gps``, for finite coordinates."""
-    return (np.abs(x) > 180.0) | (np.abs(y) > 90.0)
-
-
-def _check_joined_gps(
-    universe: ServiceColumns, start: np.ndarray, count: np.ndarray, ux: np.ndarray, uy: np.ndarray
-) -> None:
-    """Range-check every joined pair, inside the disk or not: raise for the
-    first one in join order (by timestep, then service id) that holds a
-    coordinate out of the GPS range, naming its user sample if that is out
-    of range, else its service sample. The user samples ``(ux, uy)`` are per
-    joined timestep; service rows are counted through ``gps_bad_before``,
-    not gathered."""
-    before = universe.gps_bad_before
-    bad_rows = before[start + count] - before[start]
-    failing = (count > 0) & (_out_of_gps_range(ux, uy) | (bad_rows > 0))
-    if failing.any():
-        i = int(np.argmax(failing))
-        check_gps(float(ux[i]), float(uy[i]))
-        block = slice(start[i], start[i] + count[i])
-        bad = np.flatnonzero(_out_of_gps_range(universe.x[block], universe.y[block]))
-        j = start[i] + bad[np.argmin(universe.service[block][bad])]
-        check_gps(float(universe.x[j]), float(universe.y[j]))
+def _check_gps(name: str, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise for the first sample of the columns ``(x, y)`` out of the GPS
+    box, naming ``name``."""
+    out = ~in_gps_range(x, y)
+    if out.any():
+        i = int(out.argmax())
+        raise InvalidInputError(f"{name}: GPS coordinates out of range: ({x[i]}, {y[i]})")
 
 
 def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
@@ -417,7 +402,14 @@ def discover(
     """Full discovery pipeline for one user: the temporal join, the spatial
     filter with QoS, then run validation over all of the user's timesteps at
     once. ``universe`` is the scenario's ``ServiceColumns``, built once and
-    shared by every user; everything runs in the calling thread."""
+    shared by every user; everything runs in the calling thread. In
+    haversine mode the first service in id order, then the user, with a
+    sample outside the GPS box is refused first, its id named."""
+    if mode is DistanceMode.HAVERSINE:
+        bad = universe.gps_bad_service
+        if bad is not None:
+            _check_gps(f"service {bad.id!r}", bad.trajectory.x, bad.trajectory.y)
+        _check_gps(f"user {user.id!r}", user.trajectory.x, user.trajectory.y)
     joined = temporal_map(universe, user)
     return reduce_validate(spatial_map(joined, user, universe, qos_params, mode), w)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
-from .trajectories import DistanceMode, check_gps, haversine_m
+from .trajectories import DistanceMode, haversine_m
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def perpendicular_distance(sx, sy, ax, ay, bx, by, mode: DistanceMode) -> np.nda
     ``s = min(1, max(0, ((sx - ax) * scale * wx + (sy - ay) * vy) / den))``
     and ``math`` the rounded ones (hypot, cos, haversine), so every value
     equals the one-pair formula's bit for bit, whatever numpy's SIMD kernels.
-    In GPS mode a point out of range raises ``InvalidInputError`` for the
-    first row that has one, as the one-pair distance would.
+    GPS coordinates must be range-checked, as ``oracle.discover`` does;
+    nothing here checks them.
     """
     sx, sy, ax, ay, bx, by = (np.asarray(c, dtype=np.float64) for c in (sx, sy, ax, ay, bx, by))
     gps = mode is DistanceMode.HAVERSINE
@@ -93,7 +93,6 @@ def perpendicular_distance(sx, sy, ax, ay, bx, by, mode: DistanceMode) -> np.nda
         fx, fy = ax + s * vx, ay + s * vy
         if not gps:
             return np.array(list(map(math.hypot, (sx - fx).tolist(), (sy - fy).tolist())))
-    _check_gps(sx, sy, fx, fy, ax, ay, bx, by)
     cols = [c.tolist() for c in (sx, sy, fx, fy, ax, ay, bx, by)]
     # never worse than the segment endpoints, which bounds the frame's error
     return np.array(list(map(
@@ -102,17 +101,6 @@ def perpendicular_distance(sx, sy, ax, ay, bx, by, mode: DistanceMode) -> np.nda
         map(haversine_m, *cols[0:2], *cols[4:6]),
         map(haversine_m, *cols[0:2], *cols[6:8]),
     )))
-
-
-def _check_gps(*xy: np.ndarray) -> None:
-    """Range-check each row's points, given as x and y columns in turn: the
-    first bad row raises for its first bad point."""
-    points = list(zip(xy[0::2], xy[1::2]))
-    ok = np.logical_and.reduce([(np.abs(x) <= 180.0) & (np.abs(y) <= 90.0) for x, y in points])
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        for x, y in points:
-            check_gps(float(x[bad[0]]), float(y[bad[0]]))
 
 
 def strength(pdis, params: QosParams) -> np.ndarray:

@@ -164,8 +164,15 @@ class MovingService:
             raise InvalidInputError(f"{name}: max_concurrent_k must be >= 1")
 
 
+def in_gps_range(x, y):
+    """Whether (x, y) lies in the GPS box, |x| <= 180 and |y| <= 90: a bool
+    for two floats, a bool array, elementwise, for two arrays. NaN lies
+    outside."""
+    return (abs(x) <= 180.0) & (abs(y) <= 90.0)
+
+
 def check_gps(x: float, y: float) -> None:
-    if not (-180.0 <= x <= 180.0 and -90.0 <= y <= 90.0):
+    if not in_gps_range(x, y):
         raise InvalidInputError(f"GPS coordinates out of range: ({x}, {y})")
 
 

@@ -391,7 +391,7 @@ class TestIngestGps:
         raw = tmp_path / "gps.csv"
         raw.write_text("trip,epoch,lon,lat\n" + "".join(f"{i},{t},{x!r},{y!r}\n" for i, t, x, y in rows))
         result = ingest_gps(raw)
-        # the rule of the per-row range filter, as written before the shared helper
+        # the GPS box written out as chained comparisons, the reference rule
         kept = [r for r in rows if -180.0 <= r[2] <= 180.0 and -90.0 <= r[3] <= 90.0]
         assert result.skipped_rows == len(rows) - len(kept) == 4
         got = [(tid, tr.t.tolist(), tr.x.tolist(), tr.y.tolist()) for tid, tr in result.trajectories]

@@ -166,7 +166,6 @@ class TestSweep:
             run_accuracy_sweep(tiny_scenario(), [1, 2, 500], cfg)
         assert trained == []
 
-
     def test_empty_held_out_split_rejected_before_any_training(self, monkeypatch):
         trained = []
         monkeypatch.setattr(evaluation, "train_on_scenario", lambda *a: trained.append(a))

@@ -493,20 +493,14 @@ class TestColumnarOracle:
         with pytest.raises(InvalidInputError, match=r"^user 'user:g': .*\(200\.0, 0\.0\)$"):
             discover([svc], user, w=1, mode=GPS)
 
-    def test_gps_universe_checked_once(self, monkeypatch):
+    def test_gps_universe_checked_once(self):
         user = UserTrajectory(id="user:g", trajectory=stationary(*SYDNEY, n=3))
         universe = ServiceColumns([gps_service("a", [(t, *SYDNEY) for t in (1, 2, 3)])])
-        for _ in range(2):
-            oracle.discover(universe, user, QOS, w=2, mode=GPS)
-        assert universe.gps_bad_service == -1
-        # the cached result is read, not recomputed
-        monkeypatch.setattr(oracle, "in_gps_range", None)
-        assert oracle.discover(universe, user, QOS, w=2, mode=GPS).validated == {"a": ((1, 3),)}
-
-    def test_planar_coordinates_are_not_range_checked(self):
-        user = UserTrajectory(id="user:p", trajectory=stationary(500.0, -300.0, n=3))
-        svc = gps_service("a", [(t, 500.0, -300.0) for t in (1, 2, 3)])
-        assert discover([svc], user).validated == {"a": ((1, 3),)}
+        oracle.discover(universe, user, QOS, w=2, mode=PLANAR)
+        assert "gps_bad_service" not in vars(universe)  # planar discovery never checks
+        table = oracle.discover(universe, user, QOS, w=2, mode=GPS)
+        assert table.validated == {"a": ((1, 3),)}
+        assert vars(universe)["gps_bad_service"] is None  # cached for every later user
 
 
 class TestGridInvariant:
