@@ -413,6 +413,17 @@ class TestModelSerialization:
         with pytest.raises(CheckpointError, match=message):
             load_model(data)
 
+    @pytest.mark.parametrize(
+        "n_inputs, n_outputs", [(3, 5), (4, 2)], ids=["output_5_wide", "input_4_wide"]
+    )
+    def test_network_that_does_not_fit_its_header_is_checkpoint_error(self, n_inputs, n_outputs):
+        # the header's 2 action ids and the encoded state's 3 columns fix the
+        # outer widths; a network of other widths does not fill the file
+        net = init_network(NetworkSpec(n_inputs, (4,), n_outputs), seed=0)
+        data = save_model(PolicyModel(net, ("a", DUMMY_SERVICE), EXTENTS))
+        with pytest.raises(CheckpointError, match="truncated or oversized"):
+            load_model(data)
+
     def test_network_too_large_for_int64_is_truncated(self):
         data = policy_file(wrapping_network_blob())
         with pytest.raises(CheckpointError, match="truncated"):

@@ -11,9 +11,10 @@ import pytest
 
 import mobicomp
 from mobicomp import __version__
-from mobicomp.agent import AgentConfig
+from mobicomp.agent import AgentConfig, PolicyModel, save_model
 from mobicomp.cli import DEFAULT_SEED, _config_from, build_parser, dispatch
-from mobicomp.datasets import ScenarioSpec, generate, write_scenario_bundle
+from mobicomp.datasets import ScenarioSpec, generate, load_scenario, write_scenario_bundle
+from mobicomp.evaluation import build_environment
 from mobicomp.ioutil import sha256_file
 from mobicomp.network import NetworkSpec, init_network, save
 from mobicomp.qos import QosParams
@@ -350,6 +351,12 @@ def bad_value_case(case, bundle, tmp_path):
         cfg[key] = value
         (bundle / "scenario.json").write_text(json.dumps(cfg))
         return discover, f"{bundle / 'scenario.json'}: {key} "
+    if case in BAD_REWARDS:
+        rewards, named = BAD_REWARDS[case]
+        cfg = json.loads((bundle / "scenario.json").read_text())
+        cfg["rewards"] = rewards
+        (bundle / "scenario.json").write_text(json.dumps(cfg))
+        return discover, f"{bundle / 'scenario.json'}: {named}"
     if case == "train_negative_seed":
         return [*train, *FAST_FLAGS, "--seed", "-1"], "seed"
     if case == "evaluate_negative_seed":
@@ -422,10 +429,21 @@ BAD_SCENARIO_KEYS = {
     "scenario_seed_fraction": ("seed", 1.5),
 }
 
+# a scenario.json "rewards" object that RewardScheme refuses, and the text the
+# error line must hold after the file's name (json writes and reads Infinity
+# and NaN)
+BAD_REWARDS = {
+    "scenario_rewards_dummy_inf": ({"dummy": math.inf}, "dummy reward must be finite, got inf"),
+    "scenario_rewards_invalid_nan": ({"invalid": math.nan}, "invalid reward must be finite, got nan"),
+    "scenario_rewards_dummy_below_invalid": (
+        {"dummy": -20, "invalid": -10}, "dummy reward (-20.0) must exceed invalid reward (-10.0)"
+    ),
+}
+
 BAD_VALUES = [
     "evaluate_negative_seed", "ingest_gps_t_2_53", "ingest_r_s_zero", "ingest_rate_nan",
     "ingest_w_zero",
-    "scenario_r_s_zero", *BAD_SCENARIO_KEYS, "services_t_nan", "train_epsilon_min_nan",
+    "scenario_r_s_zero", *BAD_SCENARIO_KEYS, *BAD_REWARDS, "services_t_nan", "train_epsilon_min_nan",
     "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
     *BAD_SERVICES, "user_file_t_fraction",
 ]
@@ -822,6 +840,29 @@ def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsy
     )
     assert code == 1
     assert "dropout_p" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+
+
+@pytest.mark.parametrize(
+    "n_inputs, extra_outputs", [(3, 3), (4, 0)], ids=["output_wider", "input_4_wide"]
+)
+def test_model_whose_network_does_not_fit_its_header_is_one_line_error(
+    bundle, tmp_path, capsys, n_inputs, extra_outputs
+):
+    scenario = bundle / "scenario.json"
+    env = build_environment(load_scenario(scenario))
+    net = init_network(NetworkSpec(n_inputs, (4,), env.n_actions + extra_outputs), seed=0)
+    net.biases[-1][-1] = 1e9  # every greedy pick is the last output
+    model = tmp_path / "misfit.ckpt"
+    model.write_bytes(save_model(PolicyModel(net, env.action_ids, env.extents)))
+    out = tmp_path / "p.json"
+    code = dispatch(
+        ["compose", "--model", str(model), "--scenario", str(scenario),
+         "--user", "user:u0000", "--out", str(out), "--quiet"]
+    )
+    assert code == 1
+    line = assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+    assert "truncated or oversized" in line
+    assert not out.exists()
 
 
 def test_model_header_non_finite_extent_is_one_line_error(bundle, tmp_path, capsys):
