@@ -9,6 +9,19 @@ uniformly sampled minibatches and the exploration rate decays by
 ``epsilon_decay`` (floored at ``epsilon_min``). Each row has one target,
 reward + gamma * max Q(next state), bootstrapped from the network being
 trained, and only the taken action's output is regressed towards it.
+
+A trained policy is saved as one file that holds only what ``compose`` reads
+(little-endian, no trailing bytes):
+
+    magic        4s   b"MPOL"
+    version      u32  (currently 2)
+    header_len   u32
+    header       JSON, sort_keys: action_ids, extents, hidden_layers
+    per layer, in order: W (fan_in x fan_out, row-major), then b, as f64
+
+The outer widths are not stored: the input width is ``STATE_DIM``, the
+encoded state's, and the output width is ``len(action_ids)``. A loaded
+network has zero optimizer moments, step 0 and no dropout.
 """
 
 from __future__ import annotations
@@ -22,14 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network
-from .environment import Environment, Extents, encode_states
+from .environment import STATE_DIM, Environment, Extents, encode_states
 from .errors import CheckpointError, ConfigError, InvalidInputError
 from .network import NetworkSpec, NetworkState
 from .oracle import CompositionPlan, PlanStep
 from .trajectories import UserTrajectory
 
 _MODEL_MAGIC = b"MPOL"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 @dataclass
@@ -196,7 +209,7 @@ def train(
     net_seed = int(np.random.SeedSequence([config.seed, 0]).generate_state(1)[0])
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     spec = NetworkSpec(
-        input_dim=len(env.reset(users[0])),
+        input_dim=STATE_DIM,
         hidden_layers=tuple(config.hidden_layers),
         output_dim=env.n_actions,
         dropout_p=config.dropout_p,
@@ -268,47 +281,61 @@ def compose(model: PolicyModel, env: Environment, user: UserTrajectory) -> Compo
 
 
 def save_model(model: PolicyModel) -> bytes:
-    """Policy container: magic, version, JSON header, then network checkpoint."""
+    """The policy file of the layout in this module's docstring."""
+    net = model.network
     header = json.dumps(
         {
             "action_ids": list(model.action_ids),
             "extents": asdict(model.extents),
+            "hidden_layers": list(net.spec.hidden_layers),
         },
         sort_keys=True,
     ).encode("utf-8")
-    net_blob = network.save(model.network)
+    layers = [arr for pair in zip(net.weights, net.biases) for arr in pair]
     return b"".join(
         [
             _MODEL_MAGIC,
-            struct.pack("<I", _MODEL_VERSION),
-            struct.pack("<I", len(header)),
+            struct.pack("<II", _MODEL_VERSION, len(header)),
             header,
-            struct.pack("<I", len(net_blob)),
-            net_blob,
+            *(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in layers),
         ]
     )
 
 
 def load_model(data: bytes) -> PolicyModel:
+    """The policy that ``save_model`` wrote to ``data``; anything else (bad
+    magic, another version, a header it cannot read, or layers that do not
+    fill the rest of the file exactly) is a CheckpointError."""
     if len(data) < 12 or data[:4] != _MODEL_MAGIC:
         raise CheckpointError("not a policy model file (bad magic)")
-    (version,) = struct.unpack("<I", data[4:8])
+    version, hlen = struct.unpack("<II", data[4:12])
     if version != _MODEL_VERSION:
         raise CheckpointError(f"unsupported policy model version {version}")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    if 12 + hlen + 4 > len(data):
+    if 12 + hlen > len(data):
         raise CheckpointError("truncated policy model header")
     try:
         header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-        action_ids = tuple(header["action_ids"])
         extents = Extents.from_dict(header["extents"])
+        for key, kind in (("action_ids", str), ("hidden_layers", int)):
+            value = header[key]
+            if not isinstance(value, list) or any(type(v) is not kind for v in value):
+                raise TypeError(f"{key} must be a list of {kind.__name__}, got {value!r}")
+        action_ids = tuple(header["action_ids"])
+        spec = NetworkSpec(STATE_DIM, tuple(header["hidden_layers"]), len(action_ids))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"bad policy model header: {exc!r}") from None
     for name, value in asdict(extents).items():
         if not math.isfinite(value):
             raise CheckpointError(f"bad policy model header: extent {name} is {value}")
-    (nlen,) = struct.unpack("<I", data[12 + hlen : 16 + hlen])
-    blob = data[16 + hlen : 16 + hlen + nlen]
-    if len(blob) != nlen or 16 + hlen + nlen != len(data):
+    # Python ints: a layer too wide for int64 is a size mismatch, not a wrap
+    sizes = [n for fan_in, fan_out in spec.layer_dims for n in (fan_in * fan_out, fan_out)]
+    if 12 + hlen + 8 * sum(sizes) != len(data):
         raise CheckpointError("truncated or oversized policy model payload")
-    return PolicyModel(network=network.load(blob), action_ids=action_ids, extents=extents)
+    flat = np.frombuffer(data, dtype="<f8", offset=12 + hlen).astype(np.float64)
+    arrays = np.split(flat, np.cumsum(sizes)[:-1])
+    net = NetworkState(
+        spec=spec,
+        weights=[w.reshape(dims) for w, dims in zip(arrays[0::2], spec.layer_dims)],
+        biases=arrays[1::2],
+    )
+    return PolicyModel(network=net, action_ids=action_ids, extents=extents)

@@ -275,7 +275,6 @@ class Scenario:
     w: int
     mode: DistanceMode
     rewards: RewardScheme
-    seed: int
 
 
 def write_scenario_bundle(
@@ -377,28 +376,20 @@ def load_scenario(path: str | Path) -> Scenario:
     services_csv, users_csv = (_csv_path(path, k, name) for k, name in names.items())
     qos_cfg = _section(path, cfg, "qos", {})
     r_s = _number(path, qos_cfg, "r_s_meters", ScenarioSpec.r_s_meters)
-    try:
-        defaults = QosParams.defaults_for(r_s)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    defaults = built(path, QosParams.defaults_for, r_s)
     r_c = _number(path, qos_cfg, "r_c_meters", defaults.confident_radius_rc)
     decay_k = _number(path, qos_cfg, "decay_k", defaults.decay_k)
-    try:
-        qos_params = QosParams(confident_radius_rc=r_c, decay_k=decay_k, sensing_radius_rs=r_s)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    qos_params = built(path, QosParams, r_c, decay_k, r_s)
     rewards_cfg = _section(path, cfg, "rewards", {})
-    rewards = RewardScheme(
-        dummy=_number(path, rewards_cfg, "dummy", RewardScheme.dummy),
-        invalid=_number(path, rewards_cfg, "invalid", RewardScheme.invalid),
-    )
+    dummy = _number(path, rewards_cfg, "dummy", RewardScheme.dummy)
+    invalid = _number(path, rewards_cfg, "invalid", RewardScheme.invalid)
+    rewards = built(path, RewardScheme, dummy, invalid)
     default_qos = _section(path, cfg, "default_service_qos", DEFAULT_SERVICE_QOS)
     service_qos = _section(path, cfg, "service_qos", {})
 
     w = _number(path, cfg, "w", ScenarioSpec.w, kind=int)
     if w < 1:
         raise InvalidInputError(f"{path}: w must be >= 1, got {w}")
-    seed = _number(path, cfg, "seed", 0, kind=int)
 
     services = []
     files = f"{services_csv}, {path}"
@@ -415,7 +406,6 @@ def load_scenario(path: str | Path) -> Scenario:
         w=w,
         mode=mode,
         rewards=rewards,
-        seed=seed,
     )
 
 

@@ -5,6 +5,7 @@ capacities for validated candidates and fixed penalties otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class Extents:
         return cls(**{k: float(v) for k, v in d.items()})
 
 
+STATE_DIM = 3  # the columns of encode_states: t, x, y
+
+
 def encode_states(traj: Trajectory, extents: Extents) -> np.ndarray:
     """Min-max normalized [t, x, y] feature rows, one per sample; a
     degenerate extent encodes as 0."""
@@ -62,6 +66,9 @@ class RewardScheme:
     invalid: float = -10.0
 
     def __post_init__(self):
+        for name, value in (("dummy", self.dummy), ("invalid", self.invalid)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} reward must be finite, got {value}")
         # a reward-maximising agent must always prefer dummy over invalid
         if not self.dummy > self.invalid:
             raise InvalidInputError(

@@ -3,39 +3,15 @@ adaptive-moment optimizer; the function approximator behind the Q-learning
 composer. All arithmetic is float64 so gradient checks and cross-run
 determinism are meaningful. The optimizer step runs in cache-sized slices of
 each array, with the same per-element arithmetic as one whole-array pass.
-
-Checkpoint byte layout (little-endian, no trailing bytes):
-
-    magic        4s   b"MNET"
-    version      u32  (currently 1)
-    input_dim    u32
-    n_hidden     u32
-    hidden dims  u32 * n_hidden
-    output_dim   u32
-    dropout_p    f64
-    seed         u64
-    optimizer    u8   always 1 (adam)
-    adam_t       u64
-    per layer, in declaration order:
-        rows u32, cols u32,
-        then f64 blobs row-major: W, b, mW, vW, mb, vb
-
-Loading re-seeds the dropout/init stream from the stored seed; weights,
-biases, and optimizer moments round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, InvalidInputError, TrainingDivergenceError
-
-_MAGIC = b"MNET"
-_VERSION = 1
+from .errors import InvalidInputError, TrainingDivergenceError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -72,16 +48,22 @@ class NetworkSpec:
 
 @dataclass
 class NetworkState:
+    """Weights and biases, the Adam moments and step count, and the dropout
+    stream. A new state starts with zero moments at step 0."""
+
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    seed: int
-    adam_t: int = 0
     rng: np.random.Generator = field(default=None, repr=False)
+    adam_t: int = field(default=0, init=False)
+    m_w: list[np.ndarray] = field(init=False, repr=False)
+    v_w: list[np.ndarray] = field(init=False, repr=False)
+    m_b: list[np.ndarray] = field(init=False, repr=False)
+    v_b: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m_w, self.v_w = ([np.zeros_like(w) for w in self.weights] for _ in range(2))
+        self.m_b, self.v_b = ([np.zeros_like(b) for b in self.biases] for _ in range(2))
 
 
 def init_network(spec: NetworkSpec, seed: int) -> NetworkState:
@@ -92,18 +74,7 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkState:
         limit = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
-    return NetworkState(
-        spec=spec,
-        weights=weights,
-        biases=biases,
-        m_w=zeros(weights),
-        v_w=zeros(weights),
-        m_b=zeros(biases),
-        v_b=zeros(biases),
-        seed=int(seed),
-        rng=rng,
-    )
+    return NetworkState(spec=spec, weights=weights, biases=biases, rng=rng)
 
 
 def _forward_cached(state: NetworkState, X: np.ndarray, train_mode: bool):
@@ -255,115 +226,3 @@ def train_batch(
         )
     _apply_update(state, grads_w, grads_b, lr)
     return loss
-
-
-def save(state: NetworkState) -> bytes:
-    """Serialize to the documented little-endian binary layout."""
-    spec = state.spec
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<II", spec.input_dim, len(spec.hidden_layers)),
-        struct.pack(f"<{len(spec.hidden_layers)}I", *spec.hidden_layers)
-        if spec.hidden_layers
-        else b"",
-        struct.pack("<I", spec.output_dim),
-        struct.pack("<d", spec.dropout_p),
-        struct.pack("<Q", state.seed),
-        struct.pack("<B", 1),  # optimizer: adam
-        struct.pack("<Q", state.adam_t),
-    ]
-    for i in range(len(state.weights)):
-        rows, cols = state.weights[i].shape
-        parts.append(struct.pack("<II", rows, cols))
-        for arr in (
-            state.weights[i],
-            state.biases[i],
-            state.m_w[i],
-            state.v_w[i],
-            state.m_b[i],
-            state.v_b[i],
-        ):
-            parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = math.prod(shape)  # exact: np.prod wraps around in int64
-        raw = self.take(n * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def load(data: bytes) -> NetworkState:
-    """Rebuild a NetworkState from checkpoint bytes.
-
-    Raises CheckpointError on bad magic/version, a header ``NetworkSpec``
-    refuses, an optimizer other than Adam, truncation or trailing bytes.
-    """
-    r = _Reader(data)
-    if r.take(4) != _MAGIC:
-        raise CheckpointError("not a network checkpoint (bad magic)")
-    (version,) = r.unpack("<I")
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    input_dim, n_hidden = r.unpack("<II")
-    hidden = r.unpack(f"<{n_hidden}I") if n_hidden else ()
-    (output_dim,) = r.unpack("<I")
-    (dropout_p,) = r.unpack("<d")
-    (seed,) = r.unpack("<Q")
-    (opt_flag,) = r.unpack("<B")
-    if opt_flag != 1:
-        raise CheckpointError(f"unsupported optimizer byte {opt_flag}, expected 1 (adam)")
-    (adam_t,) = r.unpack("<Q")
-    try:
-        spec = NetworkSpec(
-            input_dim=input_dim,
-            hidden_layers=tuple(hidden),
-            output_dim=output_dim,
-            dropout_p=dropout_p,
-        )
-    except InvalidInputError as exc:
-        raise CheckpointError(f"bad network header: {exc}") from None
-    weights, biases = [], []
-    m_w, v_w, m_b, v_b = [], [], [], []
-    for fan_in, fan_out in spec.layer_dims:
-        rows, cols = r.unpack("<II")
-        if (rows, cols) != (fan_in, fan_out):
-            raise CheckpointError(
-                f"layer shape {(rows, cols)} does not match spec {(fan_in, fan_out)}"
-            )
-        weights.append(r.array((rows, cols)))
-        biases.append(r.array((cols,)))
-        m_w.append(r.array((rows, cols)))
-        v_w.append(r.array((rows, cols)))
-        m_b.append(r.array((cols,)))
-        v_b.append(r.array((cols,)))
-    if r.pos != len(data):
-        raise CheckpointError(f"{len(data) - r.pos} trailing bytes in checkpoint")
-    return NetworkState(
-        spec=spec,
-        weights=weights,
-        biases=biases,
-        m_w=m_w,
-        v_w=v_w,
-        m_b=m_b,
-        v_b=v_b,
-        seed=int(seed),
-        adam_t=int(adam_t),
-        rng=np.random.default_rng(int(seed)),
-    )

@@ -67,28 +67,39 @@ def random_universe(rng, n_services, n_steps, area=100.0, r_s=15.0):
     return services, user
 
 
-def policy_file(net_blob: bytes, **extents: float) -> bytes:
-    """A policy model file holding ``net_blob``, laid out as
-    ``agent.save_model`` writes one, with a valid header whose extents are
-    0.0 but for those given."""
-    zero = dict.fromkeys(["t_min", "t_max", "x_min", "x_max", "y_min", "y_max"], 0.0)
-    header = json.dumps(
-        {"action_ids": ["a", "__dummy__"], "extents": {**zero, **extents}},
-        sort_keys=True,
-    ).encode()
-    return b"".join([
-        b"MPOL", struct.pack("<I", 1), struct.pack("<I", len(header)), header,
-        struct.pack("<I", len(net_blob)), net_blob,
-    ])
+def policy_file(
+    payload: bytes | None = None,
+    version: int = 2,
+    header: bytes | None = None,
+    hidden_layers: tuple[int, ...] = (4,),
+    **extents: float,
+) -> bytes:
+    """A policy model file laid out as ``agent.save_model`` writes one. Unless
+    ``header`` gives the raw bytes, the header holds the action ids ``a`` and
+    dummy, ``hidden_layers`` and extents 0.0 but for those given. ``payload``
+    defaults to zero layers of the widths that header gives (3 inputs, the
+    hidden layers, 2 outputs)."""
+    if header is None:
+        zero = dict.fromkeys(["t_min", "t_max", "x_min", "x_max", "y_min", "y_max"], 0.0)
+        header = json.dumps(
+            {
+                "action_ids": ["a", "__dummy__"],
+                "extents": {**zero, **extents},
+                "hidden_layers": list(hidden_layers),
+            },
+            sort_keys=True,
+        ).encode()
+    if payload is None:
+        widths = (3, *hidden_layers, 2)
+        payload = bytes(8 * sum((a + 1) * b for a, b in zip(widths, widths[1:])))
+    return b"".join([b"MPOL", struct.pack("<II", version, len(header)), header, payload])
 
 
-def wrapping_network_blob() -> bytes:
-    """A network checkpoint whose widths are all 2**32 - 1, with a first layer
-    of that shape and 64 bytes after it: the layer's (2**32 - 1)**2 weights
-    wrap around in int64."""
-    wide = 2**32 - 1
-    head = struct.pack("<4sIIIIIdQBQ", b"MNET", 1, wide, 1, wide, wide, 0.0, 0, 1, 0)
-    return head + struct.pack("<II", wide, wide) + bytes(64)
+def wrapping_policy_file() -> bytes:
+    """A policy file whose two hidden layers are 2**32 - 1 wide, with 64 bytes
+    of layers: the second layer's (2**32 - 1)**2 weights take more bytes than
+    int64 holds."""
+    return policy_file(bytes(64), hidden_layers=(2**32 - 1, 2**32 - 1))
 
 
 def make_env(services, users, qos=None, w=2, rewards=None):

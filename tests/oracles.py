@@ -234,3 +234,11 @@ def unblocked_adam_update(state, grads_w, grads_b, lr):
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * grad * grad
             params -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def training_state(state):
+    """What training carries from one step to the next, in a form that
+    compares equal only when bit-identical: the Adam step count, then the
+    shape and bytes of every weight, bias and Adam moment array."""
+    arrays = [*state.weights, *state.biases, *state.m_w, *state.v_w, *state.m_b, *state.v_b]
+    return state.adam_t, [(arr.shape, arr.tobytes()) for arr in arrays]

@@ -24,7 +24,8 @@ from mobicomp.errors import CheckpointError, ConfigError, InvalidInputError
 from mobicomp.network import NetworkSpec, init_network
 from mobicomp.oracle import DUMMY_SERVICE
 
-from conftest import line_user, make_env, policy_file, service_tracking, wrapping_network_blob
+from conftest import line_user, make_env, policy_file, service_tracking, wrapping_policy_file
+from oracles import training_state
 
 EXTENTS = Extents(t_min=0, t_max=1, x_min=0, x_max=1, y_min=0, y_max=1)
 EXTENT_FIELDS = asdict(EXTENTS)
@@ -256,6 +257,7 @@ class TestTraining:
         r1, r2 = run(), run()
         assert r1.log == r2.log
         assert save_model(r1.model) == save_model(r2.model)
+        assert training_state(r1.model.network) == training_state(r2.model.network)
 
     def test_no_users_rejected(self):
         env, _ = self._single_candidate()
@@ -351,18 +353,43 @@ class TestModelSerialization:
             batch_size=4,
             train_interval=4,
             hidden_layers=(6,),
-            dropout_p=0.0,
+            dropout_p=0.2,
             seed=7,
         )
         model = train(env, [user], cfg).model
+        assert model.network.adam_t > 0
         clone = load_model(save_model(model))
         assert clone.action_ids == model.action_ids
         assert clone.extents == model.extents
-        x = np.array([0.3, 0.5, 0.7])
-        assert np.array_equal(
-            network.forward(clone.network, x), network.forward(model.network, x)
+        x = np.array([[0.3, 0.5, 0.7], [0.0, 1.0, 0.25]])
+        assert network.forward(clone.network, x).tobytes() == (
+            network.forward(model.network, x).tobytes()
         )
         assert save_model(clone) == save_model(model)
+        # the file holds no optimizer state and no dropout: a loaded network
+        # only runs forward
+        net = clone.network
+        assert net.adam_t == 0 and net.spec.dropout_p == 0.0
+        assert not any(m.any() for m in (*net.m_w, *net.v_w, *net.m_b, *net.v_b))
+
+    def test_layout_is_pinned_on_a_hand_built_network(self):
+        net = init_network(NetworkSpec(3, (2,), 2), seed=0)
+        net.weights[0][:] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        net.biases[0][:] = [0.5, -0.5]
+        net.weights[1][:] = [[-1.0, 0.25], [2.0, -3.0]]
+        net.biases[1][:] = [0.125, 8.0]
+        extents = Extents(t_min=0.0, t_max=10.0, x_min=-1.0, x_max=1.0, y_min=2.0, y_max=4.0)
+        header = (
+            b'{"action_ids": ["a", "__dummy__"], "extents": {"t_max": 10.0, "t_min": 0.0, '
+            b'"x_max": 1.0, "x_min": -1.0, "y_max": 4.0, "y_min": 2.0}, "hidden_layers": [2]}'
+        )
+        layers = [1, 2, 3, 4, 5, 6, 0.5, -0.5, -1, 0.25, 2, -3, 0.125, 8]
+        expected = (
+            b"MPOL" + struct.pack("<II", 2, len(header)) + header
+            + struct.pack("<14d", *layers)
+        )
+        assert save_model(PolicyModel(net, ("a", DUMMY_SERVICE), extents)) == expected
+        assert save_model(load_model(expected)) == expected
 
     @pytest.mark.parametrize(
         "header",
@@ -370,42 +397,65 @@ class TestModelSerialization:
             b"\xff\xfe not utf-8",
             b"{not json",
             b"[1, 2]",
-            json.dumps({"extents": {"t_min": 0}}).encode(),
-            json.dumps({"action_ids": ["a", DUMMY_SERVICE]}).encode(),
+            json.dumps({"extents": EXTENT_FIELDS, "hidden_layers": [4]}).encode(),
+            json.dumps({"action_ids": ["a", DUMMY_SERVICE], "hidden_layers": [4]}).encode(),
+            json.dumps({"action_ids": ["a", DUMMY_SERVICE], "extents": EXTENT_FIELDS}).encode(),
             json.dumps({"action_ids": ["a"], "extents": [0, 1]}).encode(),
             json.dumps({"action_ids": ["a"], "extents": {"t_min": "x"}}).encode(),
             json.dumps({"action_ids": ["a"], "extents": {**EXTENT_FIELDS, "x_max": math.nan}}).encode(),
             json.dumps({"action_ids": ["a"], "extents": {**EXTENT_FIELDS, "t_min": -math.inf}}).encode(),
         ],
         ids=["not_utf8", "invalid_json", "not_object", "no_action_ids", "no_extents",
-             "extents_not_object", "extents_not_numeric", "extent_nan", "extent_inf"],
+             "no_hidden_layers", "extents_not_object", "extents_not_numeric", "extent_nan",
+             "extent_inf"],
     )
     def test_bad_header_is_checkpoint_error(self, header):
-        blob = network.save(init_network(NetworkSpec(3, (4,), 2), seed=0))
-        data = b"".join([
-            b"MPOL", struct.pack("<I", 1), struct.pack("<I", len(header)), header,
-            struct.pack("<I", len(blob)), blob,
-        ])
         with pytest.raises(CheckpointError, match="header"):
-            load_model(data)
+            load_model(policy_file(header=header))
+
+    @pytest.mark.parametrize(
+        "hidden, action_ids, match",
+        [
+            (4, ["a", DUMMY_SERVICE], "hidden_layers must be a list of int"),
+            ([2.5], ["a", DUMMY_SERVICE], "hidden_layers must be a list of int"),
+            ([True], ["a", DUMMY_SERVICE], "hidden_layers must be a list of int"),
+            (["4"], ["a", DUMMY_SERVICE], "hidden_layers must be a list of int"),
+            ([0], ["a", DUMMY_SERVICE], "layer widths"),
+            ([4], [], "layer widths"),
+            ([4], "ab", "action_ids must be a list of str"),
+            ([4], [1, 2], "action_ids must be a list of str"),
+        ],
+        ids=["hidden_not_list", "hidden_fraction", "hidden_bool", "hidden_str",
+             "zero_hidden_width", "no_actions", "action_ids_str", "action_ids_numbers"],
+    )
+    def test_bad_widths_are_checkpoint_error(self, hidden, action_ids, match):
+        header = json.dumps(
+            {"action_ids": action_ids, "extents": EXTENT_FIELDS, "hidden_layers": hidden}
+        ).encode()
+        with pytest.raises(CheckpointError, match=f"bad policy model header: .*{match}"):
+            load_model(policy_file(header=header))
 
     @pytest.mark.parametrize(
         "case, message",
         [
             ("short", "bad magic"),
             ("magic", "bad magic"),
-            ("version", "unsupported policy model version 2"),
+            ("version", "unsupported policy model version 3"),
+            ("version_1", "unsupported policy model version 1"),
             ("header_length", "truncated policy model header"),
             ("truncated", "truncated or oversized"),
             ("oversized", "truncated or oversized"),
         ],
     )
     def test_bad_container_is_checkpoint_error(self, case, message):
-        data = policy_file(network.save(init_network(NetworkSpec(3, (4,), 2), seed=0)))
+        data = policy_file()
+        assert load_model(data).action_ids == ("a", DUMMY_SERVICE)
         data = {
             "short": data[:11],
             "magic": b"MNET" + data[4:],
-            "version": data[:4] + struct.pack("<I", 2) + data[8:],
+            "version": policy_file(version=3),
+            # the previous layout; nothing after the version is read
+            "version_1": policy_file(version=1),
             "header_length": data[:8] + struct.pack("<I", len(data)) + data[12:],
             "truncated": data[:-1],
             "oversized": data + b"\x00",
@@ -416,7 +466,7 @@ class TestModelSerialization:
     @pytest.mark.parametrize(
         "n_inputs, n_outputs", [(3, 5), (4, 2)], ids=["output_5_wide", "input_4_wide"]
     )
-    def test_network_that_does_not_fit_its_header_is_checkpoint_error(self, n_inputs, n_outputs):
+    def test_misfit_network_is_checkpoint_error(self, n_inputs, n_outputs):
         # the header's 2 action ids and the encoded state's 3 columns fix the
         # outer widths; a network of other widths does not fill the file
         net = init_network(NetworkSpec(n_inputs, (4,), n_outputs), seed=0)
@@ -425,9 +475,8 @@ class TestModelSerialization:
             load_model(data)
 
     def test_network_too_large_for_int64_is_truncated(self):
-        data = policy_file(wrapping_network_blob())
         with pytest.raises(CheckpointError, match="truncated"):
-            load_model(data)
+            load_model(wrapping_policy_file())
 
     @pytest.mark.parametrize("field", ["repetition", "train_interval"])
     def test_counts_below_one_rejected(self, field):

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 
@@ -16,11 +15,11 @@ from mobicomp.cli import DEFAULT_SEED, _config_from, build_parser, dispatch
 from mobicomp.datasets import ScenarioSpec, generate, load_scenario, write_scenario_bundle
 from mobicomp.evaluation import build_environment
 from mobicomp.ioutil import sha256_file
-from mobicomp.network import NetworkSpec, init_network, save
+from mobicomp.network import NetworkSpec, init_network
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode, Trajectory, TrajectoryPoint
 
-from conftest import policy_file, wrapping_network_blob
+from conftest import policy_file, wrapping_policy_file
 
 SPEC = {
     "n_services": 6,
@@ -426,7 +425,6 @@ BAD_SCENARIO_KEYS = {
     "scenario_w_bool": ("w", True),
     "scenario_w_str": ("w", "2"),
     "scenario_w_zero": ("w", 0),
-    "scenario_seed_fraction": ("seed", 1.5),
 }
 
 # a scenario.json "rewards" object that RewardScheme refuses, and the text the
@@ -727,7 +725,7 @@ TRAIN_FLAGS = [
     "--dropout", "0",
 ]
 PINNED_TRAIN = (
-    "3eaff73447cb4c434c8e2ca3119dbf4bdb7d510a16d71ee6a7e3a7d482ab4a3e",
+    "3a4e6b9467a6067bb96170f76a31bb000a3a301f78d3f1c9db5597cbac24132a",
     "c5896062dae30c39f52826674794c4d6dd267515bd8753a0ea3f8feace2e66ec",
 )
 
@@ -813,33 +811,46 @@ def test_evaluate_convergence_reports_each_count(bundle, tmp_path, capsys):
     assert fields["rounds"] == ",".join(map(str, rounds))
 
 
-def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
-    # a layer of (2**32 - 1)**2 weights, which wraps around in int64
-    model = tmp_path / "wrapping.ckpt"
-    model.write_bytes(policy_file(wrapping_network_blob()))
-    out = tmp_path / "p.json"
+def malformed_model_error(bundle, tmp_path, capsys, data):
+    """The one error line of ``compose --model`` on a file holding ``data``,
+    which must name that file and leave no plan behind."""
+    model, out = tmp_path / "bad.ckpt", tmp_path / "p.json"
+    model.write_bytes(data)
     code = dispatch(
         ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
          "--user", "user:u0000", "--out", str(out), "--quiet"]
     )
     assert code == 1
-    assert "truncated" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
     assert not out.exists()
+    return assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+
+
+def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
+    # a layer of (2**32 - 1)**2 weights, whose size wraps around in int64
+    line = malformed_model_error(bundle, tmp_path, capsys, wrapping_policy_file())
+    assert "truncated" in line
 
 
 def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsys):
-    blob = bytearray(save(init_network(NetworkSpec(3, (4,), 2), seed=0)))
-    # dropout_p follows magic, version, input_dim, n_hidden, the hidden width
-    # and output_dim
-    blob[24:32] = struct.pack("<d", 1.5)
-    model = tmp_path / "dropout.ckpt"
-    model.write_bytes(policy_file(bytes(blob)))
-    code = dispatch(
-        ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
-         "--user", "user:u0000", "--out", str(tmp_path / "p.json"), "--quiet"]
-    )
-    assert code == 1
-    assert "dropout_p" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
+    line = malformed_model_error(bundle, tmp_path, capsys, policy_file(hidden_layers=(0,)))
+    assert "layer widths" in line
+
+
+# a policy file that is not one `mobicomp train` writes: its bytes and the text
+# the error line must hold
+MALFORMED_MODELS = {
+    "version_1": (policy_file(version=1), "unsupported policy model version 1"),
+    "bad_magic": (b"MNET" + policy_file()[4:], "bad magic"),
+    "truncated": (policy_file()[:-8], "truncated or oversized"),
+    "trailing_bytes": (policy_file() + bytes(8), "truncated or oversized"),
+    "header_not_json": (policy_file(header=b"{"), "bad policy model header"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_is_one_line_error(bundle, tmp_path, capsys, case):
+    data, named = MALFORMED_MODELS[case]
+    assert named in malformed_model_error(bundle, tmp_path, capsys, data)
 
 
 @pytest.mark.parametrize(
@@ -848,35 +859,16 @@ def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsy
 def test_model_whose_network_does_not_fit_its_header_is_one_line_error(
     bundle, tmp_path, capsys, n_inputs, extra_outputs
 ):
-    scenario = bundle / "scenario.json"
-    env = build_environment(load_scenario(scenario))
+    env = build_environment(load_scenario(bundle / "scenario.json"))
     net = init_network(NetworkSpec(n_inputs, (4,), env.n_actions + extra_outputs), seed=0)
     net.biases[-1][-1] = 1e9  # every greedy pick is the last output
-    model = tmp_path / "misfit.ckpt"
-    model.write_bytes(save_model(PolicyModel(net, env.action_ids, env.extents)))
-    out = tmp_path / "p.json"
-    code = dispatch(
-        ["compose", "--model", str(model), "--scenario", str(scenario),
-         "--user", "user:u0000", "--out", str(out), "--quiet"]
-    )
-    assert code == 1
-    line = assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
-    assert "truncated or oversized" in line
-    assert not out.exists()
+    data = save_model(PolicyModel(net, env.action_ids, env.extents))
+    assert "truncated or oversized" in malformed_model_error(bundle, tmp_path, capsys, data)
 
 
 def test_model_header_non_finite_extent_is_one_line_error(bundle, tmp_path, capsys):
-    blob = save(init_network(NetworkSpec(3, (4,), 2), seed=0))
-    model = tmp_path / "extent.ckpt"
-    model.write_bytes(policy_file(blob, x_max=math.nan))
-    out = tmp_path / "p.json"
-    code = dispatch(
-        ["compose", "--model", str(model), "--scenario", str(bundle / "scenario.json"),
-         "--user", "user:u0000", "--out", str(out), "--quiet"]
-    )
-    assert code == 1
-    assert "x_max" in assert_one_error_line(capsys, "CheckpointError", f"{model}: ")
-    assert not out.exists()
+    line = malformed_model_error(bundle, tmp_path, capsys, policy_file(x_max=math.nan))
+    assert "x_max" in line
 
 
 def test_evaluate_threshold_gates_exit_code(bundle, tmp_path):

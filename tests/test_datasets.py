@@ -168,7 +168,7 @@ class TestScenarioBundle:
         "keys",
         [
             ("w",),
-            ("seed",),
+            ("qos", "r_c_meters"),
             ("qos", "r_s_meters"),
             ("qos", "decay_k"),
             ("rewards", "dummy"),

@@ -117,7 +117,6 @@ class TestStepRewards:
         with pytest.raises(InvalidInputError):
             RewardScheme(dummy=-10.0, invalid=-1.0)
 
-
     @pytest.mark.parametrize(
         "dummy, invalid, name",
         [(math.inf, -10.0, "dummy"), (-1.0, -math.inf, "invalid"), (-1.0, math.nan, "invalid")],
@@ -125,6 +124,7 @@ class TestStepRewards:
     def test_non_finite_reward_rejected(self, dummy, invalid, name):
         with pytest.raises(InvalidInputError, match=f"{name} reward must be finite"):
             RewardScheme(dummy=dummy, invalid=invalid)
+
 
 class TestEpisodeProtocol:
     def test_episode_length_equals_samples(self):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -78,7 +78,6 @@ def tiny_scenario(n_services=6, n_users=4, n_steps=25, seed=21):
         w=spec.w,
         mode=DistanceMode.PLANAR_EUCLIDEAN,
         rewards=RewardScheme(),
-        seed=seed,
     )
 
 
@@ -178,15 +177,7 @@ class TestSweep:
 class TestTiming:
     def test_empty_universe_does_not_crash(self):
         scenario = tiny_scenario()
-        empty = Scenario(
-            services=[],
-            users=scenario.users,
-            qos_params=scenario.qos_params,
-            w=scenario.w,
-            mode=scenario.mode,
-            rewards=scenario.rewards,
-            seed=scenario.seed,
-        )
+        empty = replace(scenario, services=[])
         cfg = AgentConfig(repetition=2, seed=4, **FAST)
         reports = run_timing(empty, [0], cfg, repeats=3)
         phases = {r.phase for r in reports}

@@ -1,23 +1,18 @@
-import struct
-
 import numpy as np
 import pytest
 
 from mobicomp import network
-from mobicomp.errors import CheckpointError, InvalidInputError, TrainingDivergenceError
+from mobicomp.errors import InvalidInputError, TrainingDivergenceError
 from mobicomp.network import (
     NetworkSpec,
     _forward_cached,
     _loss_and_grads,
     forward,
     init_network,
-    load,
-    save,
     train_batch,
 )
 
-from conftest import wrapping_network_blob
-from oracles import unblocked_adam_update
+from oracles import training_state, unblocked_adam_update
 
 
 def zeroed(spec, seed=0):
@@ -261,89 +256,6 @@ class TestDropout:
         assert np.max(np.abs(mean - eval_out) / denom) < 0.02
 
 
-class TestCheckpoint:
-    def _trained_state(self):
-        spec = NetworkSpec(input_dim=2, hidden_layers=(5,), output_dim=3, dropout_p=0.25)
-        state = init_network(spec, seed=9)
-        rng = np.random.default_rng(9)
-        for _ in range(3):
-            X, actions, y = rng.standard_normal((4, 2)), rng.integers(3, size=4), rng.standard_normal(4)
-            train_batch(state, X, actions, y, lr=0.01)
-        return state
-
-    def test_round_trip_bit_exact(self):
-        state = self._trained_state()
-        clone = load(save(state))
-        x = np.array([0.1, -0.2])
-        assert np.array_equal(forward(state, x), forward(clone, x))
-        assert all(np.array_equal(a, b) for a, b in zip(state.weights, clone.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(state.m_w, clone.m_w))
-        assert clone.adam_t == state.adam_t
-        assert clone.seed == state.seed
-        assert save(clone) == save(state)
-
-    def test_truncated_rejected(self):
-        blob = save(self._trained_state())
-        with pytest.raises(CheckpointError):
-            load(blob[: len(blob) // 2])
-
-    def test_trailing_bytes_rejected(self):
-        blob = save(self._trained_state())
-        with pytest.raises(CheckpointError):
-            load(blob + b"\x00")
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(CheckpointError):
-            load(b"NOPE" + b"\x00" * 64)
-
-    def test_unsupported_version_rejected(self):
-        blob = bytearray(save(self._trained_state()))
-        blob[4:8] = struct.pack("<I", 2)
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
-            load(bytes(blob))
-
-    def test_layer_shape_other_than_the_spec_rejected(self):
-        blob = bytearray(save(self._trained_state()))
-        # the first layer's rows follow the header (input 2, hidden 5, output 3)
-        at = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 1 + 8
-        assert struct.unpack("<II", blob[at : at + 8]) == (2, 5)
-        blob[at : at + 8] = struct.pack("<II", 5, 2)
-        with pytest.raises(CheckpointError, match=r"layer shape \(5, 2\)"):
-            load(bytes(blob))
-
-    def test_layer_too_large_for_int64_is_truncated(self):
-        with pytest.raises(CheckpointError, match="truncated"):
-            load(wrapping_network_blob())
-
-    @pytest.mark.parametrize(
-        "at, field, match",
-        [
-            # the one hidden width follows magic, version, input_dim, n_hidden
-            (16, struct.pack("<I", 0), "layer widths"),
-            # dropout_p follows the hidden width and output_dim
-            (24, struct.pack("<d", 1.5), "dropout_p"),
-            (24, struct.pack("<d", float("nan")), "dropout_p"),
-        ],
-        ids=["zero_hidden_width", "dropout_1.5", "dropout_nan"],
-    )
-    def test_header_the_spec_refuses_rejected(self, at, field, match):
-        blob = bytearray(save(self._trained_state()))
-        blob[at : at + len(field)] = field
-        with pytest.raises(CheckpointError, match=match):
-            load(bytes(blob))
-
-    @pytest.mark.parametrize("byte", [0, 2])
-    def test_optimizer_other_than_adam_rejected(self, byte):
-        blob = bytearray(save(self._trained_state()))
-        # magic, version, input_dim, n_hidden, one hidden width, output_dim,
-        # dropout_p and seed precede the optimizer byte
-        at = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8
-        assert blob[at] == 1
-        blob[at] = byte
-        with pytest.raises(CheckpointError, match="optimizer"):
-            load(bytes(blob))
-
-
 class TestDeterminism:
     def test_same_seed_bitwise_identical_training(self):
         def run():
@@ -355,29 +267,28 @@ class TestDeterminism:
                 train_batch(state, X, actions, y, lr=0.005)
             return state
 
-        a, b = run(), run()
-        assert save(a) == save(b)
+        assert training_state(run()) == training_state(run())
 
 
-def trained_blob(spec, steps, seed=12):
-    """``save()`` bytes after ``steps`` train_batch calls on random batches."""
+def trained_state(spec, steps, seed=12):
+    """``training_state`` after ``steps`` train_batch calls on random batches."""
     state = init_network(spec, seed=seed)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         X = rng.standard_normal((8, spec.input_dim))
         actions = rng.integers(spec.output_dim, size=8)
         train_batch(state, X, actions, rng.standard_normal(8), lr=0.01)
-    return save(state)
+    return training_state(state)
 
 
 class TestBlockedAdam:
     """The update runs in first-axis slices of about ``_ADAM_BLOCK`` elements
     with the same per-element operations as one whole-array pass."""
 
-    def unblocked_blob(self, monkeypatch, spec, steps):
+    def unblocked_state(self, monkeypatch, spec, steps):
         with monkeypatch.context() as patch:
             patch.setattr(network, "_apply_update", unblocked_adam_update)
-            return trained_blob(spec, steps)
+            return trained_state(spec, steps)
 
     @pytest.mark.parametrize("block", [3, 20])
     def test_small_blocks_match_the_unblocked_update(self, monkeypatch, block):
@@ -389,10 +300,10 @@ class TestBlockedAdam:
         for rows, cols in spec.layer_dims:
             per_slice = max(1, block // cols)
             assert rows > per_slice and (cols > block or rows % per_slice)
-        expected = self.unblocked_blob(monkeypatch, spec, steps=12)
+        expected = self.unblocked_state(monkeypatch, spec, steps=12)
         monkeypatch.setattr(network, "_ADAM_BLOCK", block)
-        assert trained_blob(spec, steps=12) == expected
+        assert trained_state(spec, steps=12) == expected
 
     def test_default_network_matches_the_unblocked_update(self, monkeypatch):
         spec = NetworkSpec(input_dim=3, hidden_layers=(512, 512), output_dim=201, dropout_p=0.5)
-        assert trained_blob(spec, steps=3) == self.unblocked_blob(monkeypatch, spec, steps=3)
+        assert trained_state(spec, steps=3) == self.unblocked_state(monkeypatch, spec, steps=3)
