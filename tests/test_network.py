@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mobicomp import network
-from mobicomp.errors import InvalidInputError, TrainingDivergenceError
+from mobicomp.agent import PolicyModel, load_model, save_model
+from mobicomp.environment import Extents
+from mobicomp.errors import CheckpointError, InvalidInputError, TrainingDivergenceError
 from mobicomp.network import (
     NetworkSpec,
     _forward_cached,
@@ -11,7 +15,9 @@ from mobicomp.network import (
     init_network,
     train_batch,
 )
+from mobicomp.oracle import DUMMY_SERVICE
 
+from conftest import wrapping_policy_file
 from oracles import training_state, unblocked_adam_update
 
 
@@ -254,6 +260,58 @@ class TestDropout:
         mean = _forward_cached(state, np.tile(x, (n, 1)), True)[2].mean(axis=0)
         denom = np.maximum(np.abs(eval_out), 1e-9)
         assert np.max(np.abs(mean - eval_out) / denom) < 0.02
+
+
+class TestCheckpoint:
+    """A trained network's weights and biases are stored in the policy file
+    ``agent.save_model`` writes; nothing else of the network is kept."""
+
+    def _trained_file(self):
+        spec = NetworkSpec(input_dim=3, hidden_layers=(5,), output_dim=2, dropout_p=0.25)
+        state = init_network(spec, seed=9)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            X, actions, y = rng.standard_normal((4, 3)), rng.integers(2, size=4), rng.standard_normal(4)
+            train_batch(state, X, actions, y, lr=0.01)
+        extents = Extents(t_min=0.0, t_max=4.0, x_min=-1.0, x_max=1.0, y_min=0.0, y_max=2.0)
+        return state, save_model(PolicyModel(state, ("a", DUMMY_SERVICE), extents))
+
+    def test_round_trip_bit_exact(self):
+        state, blob = self._trained_file()
+        clone = load_model(blob).network
+        x = np.array([0.1, -0.2, 0.7])
+        assert forward(state, x).tobytes() == forward(clone, x).tobytes()
+        for saved, loaded in ((state.weights, clone.weights), (state.biases, clone.biases)):
+            assert [a.shape for a in saved] == [b.shape for b in loaded]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(saved, loaded))
+        assert clone.spec.hidden_layers == state.spec.hidden_layers
+        assert clone.adam_t == 0 and clone.spec.dropout_p == 0.0
+        assert save_model(load_model(blob)) == blob
+
+    def test_truncated_rejected(self):
+        _, blob = self._trained_file()
+        with pytest.raises(CheckpointError):
+            load_model(blob[: len(blob) // 2])
+
+    def test_trailing_bytes_rejected(self):
+        _, blob = self._trained_file()
+        with pytest.raises(CheckpointError):
+            load_model(blob + b"\x00")
+
+    def test_bad_magic_rejected(self):
+        with pytest.raises(CheckpointError):
+            load_model(b"NOPE" + b"\x00" * 64)
+
+    def test_unsupported_version_rejected(self):
+        _, blob = self._trained_file()
+        for version in (0, 1, 3):
+            data = blob[:4] + struct.pack("<I", version) + blob[8:]
+            with pytest.raises(CheckpointError, match=f"unsupported policy model version {version}"):
+                load_model(data)
+
+    def test_layer_too_large_for_int64_is_truncated(self):
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_model(wrapping_policy_file())
 
 
 class TestDeterminism:
