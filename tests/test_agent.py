@@ -367,10 +367,10 @@ class TestModelSerialization:
         )
         assert save_model(clone) == save_model(model)
         # the file holds no optimizer state and no dropout: a loaded network
-        # only runs forward
+        # only runs forward, and holds no Adam moments until a training step
         net = clone.network
         assert net.adam_t == 0 and net.spec.dropout_p == 0.0
-        assert not any(m.any() for m in (*net.m_w, *net.v_w, *net.m_b, *net.v_b))
+        assert (net.m_w, net.v_w, net.m_b, net.v_b) == (None, None, None, None)
 
     def test_layout_is_pinned_on_a_hand_built_network(self):
         net = init_network(NetworkSpec(3, (2,), 2), seed=0)

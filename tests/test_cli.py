@@ -333,6 +333,10 @@ def bad_value_case(case, bundle, tmp_path):
         return [*ingest, "--r-s", "0"], "sensing radius"
     if case == "ingest_rate_nan":
         return [*ingest, "--rate", "nan"], "rate"
+    if case == "ingest_rate_huge_grid":
+        # p0's 0.55 s at 1e-15 s a step is about 5.5e14 grid points, more than
+        # an address space holds: refused before any grid is allocated
+        return [*ingest, "--rate", "1e-15"], f"{raw}: person 'p0': "
     if case == "ingest_w_zero":
         return [*ingest, "--w", "0"], "--w"
     if case == "ingest_gps_t_2_53":
@@ -440,7 +444,7 @@ BAD_REWARDS = {
 
 BAD_VALUES = [
     "evaluate_negative_seed", "ingest_gps_t_2_53", "ingest_r_s_zero", "ingest_rate_nan",
-    "ingest_w_zero",
+    "ingest_rate_huge_grid", "ingest_w_zero",
     "scenario_r_s_zero", *BAD_SCENARIO_KEYS, *BAD_REWARDS, "services_t_nan", "train_epsilon_min_nan",
     "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
     *BAD_SERVICES, "user_file_t_fraction",
@@ -637,9 +641,9 @@ def test_discover_bytes_do_not_depend_on_the_scenario_path_spelling(bundle, tmp_
     assert len(digests) == 1
 
 
-def test_haversine_service_out_of_gps_range_is_one_line_error(tmp_path, capsys):
-    # the bad sample is at t=26, where no user has one: every service sample
-    # is range-checked, not only those joined with a user
+def haversine_discover_error(tmp_path, capsys, csv_name, row):
+    """The error lines of ``discover`` on a haversine bundle with ``row``
+    appended to its ``csv_name``; the command must exit 1 and write nothing."""
     spec = ScenarioSpec.from_dict(SPEC)
     services, users = generate(spec)
     scen = tmp_path / "scen"
@@ -647,15 +651,32 @@ def test_haversine_service_out_of_gps_range_is_one_line_error(tmp_path, capsys):
         scen, to_lonlat(services), to_lonlat(users), QosParams.defaults_for(spec.r_s_meters),
         spec.w, DistanceMode.HAVERSINE, seed=spec.seed,
     )
-    append_line(scen / "services.csv", "s0003,26,200.0,-33.87")
+    append_line(scen / csv_name, row)
     out = tmp_path / "out" / "d.json"
     assert dispatch(["discover", "--scenario", str(scen / "scenario.json"),
                      "--out", str(out), "--quiet"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [
-        "error: InvalidInputError: service 's0003': GPS coordinates out of range: (200.0, -33.87)"
-    ]
     assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err.strip().splitlines()
+
+
+def test_haversine_service_out_of_gps_range_is_one_line_error(tmp_path, capsys):
+    # the bad sample is at t=26, where no user has one: every service sample
+    # is range-checked, not only those joined with a user
+    err = haversine_discover_error(tmp_path, capsys, "services.csv", "s0003,26,200.0,-33.87")
+    scen = tmp_path / "scen"
+    assert err == [
+        f"error: InvalidInputError: {scen / 'services.csv'}, {scen / 'scenario.json'}: "
+        "service 's0003': GPS coordinates out of range: (200.0, -33.87)"
+    ]
+
+
+def test_haversine_user_out_of_gps_range_is_one_line_error(tmp_path, capsys):
+    # refused when the bundle is loaded, before the first user is discovered
+    err = haversine_discover_error(tmp_path, capsys, "users.csv", "user:u0002,26,151.2,95.0")
+    assert err == [
+        f"error: InvalidInputError: {tmp_path / 'scen' / 'users.csv'}: "
+        "user 'user:u0002': GPS coordinates out of range: (151.2, 95.0)"
+    ]
 
 
 def raw_traces(fmt):
