@@ -21,7 +21,8 @@ A trained policy is saved as one file that holds only what ``compose`` reads
 
 The outer widths are not stored: the input width is ``STATE_DIM``, the
 encoded state's, and the output width is ``len(action_ids)``. A loaded
-network has zero optimizer moments, step 0 and no dropout.
+network is at optimizer step 0, holds no optimizer moments and has no
+dropout.
 """
 
 from __future__ import annotations

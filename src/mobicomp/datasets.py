@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .environment import RewardScheme
-from .errors import InvalidInputError
+from .errors import GridTooLargeError, InvalidInputError
 from .ioutil import atomic_write_text, dump_json, open_text, read_json_object
 from .qos import QosParams
 from .trajectories import (
@@ -28,6 +28,7 @@ from .trajectories import (
     MovingService,
     Trajectory,
     UserTrajectory,
+    check_gps_samples,
     dump_trajectories_csv,
     in_gps_range,
     load_trajectories_csv,
@@ -363,7 +364,10 @@ def load_users(path: str | Path) -> list[UserTrajectory]:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario.json and its referenced trajectory CSVs; a service that
-    cannot be built is an ``InvalidInputError`` naming its id and both files."""
+    cannot be built is an ``InvalidInputError`` naming its id and both files.
+    In haversine mode the first service in id order with a sample outside
+    the GPS box is refused the same way, then the first such user, naming
+    the users CSV."""
     path = Path(path)
     cfg = read_json_object(path)
     try:
@@ -399,14 +403,28 @@ def load_scenario(path: str | Path) -> Scenario:
         bandwidth = _number(files, entry, "bandwidth_bps", where=where)
         k = _number(files, entry, "max_concurrent", kind=int, where=where)
         services.append(built(files, MovingService, sid, traj, bandwidth, k))
+    users = load_users(users_csv)
+    if mode is DistanceMode.HAVERSINE:
+        _check_gps(files, "service", services)
+        _check_gps(users_csv, "user", users)
     return Scenario(
         services=services,
-        users=load_users(users_csv),
+        users=users,
         qos_params=qos_params,
         w=w,
         mode=mode,
         rewards=rewards,
     )
+
+
+def _check_gps(files, noun: str, items: list[MovingService] | list[UserTrajectory]) -> None:
+    """Refuse the first of ``items`` in id order with a sample outside the
+    GPS box, naming ``files``, the ``noun`` and its id."""
+    bad = [i for i in items if not in_gps_range(i.trajectory.x, i.trajectory.y).all()]
+    if bad:
+        first = min(bad, key=lambda i: i.id)
+        x, y = first.trajectory.x, first.trajectory.y
+        built(files, check_gps_samples, f"{noun} {first.id!r}", x, y)
 
 
 def split_train_test(
@@ -480,9 +498,10 @@ def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
     starting at 1); gaps are filled by linear interpolation. Of a person's
     samples at one time, the one smallest in (x, y) is kept and the rest are
     counted in ``skipped_rows``. A person whose trace covers fewer than two
-    grid points, or 2**53 or more, is rejected. Coordinates are
-    treated as planar metres; that unit choice is a configuration of this
-    ingester, not a property of the format.
+    grid points, or 2**53 or more, is rejected; one whose trace covers more
+    than ``trajectories.MAX_GRID_POINTS`` is an error naming the file and the
+    person. Coordinates are treated as planar metres; that unit choice is a
+    configuration of this ingester, not a property of the format.
     """
     if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
@@ -495,6 +514,8 @@ def ingest_indoor(path: str | Path, rate: float) -> IngestResult:
         result.skipped_rows += int(np.count_nonzero(~first))
         try:
             traj = resample(wall[first], x[first], y[first], rate, origin)
+        except GridTooLargeError as exc:
+            raise InvalidInputError(f"{path}: person {pid!r}: {exc}") from None
         except InvalidInputError:
             result.rejected_ids.append(pid)
             continue

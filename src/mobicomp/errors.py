@@ -9,6 +9,10 @@ class InvalidInputError(MobicompError, ValueError):
     """Malformed or out-of-contract input values."""
 
 
+class GridTooLargeError(InvalidInputError):
+    """A trace that would be resampled to more grid points than one trace may have."""
+
+
 class ContractViolationError(MobicompError):
     """A precondition the caller was responsible for did not hold."""
 

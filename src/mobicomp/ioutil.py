@@ -1,6 +1,15 @@
 """The one place input files are opened and CSVs are written; also atomic
 writes, hashing and canonical JSON.
 
+Every file is written to a temp file beside it and renamed into place. A CSV
+of rows goes through ``csv.writer`` (``write_csv``); a CSV of long numeric
+columns, a scenario bundle's trajectories, is written by columns
+(``write_csv_blocks``): per block of rows sharing one key, the key is quoted
+once by ``csv`` and woven with the already rendered column texts in one join,
+and each block is encoded and written before the next is rendered. Input
+files are opened by ``open_text`` (or read whole by ``read_input``), whose
+file object the trajectory reader hands to numpy's C CSV reader.
+
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"`` for a document made of the exact types every
 written document holds: ``dict`` with ``str`` keys, ``list``, ``tuple``,
@@ -74,12 +83,38 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write(path, (text[i : i + _TEXT_SLICE].encode("utf-8") for i in slices))
 
 
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def write_csv(path: str | Path, rows: Iterable[Iterable]) -> None:
     """Atomically write ``rows`` as UTF-8 CSV in ``csv``'s default dialect,
     which writes every float, ``np.float64`` too, as ``float.__repr__``."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(rows)
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    atomic_write_bytes(path, _csv_text(rows).encode("utf-8"))
+
+
+def write_csv_blocks(
+    path: str | Path, header: list[str], blocks: Iterable[tuple[str, list[list[str]]]]
+) -> None:
+    """Atomically write the bytes ``write_csv`` writes for ``header`` and,
+    per block ``(key, columns)``, the rows ``[key, columns[0][i],
+    columns[1][i], ...]``, each column already the texts of its fields, none
+    of which needs quoting (a number's ``repr``), and each block at least one
+    row. ``key`` is quoted once per block, by ``csv`` itself, and each block
+    is woven into one join, encoded and written before the next is read, so
+    one block's text is held at a time."""
+
+    def chunks():
+        yield _csv_text([header]).encode("utf-8")
+        for key, cols in blocks:
+            # a second, empty field: csv quotes a row of one empty field
+            field = _csv_text([[key, ""]])[: -len(",\r\n")]
+            openers = [field + ","] + ["\r\n" + field + ","] * (len(cols[0]) - 1)
+            yield _weave(openers, cols, [","] * (len(cols) - 1), "\r\n").encode("utf-8")
+
+    _atomic_write(path, chunks())
 
 
 class _Indents(dict):

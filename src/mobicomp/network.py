@@ -49,25 +49,23 @@ class NetworkSpec:
 @dataclass
 class NetworkState:
     """Weights and biases, the Adam moments and step count, and the dropout
-    stream. A new state starts with zero moments at step 0."""
+    stream. A new state is at step 0 and holds no moments: the first
+    optimizer step allocates them as zeros, so a network that only runs
+    ``forward`` (a loaded policy) never does."""
 
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     rng: np.random.Generator = field(default=None, repr=False)
     adam_t: int = field(default=0, init=False)
-    m_w: list[np.ndarray] = field(init=False, repr=False)
-    v_w: list[np.ndarray] = field(init=False, repr=False)
-    m_b: list[np.ndarray] = field(init=False, repr=False)
-    v_b: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m_w, self.v_w = ([np.zeros_like(w) for w in self.weights] for _ in range(2))
-        self.m_b, self.v_b = ([np.zeros_like(b) for b in self.biases] for _ in range(2))
+    m_w: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+    v_w: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+    m_b: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+    v_b: list[np.ndarray] | None = field(default=None, init=False, repr=False)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> NetworkState:
-    """He-style uniform init for the ReLU stack, zero biases, zero moments."""
+    """He-style uniform init for the ReLU stack, zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in spec.layer_dims:
@@ -162,7 +160,11 @@ def _apply_update(state: NetworkState, grads_w, grads_b, lr: float) -> None:
     sized to the largest slice. Each element gets the operations of
     ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order, so the bytes
-    equal those of one whole-array pass."""
+    equal those of one whole-array pass. The first step allocates the
+    moments."""
+    if state.m_w is None:
+        state.m_w, state.v_w = ([np.zeros_like(w) for w in state.weights] for _ in range(2))
+        state.m_b, state.v_b = ([np.zeros_like(b) for b in state.biases] for _ in range(2))
     state.adam_t += 1
     t = state.adam_t
     bc1 = 1.0 - ADAM_BETA1**t

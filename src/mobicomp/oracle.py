@@ -39,8 +39,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .qos import QosParams, capacity, perpendicular_distance, strength
 from .trajectories import (
-    DUMMY_SERVICE, EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory, distances,
-    haversine_m, in_gps_range,
+    DUMMY_SERVICE, EARTH_RADIUS_M, DistanceMode, MovingService, UserTrajectory,
+    check_gps_samples, distances, haversine_m, in_gps_range,
 )
 
 
@@ -307,15 +307,6 @@ def _band_half_width(r_s: float, mode: DistanceMode) -> float:
     return r_s * (1.0 + DISK_MARGIN)
 
 
-def _check_gps(name: str, x: np.ndarray, y: np.ndarray) -> None:
-    """Raise for the first sample of the columns ``(x, y)`` out of the GPS
-    box, naming ``name``."""
-    out = ~in_gps_range(x, y)
-    if out.any():
-        i = int(out.argmax())
-        raise InvalidInputError(f"{name}: GPS coordinates out of range: ({x[i]}, {y[i]})")
-
-
 def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
     """Keep services paired over runs of >= w consecutive timesteps.
 
@@ -408,8 +399,8 @@ def discover(
     if mode is DistanceMode.HAVERSINE:
         bad = universe.gps_bad_service
         if bad is not None:
-            _check_gps(f"service {bad.id!r}", bad.trajectory.x, bad.trajectory.y)
-        _check_gps(f"user {user.id!r}", user.trajectory.x, user.trajectory.y)
+            check_gps_samples(f"service {bad.id!r}", bad.trajectory.x, bad.trajectory.y)
+        check_gps_samples(f"user {user.id!r}", user.trajectory.x, user.trajectory.y)
     joined = temporal_map(universe, user)
     return reduce_validate(spatial_map(joined, user, universe, qos_params, mode), w)
 

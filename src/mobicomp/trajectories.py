@@ -5,7 +5,11 @@ metrics every other module builds on.
 A ``Trajectory`` is stored as three read-only float64 columns, ``t``, ``x``
 and ``y``, one entry per sample; the generator, the CSV reader, resampling and
 ingestion build it from columns (``Trajectory.from_columns``), and discovery,
-state encoding and composition read the columns directly. ``TrajectoryPoint``
+state encoding and composition read the columns directly. The canonical CSV
+is written by columns too, one trajectory at a time
+(``dump_trajectories_csv``), and read in one pass of numpy's C reader, with
+the per-row reader kept for files it does not read as ``csv`` and
+``float()`` do (``load_trajectories_csv``). ``TrajectoryPoint``
 is the public per-sample view: ``Trajectory(points)`` builds a trajectory
 from points and ``Trajectory.points`` lists its samples as points.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .ioutil import open_text, write_csv
+from .errors import GridTooLargeError, InvalidInputError
+from .ioutil import open_text, write_csv_blocks
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
 
@@ -35,6 +40,10 @@ USER_ID_PREFIX = "user:"  # reserved id namespace for consumer trajectories
 DUMMY_SERVICE = "__dummy__"  # the "no valid service here" action; no service's id
 
 _GRID_EPS = 1e-9
+# Most grid points one trace is resampled to. Building the grid takes about
+# 100 bytes a point (101 measured on 10**6 points), so a trace at the bound
+# takes about 1 GB; at 25 Hz the bound is 4.6 days of one person's trace.
+MAX_GRID_POINTS = 10**7
 
 
 class DistanceMode(Enum):
@@ -176,6 +185,15 @@ def check_gps(x: float, y: float) -> None:
         raise InvalidInputError(f"GPS coordinates out of range: ({x}, {y})")
 
 
+def check_gps_samples(name: str, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise for the first sample of the columns ``(x, y)`` out of the GPS
+    box, naming ``name``."""
+    out = ~in_gps_range(x, y)
+    if out.any():
+        i = int(out.argmax())
+        raise InvalidInputError(f"{name}: GPS coordinates out of range: ({x[i]}, {y[i]})")
+
+
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     """Great-circle distance in metres on a sphere of radius EARTH_RADIUS_M."""
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
@@ -221,7 +239,9 @@ def resample(t, x, y, rate: float, origin: float) -> Trajectory:
     A grid point on a stored sample takes that sample's coordinates; one
     between two samples is interpolated at constant speed between them.
     There is no extrapolation beyond the recorded span. A span that covers
-    fewer than two grid points, or 2**53 or more, is refused.
+    fewer than two grid points, or 2**53 or more, is refused; one that covers
+    more than ``MAX_GRID_POINTS`` is refused with a ``GridTooLargeError``
+    before the grid is allocated.
     """
     if not rate > 0:
         raise InvalidInputError(f"rate must be positive, got {rate}")
@@ -237,6 +257,11 @@ def resample(t, x, y, rate: float, origin: float) -> Trajectory:
                 f"trajectory span [{span_lo}, {span_hi}] covers fewer than two grid "
                 f"points, or 2**53 or more, at rate {rate}"
             )
+        if k_max - k_min >= MAX_GRID_POINTS:
+            raise GridTooLargeError(
+                f"trajectory span [{span_lo}, {span_hi}] covers {int(k_max - k_min) + 1} "
+                f"grid points at rate {rate}, more than {MAX_GRID_POINTS}"
+            )
         k = np.arange(k_min, k_max + 1)
         tw = np.minimum(np.maximum(origin + k * rate, span_lo), span_hi)
         j = np.searchsorted(t, tw)
@@ -251,15 +276,20 @@ def resample(t, x, y, rate: float, origin: float) -> Trajectory:
 
 def dump_trajectories_csv(items: list[tuple[str, Trajectory]], path: str | Path) -> None:
     """Atomically write the canonical ``id,t,x,y`` CSV (UTF-8, '.' decimal
-    separator, a whole-number ``t`` as an integer)."""
-    write_csv(path, _csv_rows(items))
+    separator, a whole-number ``t`` as an integer): the bytes ``csv.writer``
+    writes for one row per sample, rendered by columns, one trajectory at a
+    time."""
+    blocks = ((ident, _csv_columns(traj)) for ident, traj in items)
+    write_csv_blocks(path, ["id", "t", "x", "y"], blocks)
 
 
-def _csv_rows(items: list[tuple[str, Trajectory]]):
-    yield ["id", "t", "x", "y"]
-    for ident, traj in items:
-        for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()):
-            yield [ident, int(t) if t.is_integer() else t, x, y]
+def _csv_columns(traj: Trajectory) -> list[list[str]]:
+    """The ``t``, ``x`` and ``y`` fields of a trajectory's rows."""
+    return [
+        [int.__repr__(int(t)) if t.is_integer() else float.__repr__(t) for t in traj.t.tolist()],
+        list(map(float.__repr__, traj.x.tolist())),
+        list(map(float.__repr__, traj.y.tolist())),
+    ]
 
 
 def parse_row(row: list[str]) -> tuple[str, float, float, float]:
@@ -271,41 +301,100 @@ def parse_row(row: list[str]) -> tuple[str, float, float, float]:
     return row[0], t, x, y
 
 
+# One trajectory CSV row as numpy's reader parses it
+_CSV_ROW = np.dtype([("id", object), ("t", np.float64), ("x", np.float64), ("y", np.float64)])
+# Characters numpy's float parser strips around a number as whitespace (they
+# are str.isspace) and float() refuses: a file holding one is read by rows
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
-    """Read a canonical trajectory CSV; one entry per id, in file order, its
-    samples stably sorted by ``t``."""
-    samples: dict[str, list[tuple[float, float, float]]] = {}
+    """Read a canonical trajectory CSV; one entry per id, in order of first
+    appearance, its samples stably sorted by ``t``.
+
+    After the header, every row is parsed in one pass by numpy's C reader,
+    which splits fields and quotes as ``csv`` does and gives the float64 of
+    ``float()``. Where it refuses the file, finds no row, or the columns hold
+    a non-finite value, a negative ``t`` or a character only it takes as
+    space, the file is read again row by row (``_scan_rows``), which raises
+    the error of the first bad row with its line number, or returns the rows
+    of a number only ``float()`` takes (``1_0``, non-ASCII digits) or of a
+    row with more than four fields."""
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise InvalidInputError(f"empty trajectory file: {path}")
         if [h.strip().lower() for h in header] != ["id", "t", "x", "y"]:
             raise InvalidInputError(f"unexpected header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                ident, t, x, y = parse_row(row)
-            except (IndexError, ValueError):
-                raise InvalidInputError(
-                    f"malformed row {row!r} in {path} line {reader.line_num}"
-                ) from None
-            if t < 0:
-                raise InvalidInputError(
-                    f"timestep must be non-negative, got {t} for id {ident!r} "
-                    f"in {path} line {reader.line_num}"
-                )
-            samples.setdefault(ident, []).append((t, x, y))
-    if not samples:
+        cols = _parse_rows(fh)
+        if cols is None:
+            fh.seek(0)
+            cols = _scan_rows(path, fh)
+    ids, t, x, y = cols
+    if not len(ids):
         raise InvalidInputError(f"no trajectory rows in {path}")
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]]).tolist()
+    runs: dict[str, list[np.ndarray]] = {}
+    for lo, hi in zip(starts, [*starts[1:], len(ids)]):
+        runs.setdefault(ids[lo], []).append(np.arange(lo, hi))
     out = []
-    for ident, rows in samples.items():
-        cols = np.array(rows, np.float64)
-        cols = cols[np.argsort(cols[:, 0], kind="stable")]
+    for ident, parts in runs.items():
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        rows = rows[np.argsort(t[rows], kind="stable")]
         try:
-            traj = Trajectory.from_columns(cols[:, 0], cols[:, 1], cols[:, 2])
+            traj = Trajectory.from_columns(t[rows], x[rows], y[rows])
         except InvalidInputError as exc:
             raise InvalidInputError(f"{exc} for id {ident!r} in {path}") from None
         out.append((ident, traj))
     return out
+
+
+def _parse_rows(fh):
+    """The ``id``, ``t``, ``x`` and ``y`` columns of the rows left in ``fh``,
+    parsed by ``np.loadtxt``; None where it refuses them, where they hold a
+    value ``_scan_rows`` refuses or none at all, or where the file holds a
+    character of ``_NOT_FLOAT_SPACE``."""
+    with warnings.catch_warnings():  # it warns on an empty input, refused here
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(
+                fh, dtype=_CSV_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        except ValueError:  # UnicodeDecodeError too: the rescan names it
+            return None
+    t, x, y = rows["t"], rows["x"], rows["y"]
+    if not len(rows) or (t < 0).any() or not np.isfinite([t, x, y]).all():
+        return None
+    fh.seek(0)
+    text = fh.read()
+    if any(c in text for c in _NOT_FLOAT_SPACE):
+        return None
+    return rows["id"], t, x, y
+
+
+def _scan_rows(path: str | Path, fh):
+    """The columns of the rows of ``fh`` after its header, read one row at a
+    time with ``csv`` and ``parse_row``; a malformed row or a negative ``t``
+    is an ``InvalidInputError`` naming the file and the line."""
+    reader = csv.reader(fh)
+    next(reader)
+    ids, ts, xs, ys = [], [], [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            ident, t, x, y = parse_row(row)
+        except (IndexError, ValueError):
+            raise InvalidInputError(
+                f"malformed row {row!r} in {path} line {reader.line_num}"
+            ) from None
+        if t < 0:
+            raise InvalidInputError(
+                f"timestep must be non-negative, got {t} for id {ident!r} "
+                f"in {path} line {reader.line_num}"
+            )
+        ids.append(ident)
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+    return np.array(ids, object), *(np.array(c, np.float64) for c in (ts, xs, ys))

@@ -4,13 +4,15 @@ These deliberately avoid the library's own code paths: plain loops, no shared
 helpers, so the production pipeline is checked against a second derivation.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from mobicomp.errors import ContractViolationError, InvalidInputError
 from mobicomp.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from mobicomp.trajectories import DistanceMode, distance
+from mobicomp.trajectories import DistanceMode, Trajectory, distance
 
 
 def scalar_resample(t, x, y, rate, origin):
@@ -220,6 +222,11 @@ def quadratic_convergence(cum_rewards, ma, final_tail, band_fraction):
 def unblocked_adam_update(state, grads_w, grads_b, lr):
     """``network._apply_update`` as one whole-array pass per operation: the
     reference the cache-blocked update must match byte for byte."""
+    if state.m_w is None:  # the first step: zero moments
+        state.m_w = [np.zeros(w.shape) for w in state.weights]
+        state.v_w = [np.zeros(w.shape) for w in state.weights]
+        state.m_b = [np.zeros(b.shape) for b in state.biases]
+        state.v_b = [np.zeros(b.shape) for b in state.biases]
     state.adam_t += 1
     t = state.adam_t
     bc1 = 1.0 - ADAM_BETA1**t
@@ -239,6 +246,67 @@ def unblocked_adam_update(state, grads_w, grads_b, lr):
 def training_state(state):
     """What training carries from one step to the next, in a form that
     compares equal only when bit-identical: the Adam step count, then the
-    shape and bytes of every weight, bias and Adam moment array."""
-    arrays = [*state.weights, *state.biases, *state.m_w, *state.v_w, *state.m_b, *state.v_b]
+    shape and bytes of every weight, bias and Adam moment array (none before
+    the first step)."""
+    moments = [] if state.m_w is None else [*state.m_w, *state.v_w, *state.m_b, *state.v_b]
+    arrays = [*state.weights, *state.biases, *moments]
     return state.adam_t, [(arr.shape, arr.tobytes()) for arr in arrays]
+
+
+def row_csv_bytes(items):
+    """The canonical trajectory CSV of ``(id, Trajectory)`` items written one
+    ``csv.writer`` row per sample, a whole-number ``t`` as an int: the bytes
+    the column writer must equal."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["id", "t", "x", "y"])
+    for ident, traj in items:
+        for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist()):
+            writer.writerow([ident, int(t) if t.is_integer() else t, x, y])
+    return buf.getvalue().encode("utf-8")
+
+
+def row_load_trajectories_csv(path):
+    """A trajectory CSV read one ``csv`` row and one ``float()`` per field at
+    a time: the result, or the ``InvalidInputError`` message, the column
+    reader must give. Blank rows are skipped; a short row, a field that is
+    not a finite number and a negative ``t`` name the file and the line."""
+    samples = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InvalidInputError(f"empty trajectory file: {path}")
+            if [h.strip().lower() for h in header] != ["id", "t", "x", "y"]:
+                raise InvalidInputError(f"unexpected header {header!r} in {path}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    t, x, y = float(row[1]), float(row[2]), float(row[3])
+                except (IndexError, ValueError):
+                    t = math.nan
+                if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+                    raise InvalidInputError(
+                        f"malformed row {row!r} in {path} line {reader.line_num}"
+                    )
+                if t < 0:
+                    raise InvalidInputError(
+                        f"timestep must be non-negative, got {t} for id {row[0]!r} "
+                        f"in {path} line {reader.line_num}"
+                    )
+                samples.setdefault(row[0], []).append((t, x, y))
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not samples:
+        raise InvalidInputError(f"no trajectory rows in {path}")
+    out = []
+    for ident, rows in samples.items():
+        rows = sorted(rows, key=lambda r: r[0])  # stable
+        try:
+            traj = Trajectory.from_columns(*zip(*rows))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{exc} for id {ident!r} in {path}") from None
+        out.append((ident, traj))
+    return out

@@ -22,7 +22,7 @@ from mobicomp.trajectories import (
 )
 
 from conftest import traj
-from oracles import great_circle_vincenty, scalar_resample
+from oracles import great_circle_vincenty, row_csv_bytes, row_load_trajectories_csv, scalar_resample
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
 GPS = DistanceMode.HAVERSINE
@@ -330,3 +330,122 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(InvalidInputError):
             load_trajectories_csv(path)
+
+
+# ids that csv must quote, or keeps as they are: delimiters, quotes, line
+# ends, spaces and non-ASCII text
+CSV_IDS = st.text(st.sampled_from(list('a1,"\n\r \té:_') + ["\u00a0", "\u2028", "\x1c"]), max_size=6)
+# x and y values at the edges of their text: signed zeros, subnormals,
+# extremes and values with 17 significant digits
+CSV_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# timesteps: fractional, and integral up to 1e20, beyond int64
+CSV_TIMES = st.one_of(
+    st.floats(0.0, 1e20), st.integers(0, 10**20).map(float), st.sampled_from([0.0, 0.5, 2.0**53])
+)
+
+
+@st.composite
+def csv_items(draw):
+    """(id, Trajectory) items with distinct ids."""
+    ids = draw(st.lists(CSV_IDS, min_size=1, max_size=4, unique=True))
+    items = []
+    for ident in ids:
+        t = sorted(draw(st.sets(CSV_TIMES, min_size=1, max_size=5)))
+        x = draw(st.lists(CSV_COORDS, min_size=len(t), max_size=len(t)))
+        y = draw(st.lists(CSV_COORDS, min_size=len(t), max_size=len(t)))
+        items.append((ident, Trajectory.from_columns(t, x, y)))
+    return items
+
+
+def same_load(path):
+    """The column reader's result on ``path``, after checking it equals the
+    row reference's, or the message of the error both raise."""
+    try:
+        want = row_load_trajectories_csv(path)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as got:
+            load_trajectories_csv(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = load_trajectories_csv(path)
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        for col in ("t", "x", "y"):
+            assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+    return got
+
+
+class TestCsvColumns:
+    """The column writer and reader against the row references."""
+
+    @given(csv_items())
+    @settings(max_examples=200)
+    def test_writer_bytes_and_reader_columns_equal_the_row_references(self, tmp_path_factory, items):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        dump_trajectories_csv(items, path)
+        assert path.read_bytes() == row_csv_bytes(items)
+        got = same_load(path)
+        assert got == items
+
+    # one odd row after a good one; True where both readers take the file
+    ODD_ROWS = {
+        "blank": ("", True),
+        "whitespace_only": ("   ", False),
+        "short": ("a,1,2", False),
+        "five_fields": ("a,1,2,3,4", True),
+        "quoted_number": ('a,"1.5",2,3', True),
+        "plus_sign": ("a,+1,2,3", True),
+        "leading_dot": ("a,.5,2,3", True),
+        "trailing_dot": ("a,5.,2,3", True),
+        "underscore": ("a,1_0,2,3", True),
+        "padded": ("a, 2 ,2,3", True),
+        "nan": ("a,nan,2,3", False),
+        "inf": ("a,1,inf,3", False),
+        "overflow_to_inf": ("a,1e400,2,3", False),
+        "negative_t": ("a,-1,2,3", False),
+        "non_contiguous_ids": ("b,1,1,1\r\na,2,2,2", True),
+        "repeated_t": ("a,0,5,5", False),
+        "information_separator": ("a,\x1c2,2,3", False),
+        "non_ascii_digit": ("a,\u0662,2,3", True),
+        "unicode_space": ("a,\u30002,2,3", True),
+        "quoted_id_with_line_ends": ('"a\r\nb\rc",1,2,3', True),
+        "quoted_id_with_quote": ('"a""b",1,2,3', True),
+        "quote_inside_id": ('a"b,1,2,3', True),
+        "text_after_quoted_id": ('"a"b,1,2,3', True),
+        "empty_id": (",1,2,3", True),
+        "empty_t": ("a,,2,3", False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ODD_ROWS))
+    def test_odd_row_is_read_as_the_row_reference_reads_it(self, tmp_path, case):
+        row, accepted = self.ODD_ROWS[case]
+        path = tmp_path / "odd.csv"
+        path.write_bytes(f"id,t,x,y\r\na,0,1,1\r\n{row}\r\n".encode())
+        got = same_load(path)
+        assert isinstance(got, list) == accepted, got
+        if not accepted and case != "repeated_t":
+            assert f"{path} line 3" in got
+
+    @pytest.mark.parametrize(
+        "data", [b"id,t,x,y\r\n", b"id,t,x,y\r\n\r\n\n", b"", b"id,t,x\r\n", b"id,t,x,y\na\xff,1,2,3\n"]
+    )
+    def test_file_without_rows_is_refused_as_the_row_reference_refuses_it(self, tmp_path, data):
+        path = tmp_path / "none.csv"
+        path.write_bytes(data)
+        assert isinstance(same_load(path), str)
+
+    ROW_FIELDS = st.sampled_from(
+        ["a", "b", '"a,b"', '"a""b"', '"a\nb"', " ", "", "1", "0", "-1", "2.5", "+3", ".5", "5.",
+         "1_0", " 4 ", '"6"', "nan", "inf", "-0.0", "1e400", "\x1c1", "1\u3000", "x", '"', "\t"]
+    )
+
+    @given(st.lists(st.lists(ROW_FIELDS, min_size=0, max_size=6), max_size=6),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=300)
+    def test_any_rows_are_read_as_the_row_reference_reads_them(self, tmp_path_factory, rows, end):
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        path.write_bytes(("id,t,x,y" + end + "".join(",".join(r) + end for r in rows)).encode())
+        same_load(path)
