@@ -269,7 +269,7 @@ def _select_users(scenario: Scenario, user_arg: str | None):
         return matches, {}
     candidate = Path(user_arg)
     if candidate.exists():
-        return load_users(candidate), {"user": candidate}
+        return load_users(candidate, scenario.mode), {"user": candidate}
     raise InvalidInputError(f"user {user_arg!r} not in scenario and not a readable CSV")
 
 

@@ -356,18 +356,21 @@ def built(files, make, *args):
         raise InvalidInputError(f"{files}: {exc}") from None
 
 
-def load_users(path: str | Path) -> list[UserTrajectory]:
-    """The users of a trajectory CSV; a user off the integer grid is an
-    ``InvalidInputError`` naming the file and the user."""
-    return [built(path, UserTrajectory, *row) for row in load_trajectories_csv(path)]
+def load_users(path: str | Path, mode: DistanceMode) -> list[UserTrajectory]:
+    """The users of a trajectory CSV; a user off the integer grid, or in
+    haversine mode the first user in id order with a sample outside the GPS
+    box, is an ``InvalidInputError`` naming the file and the user."""
+    users = [built(path, UserTrajectory, *row) for row in load_trajectories_csv(path)]
+    if mode is DistanceMode.HAVERSINE:
+        _check_gps(path, "user", users)
+    return users
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario.json and its referenced trajectory CSVs; a service that
     cannot be built is an ``InvalidInputError`` naming its id and both files.
     In haversine mode the first service in id order with a sample outside
-    the GPS box is refused the same way, then the first such user, naming
-    the users CSV."""
+    the GPS box is refused the same way, before the users are loaded."""
     path = Path(path)
     cfg = read_json_object(path)
     try:
@@ -403,13 +406,11 @@ def load_scenario(path: str | Path) -> Scenario:
         bandwidth = _number(files, entry, "bandwidth_bps", where=where)
         k = _number(files, entry, "max_concurrent", kind=int, where=where)
         services.append(built(files, MovingService, sid, traj, bandwidth, k))
-    users = load_users(users_csv)
     if mode is DistanceMode.HAVERSINE:
         _check_gps(files, "service", services)
-        _check_gps(users_csv, "user", users)
     return Scenario(
         services=services,
-        users=users,
+        users=load_users(users_csv, mode),
         qos_params=qos_params,
         w=w,
         mode=mode,

@@ -641,9 +641,10 @@ def test_discover_bytes_do_not_depend_on_the_scenario_path_spelling(bundle, tmp_
     assert len(digests) == 1
 
 
-def haversine_discover_error(tmp_path, capsys, csv_name, row):
-    """The error lines of ``discover`` on a haversine bundle with ``row``
-    appended to its ``csv_name``; the command must exit 1 and write nothing."""
+def haversine_discover_error(tmp_path, capsys, csv_name=None, row=None, *args):
+    """The error lines of ``discover`` with ``args`` on a haversine bundle
+    with ``row`` appended to its ``csv_name``; the command must exit 1 and
+    write nothing."""
     spec = ScenarioSpec.from_dict(SPEC)
     services, users = generate(spec)
     scen = tmp_path / "scen"
@@ -651,10 +652,11 @@ def haversine_discover_error(tmp_path, capsys, csv_name, row):
         scen, to_lonlat(services), to_lonlat(users), QosParams.defaults_for(spec.r_s_meters),
         spec.w, DistanceMode.HAVERSINE, seed=spec.seed,
     )
-    append_line(scen / csv_name, row)
+    if csv_name:
+        append_line(scen / csv_name, row)
     out = tmp_path / "out" / "d.json"
     assert dispatch(["discover", "--scenario", str(scen / "scenario.json"),
-                     "--out", str(out), "--quiet"]) == 1
+                     "--out", str(out), "--quiet", *args]) == 1
     assert not (tmp_path / "out").exists()
     return capsys.readouterr().err.strip().splitlines()
 
@@ -676,6 +678,16 @@ def test_haversine_user_out_of_gps_range_is_one_line_error(tmp_path, capsys):
     assert err == [
         f"error: InvalidInputError: {tmp_path / 'scen' / 'users.csv'}: "
         "user 'user:u0002': GPS coordinates out of range: (151.2, 95.0)"
+    ]
+
+
+def test_haversine_user_file_out_of_gps_range_is_one_line_error(tmp_path, capsys):
+    user = tmp_path / "user.csv"
+    user.write_text("id,t,x,y\nuser:z,1,151.2,-33.87\nuser:z,2,151.2,95.0\n")
+    err = haversine_discover_error(tmp_path, capsys, None, None, "--user", str(user))
+    assert err == [
+        f"error: InvalidInputError: {user}: "
+        "user 'user:z': GPS coordinates out of range: (151.2, 95.0)"
     ]
 
 

@@ -334,7 +334,9 @@ class TestCsvRoundTrip:
 
 # ids that csv must quote, or keeps as they are: delimiters, quotes, line
 # ends, spaces and non-ASCII text
-CSV_IDS = st.text(st.sampled_from(list('a1,"\n\r \té:_') + ["\u00a0", "\u2028", "\x1c"]), max_size=6)
+CSV_IDS = st.text(
+    st.sampled_from(list('a1,"\n\r \té:_') + ["\u00a0", "\u2028", "\x1c"]), max_size=6
+)
 # x and y values at the edges of their text: signed zeros, subnormals,
 # extremes and values with 17 significant digits
 CSV_COORDS = st.one_of(
@@ -383,7 +385,9 @@ class TestCsvColumns:
 
     @given(csv_items())
     @settings(max_examples=200)
-    def test_writer_bytes_and_reader_columns_equal_the_row_references(self, tmp_path_factory, items):
+    def test_writer_bytes_and_reader_columns_equal_the_row_references(
+        self, tmp_path_factory, items
+    ):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         dump_trajectories_csv(items, path)
         assert path.read_bytes() == row_csv_bytes(items)
@@ -430,9 +434,12 @@ class TestCsvColumns:
             assert f"{path} line 3" in got
 
     @pytest.mark.parametrize(
-        "data", [b"id,t,x,y\r\n", b"id,t,x,y\r\n\r\n\n", b"", b"id,t,x\r\n", b"id,t,x,y\na\xff,1,2,3\n"]
+        "data",
+        [b"id,t,x,y\r\n", b"id,t,x,y\r\n\r\n\n", b"", b"id,t,x\r\n", b"id,t,x,y\na\xff,1,2,3\n"],
     )
-    def test_file_without_rows_is_refused_as_the_row_reference_refuses_it(self, tmp_path, data):
+    def test_file_without_readable_rows_is_refused_as_the_row_reference_refuses_it(
+        self, tmp_path, data
+    ):
         path = tmp_path / "none.csv"
         path.write_bytes(data)
         assert isinstance(same_load(path), str)
