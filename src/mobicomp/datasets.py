@@ -10,7 +10,6 @@ trajectory CSV on a global integer timestep grid.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from .environment import RewardScheme
 from .errors import GridTooLargeError, InvalidInputError
-from .ioutil import atomic_write_text, dump_json, open_text, read_json_object
+from .ioutil import atomic_write_text, csv_rows, dump_json, open_text, read_json_object
 from .qos import QosParams
 from .trajectories import (
     USER_ID_PREFIX,
@@ -471,7 +470,7 @@ def _read_traces(
     skipped = 0
     first = True
     with open_text(path) as fh:
-        for row in csv.reader(fh):
+        for _, row in csv_rows(path, fh):
             if not row:
                 continue
             try:

@@ -112,7 +112,6 @@ class Environment:
         self.extents = extents
         # keyed by the whole user: one id may name different trajectories
         self._tables: dict[UserTrajectory, CandidateTable] = {}
-        self._user: UserTrajectory | None = None
         self._capacity_at: dict[tuple[int, str], float] = {}
         self._timesteps: list[int] = []
         self._states: np.ndarray | None = None
@@ -131,7 +130,6 @@ class Environment:
         return table
 
     def reset(self, user: UserTrajectory) -> np.ndarray:
-        self._user = user
         self._capacity_at = self.table_for(user).capacity_at
         self._timesteps = user.trajectory.t.astype(np.int64).tolist()
         self._states = encode_states(user.trajectory, self.extents)
@@ -147,7 +145,7 @@ class Environment:
         the invalid penalty for anything else. The outcome also carries the
         capacity delivered, 0.0 unless the pick is a validated candidate.
         """
-        if self._done or self._user is None:
+        if self._done:
             raise ProtocolError("step() called on a finished episode; call reset() first")
         n = len(self._states)
         cap = 0.0

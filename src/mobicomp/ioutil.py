@@ -8,7 +8,7 @@ columns, a scenario bundle's trajectories, is written by columns
 once by ``csv`` and woven with the already rendered column texts in one join,
 and each block is encoded and written before the next is rendered. Input
 files are opened by ``open_text`` (or read whole by ``read_input``), whose
-file object the trajectory reader hands to numpy's C CSV reader.
+file object numpy's C CSV reader or ``csv_rows`` reads.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"`` for a document made of the exact types every
@@ -333,6 +333,18 @@ def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
         raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def csv_rows(path: str | Path, fh) -> Iterator[tuple[int, list[str]]]:
+    """Each row ``csv`` reads from ``fh`` with the number of its last line; a
+    row it refuses, say with a field beyond ``csv.field_size_limit()``, is an
+    ``InvalidInputError`` naming the file and the line."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def read_json_object(path: str | Path) -> dict:

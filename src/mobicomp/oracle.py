@@ -18,11 +18,11 @@ pairs left are priced as columns: ``perpendicular_distance``, ``strength`` and
 the steps that are exact in IEEE arithmetic and ``math`` the rounded ones, so
 every emitted float is the one-pair formula's, bit for bit. The reduce phase
 sorts the pairs by service and timestep in integer numpy and keeps services
-paired over at least ``w`` strictly consecutive timesteps; a
-``CandidateTable`` holds the survivors as columns, and the plan and the JSON
-rows are read from them. In haversine mode ``discover`` first range-checks
-the universe, once, and the user, so every later phase takes coordinates
-inside the GPS box.
+paired over at least ``w`` strictly consecutive timesteps. One table type,
+``CandidateTable``, holds the in-disk pairs and the survivors as columns,
+with views built when first read; the plan and the JSON rows are read from
+it. In haversine mode ``discover`` first range-checks the universe, once,
+and the user, so every later phase takes coordinates inside the GPS box.
 """
 
 from __future__ import annotations
@@ -45,11 +45,18 @@ from .trajectories import (
 
 
 @dataclass(frozen=True, eq=False)
-class DiskPairs:
-    """Every (user timestep, service) pair strictly inside the search disk,
-    priced, as columns in join order: by timestep, then service, each pair
-    once (a service has at most one sample per timestep). ``service``
-    indexes the universe's services, in id order, and ``ids`` are theirs."""
+class CandidateTable:
+    """Priced (timestep, service) pairs of one user trajectory as columns in
+    join order, by timestep, then service, each pair once: ``spatial_map``'s
+    pairs inside the disk, or ``reduce_validate``'s validated ones.
+    ``service`` (int32) indexes ``ids``, the universe's ids in id order.
+
+    Views, built when first read: ``service_id``, each row's id;
+    ``per_timestep``, each timestep's ``range`` of rows; ``capacity_at``,
+    (timestep, service id) -> capacity; ``validated``, service id, in id
+    order, -> its maximal runs [start, end] of consecutive timesteps, each
+    of length >= w in a validated table.
+    """
 
     timestep: np.ndarray  # int64
     service: np.ndarray  # int32
@@ -61,34 +68,48 @@ class DiskPairs:
     def __len__(self) -> int:
         return len(self.timestep)
 
+    def rows(self, index) -> CandidateTable:
+        """The table of the rows ``index`` selects, in that order."""
+        cols = self.timestep, self.service, self.distance, self.strength, self.capacity
+        return CandidateTable(*(c[index] for c in cols), self.ids)
 
-class CandidateTable:
-    """Validated pairing of services against one user trajectory, as columns.
+    @cached_property
+    def service_id(self) -> np.ndarray:
+        return self.ids[self.service]
 
-    One row per validated (timestep, service) pair, sorted by timestep and
-    then by service id: ``timestep`` (int64), ``service_id`` (object, str),
-    ``distance``, ``strength`` and ``capacity`` (float64). ``per_timestep``
-    maps each timestep that has candidates to its ``range`` of rows;
-    ``validated`` maps service id, in id order, to its maximal consecutive
-    runs [start, end], each of length >= w; ``capacity_at`` maps (timestep,
-    service id) to the row's capacity. Read-only once built.
-    """
-
-    def __init__(self, timestep, service_id, distance, strength, capacity, validated):
-        self.timestep, self.service_id = timestep, service_id
-        self.distance, self.strength, self.capacity = distance, strength, capacity
-        self.validated: dict[str, tuple[tuple[int, int], ...]] = validated
-        steps, first = np.unique(timestep, return_index=True)
-        ends = np.append(first[1:], len(timestep))
-        self.per_timestep: dict[int, range] = dict(
-            zip(steps.tolist(), map(range, first.tolist(), ends.tolist()))
-        )
+    @cached_property
+    def per_timestep(self) -> dict[int, range]:
+        steps, first = np.unique(self.timestep, return_index=True)
+        ends = np.append(first[1:], len(self.timestep))
+        return dict(zip(steps.tolist(), map(range, first.tolist(), ends.tolist())))
 
     @cached_property
     def capacity_at(self) -> dict[tuple[int, str], float]:
-        """(timestep, service id) -> capacity of every row, built on first use."""
         keys = zip(self.timestep.tolist(), self.service_id.tolist())
         return dict(zip(keys, self.capacity.tolist()))
+
+    @cached_property
+    def validated(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        order, first, length = _runs(self)
+        head, last = order[first], order[first + length - 1]
+        starts, ends = self.timestep[head].tolist(), self.timestep[last].tolist()
+        runs = zip(self.service[head].tolist(), starts, ends)
+        return {
+            self.ids[k]: tuple((lo, hi) for _, lo, hi in group)
+            for k, group in groupby(runs, key=itemgetter(0))
+        }
+
+
+def _runs(pairs: CandidateTable):
+    """The maximal runs of consecutive timesteps of each service: the rows
+    sorted by service, then timestep, in integer numpy, and per run its
+    first position in that order and its length."""
+    order = np.lexsort((pairs.timestep, pairs.service))
+    ts, key = pairs.timestep[order], pairs.service[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (key[1:] != key[:-1]) | (ts[1:] - ts[:-1] != 1)
+    first = np.flatnonzero(start)
+    return order, first, np.diff(np.append(first, len(order)))
 
 
 @dataclass(frozen=True)
@@ -112,7 +133,7 @@ class CompositionPlan:
 
 # Relative widening of the search disk for the numpy prefilter. numpy's
 # hypot, sin, cos and arcsin may differ from math's in the last bits; the
-# margin keeps every pair the scalar ``distance`` puts inside the disk.
+# margin keeps every pair ``math.hypot`` or ``haversine_m`` puts inside the disk.
 DISK_MARGIN = 1e-6
 
 
@@ -237,7 +258,7 @@ def spatial_map(
     universe: ServiceColumns,
     qos_params: QosParams,
     mode: DistanceMode,
-) -> DiskPairs:
+) -> CandidateTable:
     """Keep pairs strictly inside the search disk and attach their QoS.
 
     Disk membership uses the point-to-point distance at the shared timestep
@@ -285,10 +306,7 @@ def spatial_map(
     pdis = perpendicular_distance(px, py, ax, ay, traj.x[b], traj.y[b], mode)
     s = strength(pdis, qos_params)
     cap = capacity(s, universe.bandwidth[service], universe.max_k[service])
-    return DiskPairs(
-        timestep=ts[step], service=service, distance=d, strength=s, capacity=cap,
-        ids=universe.ids,
-    )
+    return CandidateTable(ts[step], service, d, s, cap, universe.ids)
 
 
 # Latitude slack of the haversine band, in degrees: more than the rounding of
@@ -307,44 +325,18 @@ def _band_half_width(r_s: float, mode: DistanceMode) -> float:
     return r_s * (1.0 + DISK_MARGIN)
 
 
-def reduce_validate(pairs: DiskPairs, w: int) -> CandidateTable:
+def reduce_validate(pairs: CandidateTable, w: int) -> CandidateTable:
     """Keep services paired over runs of >= w consecutive timesteps.
 
-    Each (timestep, service) pair occurs once, and ``service`` indexes
-    services in id order. The pairs are sorted once, by service and then
-    timestep, in integer numpy, and runs split where consecutive timesteps
-    differ by more than one. The survivors are re-sorted by timestep, then id.
+    Each (timestep, service) pair occurs once. Runs split where a service's
+    consecutive timesteps differ by more than one (``_runs``); the rows of
+    the long runs are returned in join order, by timestep, then id.
     """
     if w < 1:
         raise InvalidInputError(f"w must be >= 1, got {w}")
-    order = np.lexsort((pairs.timestep, pairs.service))
-    ts, key = pairs.timestep[order], pairs.service[order]
-
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = (key[1:] != key[:-1]) | (ts[1:] - ts[:-1] != 1)
-    first = np.flatnonzero(start)
-    length = np.diff(np.append(first, len(order)))
-    long = length >= w
-    runs = zip(
-        pairs.ids[key[first[long]]].tolist(),
-        ts[first[long]].tolist(),
-        ts[first[long] + length[long] - 1].tolist(),
-    )
-    validated = {
-        sid: tuple((lo, hi) for _, lo, hi in group)
-        for sid, group in groupby(runs, key=itemgetter(0))
-    }
-
-    keep = np.repeat(long, length)
-    rows = order[keep][np.lexsort((key[keep], ts[keep]))]
-    return CandidateTable(
-        timestep=pairs.timestep[rows],
-        service_id=pairs.ids[pairs.service[rows]],
-        distance=pairs.distance[rows],
-        strength=pairs.strength[rows],
-        capacity=pairs.capacity[rows],
-        validated=validated,
-    )
+    order, _, length = _runs(pairs)
+    keep = order[np.repeat(length >= w, length)]
+    return pairs.rows(keep[np.lexsort((pairs.service[keep], pairs.timestep[keep]))])
 
 
 def optimal_plan(
@@ -374,7 +366,7 @@ def optimal_plan(
     hit[hit] = best_ts[i[hit]] == t[hit]
     pick = best[i[hit]]
     chosen = np.full(len(t), DUMMY_SERVICE, dtype=object)
-    chosen[hit] = table.service_id[pick]
+    chosen[hit] = table.ids[table.service[pick]]
     cap = np.zeros(len(t))
     cap[hit] = table.capacity[pick]
     reward = np.full(len(t), dummy_reward, dtype=np.float64)

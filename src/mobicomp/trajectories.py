@@ -1,6 +1,6 @@
 """Trajectory data model: timestamped samples, fixed-rate resampling of raw
 traces by constant-speed interpolation, and the planar/great-circle distance
-metrics every other module builds on.
+metrics every other module builds on (``haversine_m``, ``distances``).
 
 A ``Trajectory`` is stored as three read-only float64 columns, ``t``, ``x``
 and ``y``, one entry per sample; the generator, the CSV reader, resampling and
@@ -21,7 +21,6 @@ as a raw trace before resampling, may hold a fractional ``t``.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Sequence
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridTooLargeError, InvalidInputError
-from .ioutil import open_text, write_csv_blocks
+from .ioutil import csv_rows, open_text, write_csv_blocks
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius, fixed constant for haversine
 
@@ -180,11 +179,6 @@ def in_gps_range(x, y):
     return (abs(x) <= 180.0) & (abs(y) <= 90.0)
 
 
-def check_gps(x: float, y: float) -> None:
-    if not in_gps_range(x, y):
-        raise InvalidInputError(f"GPS coordinates out of range: ({x}, {y})")
-
-
 def check_gps_samples(name: str, x: np.ndarray, y: np.ndarray) -> None:
     """Raise for the first sample of the columns ``(x, y)`` out of the GPS
     box, naming ``name``."""
@@ -203,21 +197,12 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def distance(ax: float, ay: float, bx: float, by: float, mode: DistanceMode) -> float:
-    """Distance in metres between positions (ax, ay) and (bx, by) under the
-    given mode."""
-    if mode is DistanceMode.PLANAR_EUCLIDEAN:
-        return math.hypot(ax - bx, ay - by)
-    check_gps(ax, ay)
-    check_gps(bx, by)
-    return haversine_m(ax, ay, bx, by)
-
-
 def distances(
     ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray, mode: DistanceMode
 ) -> np.ndarray:
-    """``distance`` over coordinate arrays, for filtering only: numpy's hypot
-    and trigonometric functions may differ from ``math``'s in the last bits.
+    """Distances in metres between positions (ax, ay) and (bx, by) under the
+    given mode, for filtering only: numpy's hypot and trigonometric functions
+    may differ from ``math.hypot`` and ``haversine_m`` in the last bits.
     Haversine inputs must already be range-checked."""
     if mode is DistanceMode.PLANAR_EUCLIDEAN:
         return np.hypot(ax - bx, ay - by)
@@ -321,7 +306,7 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
     of a number only ``float()`` takes (``1_0``, non-ASCII digits) or of a
     row with more than four fields."""
     with open_text(path) as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(csv_rows(path, fh), (0, None))
         if header is None:
             raise InvalidInputError(f"empty trajectory file: {path}")
         if [h.strip().lower() for h in header] != ["id", "t", "x", "y"]:
@@ -374,24 +359,22 @@ def _parse_rows(fh):
 
 def _scan_rows(path: str | Path, fh):
     """The columns of the rows of ``fh`` after its header, read one row at a
-    time with ``csv`` and ``parse_row``; a malformed row or a negative ``t``
-    is an ``InvalidInputError`` naming the file and the line."""
-    reader = csv.reader(fh)
-    next(reader)
+    time with ``csv_rows`` and ``parse_row``; a malformed row or a negative
+    ``t`` is an ``InvalidInputError`` naming the file and the line."""
+    rows = csv_rows(path, fh)
+    next(rows)
     ids, ts, xs, ys = [], [], [], []
-    for row in reader:
+    for line, row in rows:
         if not row:
             continue
         try:
             ident, t, x, y = parse_row(row)
         except (IndexError, ValueError):
-            raise InvalidInputError(
-                f"malformed row {row!r} in {path} line {reader.line_num}"
-            ) from None
+            raise InvalidInputError(f"malformed row {row!r} in {path} line {line}") from None
         if t < 0:
             raise InvalidInputError(
                 f"timestep must be non-negative, got {t} for id {ident!r} "
-                f"in {path} line {reader.line_num}"
+                f"in {path} line {line}"
             )
         ids.append(ident)
         ts.append(t)

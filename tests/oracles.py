@@ -12,7 +12,7 @@ import numpy as np
 
 from mobicomp.errors import ContractViolationError, InvalidInputError
 from mobicomp.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from mobicomp.trajectories import DistanceMode, Trajectory, distance
+from mobicomp.trajectories import DistanceMode, Trajectory, haversine_m, in_gps_range
 
 
 def scalar_resample(t, x, y, rate, origin):
@@ -52,10 +52,25 @@ def great_circle_vincenty(lon1, lat1, lon2, lat2, radius=6_371_000.0):
     return radius * math.atan2(num, den)
 
 
+def check_gps(x: float, y: float) -> None:
+    if not in_gps_range(x, y):
+        raise InvalidInputError(f"GPS coordinates out of range: ({x}, {y})")
+
+
+def distance(ax: float, ay: float, bx: float, by: float, mode: DistanceMode) -> float:
+    """Distance in metres between positions (ax, ay) and (bx, by) under the
+    given mode."""
+    if mode is DistanceMode.PLANAR_EUCLIDEAN:
+        return math.hypot(ax - bx, ay - by)
+    check_gps(ax, ay)
+    check_gps(bx, by)
+    return haversine_m(ax, ay, bx, by)
+
+
 def scalar_perpendicular_distance(sx, sy, ax, ay, bx, by, mode):
     """One pair's distance to the segment a-b, in Python floats: the formula
-    the column pricing must equal bit for bit. It reuses the library's scalar
-    ``distance``, which test_trajectories checks on its own."""
+    the column pricing must equal bit for bit. It reuses the scalar
+    ``distance`` above, which test_trajectories checks on its own."""
     scale = 1.0 if mode is DistanceMode.PLANAR_EUCLIDEAN else math.cos(math.radians(ay))
     vx, vy = bx - ax, by - ay
     wx = vx * scale

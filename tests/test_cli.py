@@ -459,6 +459,32 @@ def test_bad_value_is_one_line_error_and_writes_nothing(bundle, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# a field longer than csv's 131,072-character limit: in users.csv, beside a
+# short row, which makes the reader read the file row by row, and in a raw
+# GPS file; each case gives the argument list and the file the line names
+def long_field_case(case, bundle, tmp_path):
+    long_id = "x" * 200_000
+    if case == "users_csv":
+        bad = bundle / "users.csv"
+        append_line(bad, f"user:{long_id},1,0.0,0.0")
+        append_line(bad, "user:u0000,26,1.0")
+        out = tmp_path / "out" / "d.json"
+        return ["discover", "--scenario", str(bundle / "scenario.json"), "--out", str(out)], bad
+    bad = tmp_path / "raw.csv"
+    bad.write_text(f"trip,epoch,lon,lat\nt1,0,1,1\nt1,1,1,1\n{long_id},0,2,2\n")
+    return ["ingest", "--format", "gps", "--in", str(bad), "--out", str(tmp_path / "out")], bad
+
+
+@pytest.mark.parametrize("case", ["ingest_gps", "users_csv"])
+def test_field_beyond_the_csv_limit_is_one_line_error(bundle, tmp_path, capsys, case):
+    args, bad = long_field_case(case, bundle, tmp_path)
+    line_num = len(bad.read_text().splitlines()) - (case == "users_csv")
+    assert dispatch([*args, "--quiet"]) == 1
+    line = assert_one_error_line(capsys, "InvalidInputError", bad)
+    assert f"line {line_num}: field larger than field limit" in line, line
+    assert not (tmp_path / "out").exists()
+
+
 # a row appended to a bundle's trajectory CSV whose t the file cannot hold:
 # the file, the row and the texts the error line must name besides the file
 # ({last} is the appended row's line number)

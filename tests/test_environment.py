@@ -147,6 +147,12 @@ class TestEpisodeProtocol:
         with pytest.raises(ProtocolError):
             env.step("a")
 
+    def test_step_before_reset_is_protocol_error(self):
+        user = line_user(2)
+        env = make_env([service_tracking(user, "a", 1, 2)], [user])
+        with pytest.raises(ProtocolError):
+            env.step("a")
+
     def test_done_exactly_when_terminal_consumed(self):
         user = line_user(3)
         env = make_env([service_tracking(user, "a", 1, 3)], [user])
@@ -154,6 +160,13 @@ class TestEpisodeProtocol:
         assert not env.step("a").done
         assert not env.step("a").done
         assert env.step("a").done
+
+    def test_reset_never_builds_the_runs(self):
+        user = line_user(3)
+        env = make_env([service_tracking(user, "a", 1, 3)], [user])
+        env.reset(user)
+        table = env.table_for(user)
+        assert len(table) == 3 and "validated" not in table.__dict__
 
     def test_table_cached_per_user(self):
         user = line_user(3)

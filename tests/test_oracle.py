@@ -11,7 +11,7 @@ from mobicomp.errors import InvalidInputError
 from mobicomp.oracle import (
     DISK_MARGIN,
     DUMMY_SERVICE,
-    DiskPairs,
+    CandidateTable,
     ServiceColumns,
     optimal_plan,
     reduce_validate,
@@ -24,7 +24,6 @@ from mobicomp.trajectories import (
     DistanceMode,
     MovingService,
     UserTrajectory,
-    distance,
     distances,
 )
 
@@ -33,6 +32,7 @@ from oracles import (
     brute_force_gps_pairs,
     brute_force_pairs,
     brute_force_validated,
+    distance,
     great_circle_vincenty,
     nested_loop_join,
     rle_runs,
@@ -77,11 +77,11 @@ def pair(t, sid, distance=1.0, strength=1.0, capacity=1.0):
 
 
 def disk_pairs(rows):
-    """``DiskPairs`` over ``pair`` rows, in the order given; the universe's
-    service ids are the rows' ids, in id order."""
+    """A ``CandidateTable`` over ``pair`` rows, in the order given; the
+    universe's service ids are the rows' ids, in id order."""
     ids = sorted({r[1] for r in rows})
     t, sid, d, s, cap = zip(*rows) if rows else [()] * 5
-    return DiskPairs(
+    return CandidateTable(
         timestep=np.array(t, dtype=np.int64),
         service=np.array([ids.index(i) for i in sid], dtype=np.int32),
         distance=np.array(d, dtype=np.float64),
@@ -92,7 +92,7 @@ def disk_pairs(rows):
 
 
 def pair_keys(pairs):
-    """The (timestep, service id) of every row of ``DiskPairs``."""
+    """The (timestep, service id) of every row of a ``CandidateTable``."""
     return set(zip(pairs.timestep.tolist(), pairs.ids[pairs.service].tolist()))
 
 
@@ -204,6 +204,41 @@ class TestReduceValidate:
         assert runs([4]) == {"x": ((4, 4),)}
         assert runs([1, 2, 3, 7, 8, 12]) == {"x": ((1, 3), (7, 8), (12, 12))}
 
+    @given(
+        st.dictionaries(
+            st.sampled_from("abcd"), st.sets(st.integers(1, 25), min_size=1, max_size=15),
+            min_size=1, max_size=4,
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_keeps_the_brute_force_rows_in_join_order_given_any_order(
+        self, steps, w, shuffled, rnd
+    ):
+        # every row's float columns are its own, so a row moved whole shows
+        rows = [
+            pair(t, sid, distance=t + k / 8, strength=k + t / 64, capacity=t * 8.0 + k)
+            for k, (sid, ts) in enumerate(sorted(steps.items())) for t in ts
+        ]
+        if shuffled:
+            rnd.shuffle(rows)
+        else:
+            rows.sort()  # join order: by timestep, then id
+        runs = {
+            sid: tuple(r for r in rle_runs(sorted(ts)) if r[1] - r[0] + 1 >= w)
+            for sid, ts in sorted(steps.items())
+        }
+        runs = {sid: r for sid, r in runs.items() if r}
+        kept = sorted(
+            r for r in rows if any(lo <= r[0] <= hi for lo, hi in runs.get(r[1], ()))
+        )
+        table = reduce_validate(disk_pairs(rows), w)
+        assert table_rows(table) == kept
+        assert list(table.validated.items()) == list(runs.items())
+        assert table_rows(reduce_validate(table, w)) == kept
+
 
 class TestOptimalPlan:
     def test_single_candidate_chosen_everywhere(self):
@@ -296,6 +331,16 @@ class TestDiscoverParallel:
         validated, surviving = brute_force_validated(services, user, 15.0, w=3)
         assert table.validated == validated
         assert surviving_pairs(table) == surviving
+
+
+class TestLazyViews:
+    def test_the_plan_and_the_json_rows_never_build_the_runs(self):
+        rng = np.random.default_rng(13)
+        services, user = random_universe(rng, n_services=12, n_steps=30)
+        table = discover(services, user)
+        table_plan_json(table, optimal_plan(table, user), user)
+        assert len(table) > 0
+        assert "validated" not in table.__dict__
 
 
 class TestJsonEmission:
@@ -410,6 +455,19 @@ class TestColumnarOracle:
         table = discover(services, user)
         assert table.validated == validated
         assert surviving_pairs(table) == surviving
+
+    @given(universes())
+    @settings(max_examples=100, deadline=None)
+    def test_disk_pairs_per_timestep_hold_the_brute_force_services(self, universe):
+        services, user = universe
+        pairs = run_spatial(services, user)
+        want = {}
+        for t, sid in sorted(brute_force_pairs(services, user, 15.0)):
+            want.setdefault(t, []).append(sid)
+        got = {t: pairs.service_id[r.start : r.stop].tolist() for t, r in pairs.per_timestep.items()}
+        assert got == want
+        assert sum(map(len, pairs.per_timestep.values())) == len(pairs)
+        assert pairs.validated == reduce_validate(pairs, 1).validated
 
     @given(universes(gps=True))
     @settings(max_examples=100, deadline=None)

@@ -13,8 +13,6 @@ from mobicomp.trajectories import (
     DistanceMode,
     Trajectory,
     TrajectoryPoint,
-    check_gps,
-    distance,
     dump_trajectories_csv,
     in_gps_range,
     load_trajectories_csv,
@@ -22,7 +20,10 @@ from mobicomp.trajectories import (
 )
 
 from conftest import traj
-from oracles import great_circle_vincenty, row_csv_bytes, row_load_trajectories_csv, scalar_resample
+from oracles import (
+    check_gps, distance, great_circle_vincenty, row_csv_bytes, row_load_trajectories_csv,
+    scalar_resample,
+)
 
 PLANAR = DistanceMode.PLANAR_EUCLIDEAN
 GPS = DistanceMode.HAVERSINE
@@ -323,6 +324,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(f"id,t,x,y\na,0,1,1\n{row}\n")
         with pytest.raises(InvalidInputError, match=rf"{re.escape(str(path))}.*line 3"):
+            load_trajectories_csv(path)
+
+    def test_header_field_beyond_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("x" * 200_000 + ",t,x,y\na,0,1,1\n")
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))} line 1: field larger"):
             load_trajectories_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
