@@ -285,7 +285,8 @@ def row_load_trajectories_csv(path):
     """A trajectory CSV read one ``csv`` row and one ``float()`` per field at
     a time: the result, or the ``InvalidInputError`` message, the column
     reader must give. Blank rows are skipped; a short row, a field that is
-    not a finite number and a negative ``t`` name the file and the line."""
+    not a finite number, a negative ``t`` and a row ``csv`` refuses (a field
+    beyond its limit) name the file and the line."""
     samples = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -314,6 +315,8 @@ def row_load_trajectories_csv(path):
                 samples.setdefault(row[0], []).append((t, x, y))
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
     if not samples:
         raise InvalidInputError(f"no trajectory rows in {path}")
     out = []

@@ -459,15 +459,14 @@ def test_bad_value_is_one_line_error_and_writes_nothing(bundle, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-# a field longer than csv's 131,072-character limit: in users.csv, beside a
-# short row, which makes the reader read the file row by row, and in a raw
-# GPS file; each case gives the argument list and the file the line names
+# a field longer than csv's 131,072-character limit: in users.csv, alone or
+# beside a later short row, and in a raw GPS file; each case gives the
+# argument list and the file the line names, whose last line is the long one
 def long_field_case(case, bundle, tmp_path):
     long_id = "x" * 200_000
-    if case == "users_csv":
+    if case.startswith("users_csv"):
         bad = bundle / "users.csv"
         append_line(bad, f"user:{long_id},1,0.0,0.0")
-        append_line(bad, "user:u0000,26,1.0")
         out = tmp_path / "out" / "d.json"
         return ["discover", "--scenario", str(bundle / "scenario.json"), "--out", str(out)], bad
     bad = tmp_path / "raw.csv"
@@ -475,14 +474,79 @@ def long_field_case(case, bundle, tmp_path):
     return ["ingest", "--format", "gps", "--in", str(bad), "--out", str(tmp_path / "out")], bad
 
 
-@pytest.mark.parametrize("case", ["ingest_gps", "users_csv"])
+@pytest.mark.parametrize("case", ["ingest_gps", "users_csv", "users_csv_alone"])
 def test_field_beyond_the_csv_limit_is_one_line_error(bundle, tmp_path, capsys, case):
     args, bad = long_field_case(case, bundle, tmp_path)
-    line_num = len(bad.read_text().splitlines()) - (case == "users_csv")
+    line_num = len(bad.read_text().splitlines())
+    if case == "users_csv":
+        append_line(bad, "user:u0000,26,1.0")
     assert dispatch([*args, "--quiet"]) == 1
     line = assert_one_error_line(capsys, "InvalidInputError", bad)
     assert f"line {line_num}: field larger than field limit" in line, line
     assert not (tmp_path / "out").exists()
+
+
+# an output that is one of the command's inputs; each case gives the
+# argument list, the output and the input, which must keep its bytes
+def overwrite_case(case, bundle, tmp_path):
+    scenario = bundle / "scenario.json"
+    cmd, _, target = case.partition("_")
+    if cmd == "gen":
+        spec = tmp_path / "g" / "scenario.json"
+        spec.parent.mkdir()
+        spec.write_text(json.dumps(SPEC))
+        return ["gen", "--spec", str(spec), "--out", str(spec.parent)], spec, spec
+    if cmd == "ingest":
+        raw = tmp_path / "i" / "meta.json"
+        raw.parent.mkdir()
+        raw.write_text(raw_traces("indoor"))
+        args = ["ingest", "--format", "indoor", "--in", str(raw), "--out", str(raw.parent)]
+        return args, raw, raw
+    run = [cmd, "--scenario", str(scenario)]
+    if cmd in ("train", "evaluate"):
+        run += FAST_FLAGS
+    if cmd == "evaluate":
+        run += ["--mode", "timing", "--counts", "1", "--repeats", "1"]
+    if cmd == "compose":
+        model = tmp_path / "m.ckpt"
+        model.write_bytes(policy_file())
+        run += ["--model", str(model)]
+        if target == "model":
+            return [*run, "--user", "user:u0000", "--out", str(model)], model, model
+    if target == "user_file":
+        user = tmp_path / "u.csv"
+        user.write_text("id,t,x,y\nuser:f,1,5.0,5.0\nuser:f,2,6.0,5.0\n")
+        return [*run, "--user", str(user), "--out", str(user)], user, user
+    if target == "symlink":
+        link = tmp_path / "d.json"
+        link.symlink_to(scenario)
+        return [*run, "--out", str(link)], link, scenario
+    if target == "log":
+        return [*run, "--out", str(tmp_path / "m.ckpt"), "--log", str(scenario)], scenario, scenario
+    if target == "series":
+        # the users CSV, renamed to the series path of --out r.json
+        users = bundle / "r.series.csv"
+        os.rename(bundle / "users.csv", users)
+        scenario.write_text(json.dumps({**json.loads(scenario.read_text()), "users_csv": users.name}))
+        return [*run, "--out", str(bundle / "r.json")], users, users
+    return [*run, "--out", str(bundle / target)], bundle / target, bundle / target
+
+
+OVERWRITES = [
+    "gen_spec", "ingest_in", "discover_scenario.json", "discover_users.csv", "discover_symlink",
+    "discover_user_file", "train_services.csv", "train_log", "compose_model", "compose_user_file",
+    "evaluate_users.csv", "evaluate_series",
+]
+
+
+@pytest.mark.parametrize("case", OVERWRITES)
+def test_output_that_is_an_input_is_one_line_error(bundle, tmp_path, capsys, case):
+    args, out, victim = overwrite_case(case, bundle, tmp_path)
+    before = victim.read_bytes()
+    assert dispatch([*args, "--quiet"]) == 1
+    line = assert_one_error_line(capsys, "InvalidInputError", victim)
+    assert f"output {out} is the input {victim}" in line, line
+    assert victim.read_bytes() == before
 
 
 # a row appended to a bundle's trajectory CSV whose t the file cannot hold:

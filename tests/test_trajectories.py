@@ -451,6 +451,25 @@ class TestCsvColumns:
         path.write_bytes(data)
         assert isinstance(same_load(path), str)
 
+    # fields beyond csv's 131,072-character limit: the rows after the header
+    LONG_ID = "x" * 200_000 + ",0,1,1"
+    LONG_FIELDS = {
+        "long_id": ["a,0,1,1", LONG_ID, "b,1,2,2"],
+        "long_id_then_short_row": ["a,0,1,1", LONG_ID, "a,1,2", "b,1,2,2"],
+        "long_t": ["a,0,1,1", "b," + "0" * 199_999 + "1,2,2"],
+        "quoted_id_with_line_ends": ["a,0,1,1", '"' + "y\n" * 70_000 + '",1,2,2'],
+    }
+
+    @pytest.mark.parametrize("case", sorted(LONG_FIELDS))
+    def test_field_beyond_the_csv_limit_is_refused_as_the_row_reference_refuses_it(
+        self, tmp_path, case
+    ):
+        path = tmp_path / "long.csv"
+        path.write_text("".join(row + "\n" for row in ["id,t,x,y", *self.LONG_FIELDS[case]]))
+        got = same_load(path)
+        assert isinstance(got, str) and got.startswith(f"{path} line "), got[:200]
+        assert "field larger than field limit" in got
+
     ROW_FIELDS = st.sampled_from(
         ["a", "b", '"a,b"', '"a""b"', '"a\nb"', " ", "", "1", "0", "-1", "2.5", "+3", ".5", "5.",
          "1_0", " 4 ", '"6"', "nan", "inf", "-0.0", "1e400", "\x1c1", "1\u3000", "x", '"', "\t"]
