@@ -2,7 +2,8 @@
 generate/ingest -> discover -> train -> compose -> evaluate.
 
 Every subcommand is deterministic given its inputs and seed, never mutates
-its inputs, writes outputs atomically, and prints one machine-parseable
+its inputs (an output that is one of them is refused before anything is
+written), writes outputs atomically, and prints one machine-parseable
 summary line. Emitted artifacts carry a ``meta`` block (tool version, seed,
 input hashes) for provenance; no timestamps, so reruns are byte-identical.
 """
@@ -10,6 +11,7 @@ input hashes) for provenance; no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -64,6 +66,24 @@ def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
         "seed": seed,
         "input_hashes": {role: sha256_file(p) for role, p in inputs.items()},
     }
+
+
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Refuse, before anything is written, an output that is the same file as
+    one of the inputs (by ``os.path.samefile``, so a link to it too)."""
+    for out in outputs:
+        for inp in inputs:
+            try:
+                same = os.path.samefile(out, inp)
+            except OSError:  # either is not there: nothing to overwrite
+                continue
+            if same:
+                raise InvalidInputError(f"output {out} is the input {inp}")
+
+
+def _bundle_files(out: Path) -> list[Path]:
+    """The files ``gen`` and ``ingest`` write under ``out``."""
+    return [out / name for name in ("services.csv", "users.csv", "scenario.json", "meta.json")]
 
 
 def _summary(cmd: str, **kv) -> None:
@@ -177,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    out = Path(args.out)
+    _refuse_overwrite([args.spec] if args.spec else [], _bundle_files(out))
     if args.spec:
         doc = read_json_object(args.spec)
         try:
@@ -190,7 +212,6 @@ def _cmd_gen(args) -> int:
         spec = default_scenario_spec(seed=DEFAULT_SEED if args.seed is None else args.seed)
         inputs = {}
     services, users = generate(spec)
-    out = Path(args.out)
     scenario_path = write_scenario_bundle(
         out,
         services,
@@ -215,6 +236,8 @@ def _cmd_gen(args) -> int:
 def _cmd_ingest(args) -> int:
     if args.w < 1:
         raise InvalidInputError(f"--w must be >= 1, got {args.w}")
+    out = Path(args.out)
+    _refuse_overwrite([args.input], _bundle_files(out))
     qos_params = QosParams.defaults_for(args.r_s)
     if args.format == "indoor":
         result = ingest_indoor(args.input, rate=args.rate)
@@ -236,7 +259,6 @@ def _cmd_ingest(args) -> int:
             f"split produced {len(services)} services and {len(users)} users; "
             "adjust --user-fraction"
         )
-    out = Path(args.out)
     scenario_path = write_scenario_bundle(
         out,
         services,
@@ -276,6 +298,7 @@ def _select_users(scenario: Scenario, user_arg: str | None):
 def _cmd_discover(args) -> int:
     scenario = load_scenario(args.scenario)
     users, user_input = _select_users(scenario, args.user)
+    _refuse_overwrite([*scenario.files, *user_input.values()], [args.out])
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
@@ -298,11 +321,12 @@ def _cmd_discover(args) -> int:
 
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
+    log_path = args.log or f"{args.out}.log.csv"
+    _refuse_overwrite(scenario.files, [args.out, log_path])
     config = _config_from(args)
     train_users, _ = split_train_test(scenario.users, seed=config.seed)
     result, _ = eval_mod.train_on_scenario(scenario, train_users, config)
     atomic_write_bytes(args.out, agent_mod.save_model(result.model))
-    log_path = args.log or f"{args.out}.log.csv"
     rows = [["episode", "cum_reward", "epsilon", "loss"]]
     rows += ([r.episode, r.cum_reward, r.epsilon, r.loss] for r in result.log)
     write_csv(log_path, rows)
@@ -319,11 +343,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
+    users, user_input = _select_users(scenario, args.user)
+    _refuse_overwrite([*scenario.files, args.model, *user_input.values()], [args.out])
     try:
         model = agent_mod.load_model(read_input(args.model))
     except CheckpointError as exc:
         raise CheckpointError(f"{args.model}: {exc}") from None
-    users, user_input = _select_users(scenario, args.user)
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
@@ -355,6 +380,8 @@ def _cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
     out = Path(args.out)
+    series_path = out.with_name(f"{out.stem}.series.csv")
+    _refuse_overwrite(scenario.files, [out, series_path])
     meta = _meta(args.seed, {"scenario": args.scenario})
     exit_code = 0
 
@@ -391,7 +418,7 @@ def _cmd_evaluate(args) -> int:
         )
 
     atomic_write_text(out, dump_json(payload))
-    write_csv(out.with_name(f"{out.stem}.series.csv"), series)
+    write_csv(series_path, series)
     if not args.quiet:
         _summary("evaluate", **summary_kv, out=out)
     return exit_code

@@ -267,7 +267,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[MovingService], list[UserTrajecto
 
 @dataclass
 class Scenario:
-    """A loaded scenario bundle: the service universe, users, and parameters."""
+    """A loaded scenario bundle: the service universe, users, and parameters,
+    and the files they were read from (scenario.json and its two CSVs)."""
 
     services: list[MovingService]
     users: list[UserTrajectory]
@@ -275,6 +276,7 @@ class Scenario:
     w: int
     mode: DistanceMode
     rewards: RewardScheme
+    files: tuple[Path, ...] = ()
 
 
 def write_scenario_bundle(
@@ -414,6 +416,7 @@ def load_scenario(path: str | Path) -> Scenario:
         w=w,
         mode=mode,
         rewards=rewards,
+        files=(path, services_csv, users_csv),
     )
 
 

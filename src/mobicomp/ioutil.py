@@ -7,8 +7,8 @@ columns, a scenario bundle's trajectories, is written by columns
 (``write_csv_blocks``): per block of rows sharing one key, the key is quoted
 once by ``csv`` and woven with the already rendered column texts in one join,
 and each block is encoded and written before the next is rendered. Input
-files are opened by ``open_text`` (or read whole by ``read_input``), whose
-file object numpy's C CSV reader or ``csv_rows`` reads.
+files are read whole, once, by ``read_input``; ``open_text`` wraps those
+bytes in a text stream that numpy's C CSV reader or ``csv_rows`` reads.
 
 Canonical JSON is the exact text of ``json.dumps(obj, indent=2,
 sort_keys=True) + "\\n"`` for a document made of the exact types every
@@ -322,15 +322,14 @@ def read_input(path: str | Path) -> bytes:
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[io.TextIOBase]:
-    """A UTF-8 input file opened for ``csv``. A missing, unreadable or non-UTF-8
-    file is an ``InvalidInputError`` naming it, also when the failing read is
+def open_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
+    """A UTF-8 text stream for ``csv`` over the bytes ``read_input`` reads of
+    an input file, which ``fh.buffer.getvalue()`` returns. A non-UTF-8 file
+    is an ``InvalidInputError`` naming it, also when the failing decode is
     one made inside the ``with`` block."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(read_input(path)), encoding="utf-8", newline="") as fh:
             yield fh
-    except OSError as exc:
-        raise InvalidInputError(f"{path}: cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 

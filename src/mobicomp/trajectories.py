@@ -7,11 +7,12 @@ and ``y``, one entry per sample; the generator, the CSV reader, resampling and
 ingestion build it from columns (``Trajectory.from_columns``), and discovery,
 state encoding and composition read the columns directly. The canonical CSV
 is written by columns too, one trajectory at a time
-(``dump_trajectories_csv``), and read in one pass of numpy's C reader, with
-the per-row reader kept for files it does not read as ``csv`` and
-``float()`` do (``load_trajectories_csv``). ``TrajectoryPoint``
-is the public per-sample view: ``Trajectory(points)`` builds a trajectory
-from points and ``Trajectory.points`` lists its samples as points.
+(``dump_trajectories_csv``), and read once: the per-row reader defines what
+a file may hold, and numpy's C reader parses a plain file, one without
+quotes or long lines, in one pass (``load_trajectories_csv``).
+``TrajectoryPoint`` is the public per-sample view: ``Trajectory(points)``
+builds a trajectory from points and ``Trajectory.points`` lists its samples
+as points.
 
 Timesteps are global integer sequence indices: ``MovingService`` and
 ``UserTrajectory`` refuse a timestep that is not an integer below 2**53, for
@@ -21,6 +22,7 @@ as a raw trace before resampling, may hold a fractional ``t``.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from collections.abc import Sequence
@@ -288,23 +290,20 @@ def parse_row(row: list[str]) -> tuple[str, float, float, float]:
 
 # One trajectory CSV row as numpy's reader parses it
 _CSV_ROW = np.dtype([("id", object), ("t", np.float64), ("x", np.float64), ("y", np.float64)])
-# Characters numpy's float parser strips around a number as whitespace (they
-# are str.isspace) and float() refuses: a file holding one is read by rows
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+# Bytes of a file numpy does not read: the quote, and the characters numpy's
+# float parser strips around a number as space (they are str.isspace) and
+# float() refuses
+_NOT_PLAIN = b'"\x1c\x1d\x1e\x1f'
 
 
 def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
     """Read a canonical trajectory CSV; one entry per id, in order of first
     appearance, its samples stably sorted by ``t``.
 
-    After the header, every row is parsed in one pass by numpy's C reader,
-    which splits fields and quotes as ``csv`` does and gives the float64 of
-    ``float()``. Where it refuses the file, finds no row, or the columns hold
-    a non-finite value, a negative ``t`` or a character only it takes as
-    space, the file is read again row by row (``_scan_rows``), which raises
-    the error of the first bad row with its line number, or returns the rows
-    of a number only ``float()`` takes (``1_0``, non-ASCII digits) or of a
-    row with more than four fields."""
+    The file is read once. The row reader (``_scan_rows``) defines what a
+    file may hold and names the line of the first row it refuses; numpy's C
+    reader (``_parse_rows``) reads a plain file in one pass, and any other
+    file, or one whose columns it does not give, goes to the row reader."""
     with open_text(path) as fh:
         _, header = next(csv_rows(path, fh), (0, None))
         if header is None:
@@ -336,23 +335,23 @@ def load_trajectories_csv(path: str | Path) -> list[tuple[str, Trajectory]]:
 
 def _parse_rows(fh):
     """The ``id``, ``t``, ``x`` and ``y`` columns of the rows left in ``fh``,
-    parsed by ``np.loadtxt``; None where it refuses them, where they hold a
-    value ``_scan_rows`` refuses or none at all, or where the file holds a
-    character of ``_NOT_FLOAT_SPACE``."""
+    parsed by ``np.loadtxt``, where it gives the row reader's columns: only
+    for a file holding no byte of ``_NOT_PLAIN`` and no line longer than
+    ``csv``'s field limit, and not where it refuses the rows, finds none, or
+    finds a non-finite value or a negative ``t``; None otherwise."""
+    data = fh.buffer.getvalue()
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    longest = np.diff(ends, prepend=-1, append=len(data)).max() - 1
+    if longest > csv.field_size_limit() or any(c in data for c in _NOT_PLAIN):
+        return None
     with warnings.catch_warnings():  # it warns on an empty input, refused here
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rows = np.loadtxt(
-                fh, dtype=_CSV_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-        except ValueError:  # UnicodeDecodeError too: the rescan names it
+            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:  # UnicodeDecodeError too: the row reader names it
             return None
     t, x, y = rows["t"], rows["x"], rows["y"]
     if not len(rows) or (t < 0).any() or not np.isfinite([t, x, y]).all():
-        return None
-    fh.seek(0)
-    text = fh.read()
-    if any(c in text for c in _NOT_FLOAT_SPACE):
         return None
     return rows["id"], t, x, y
 

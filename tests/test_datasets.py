@@ -21,7 +21,12 @@ from mobicomp.environment import RewardScheme
 from mobicomp.errors import InvalidInputError
 from mobicomp.oracle import ServiceColumns, discover
 from mobicomp.qos import QosParams
-from mobicomp.trajectories import DistanceMode, dump_trajectories_csv, load_trajectories_csv
+from mobicomp.trajectories import (
+    DistanceMode,
+    Trajectory,
+    dump_trajectories_csv,
+    load_trajectories_csv,
+)
 
 
 def small_spec(**overrides):
@@ -405,6 +410,62 @@ class TestIngestGps:
         result = ingest_gps(raw)
         assert result.rejected_ids == ["t2"]
         assert [(tid, traj.t.tolist()) for tid, traj in result.trajectories] == [("t1", [1.0])]
+
+
+def write_raw_traces(path, header, items):
+    """A raw trace file of ``(id, Trajectory)`` items: after ``header``, one
+    ``id,t,x,y`` row per sample at the sample's own timestep, each number as
+    its ``repr``."""
+    rows = [header] + [
+        f"{ident},{t!r},{x!r},{y!r}"
+        for ident, traj in items
+        for t, x, y in zip(traj.t.tolist(), traj.x.tolist(), traj.y.tolist())
+    ]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def in_gps_box(items):
+    """The items placed around (151.2, -33.87): x and y metres as degrees of
+    longitude and latitude."""
+    lon0, lat0 = 151.2, -33.87
+    deg_per_m = 180.0 / (math.pi * 6_371_000.0)
+    k_lon = deg_per_m / math.cos(math.radians(lat0))
+    return [
+        (ident, Trajectory.from_columns(traj.t, lon0 + traj.x * k_lon, lat0 + traj.y * deg_per_m))
+        for ident, traj in items
+    ]
+
+
+class TestIngestRoundTrip:
+    """A generated scenario without jitter, written as raw rows at each
+    sample's own timestep, comes back from ingestion unchanged: the same ids
+    in file order and bit-equal columns."""
+
+    @pytest.fixture(params=["corridor_flow", "random_waypoint"])
+    def items(self, request):
+        services, users = generate(small_spec(mobility_model=request.param, jitter_m=0.0))
+        items = [(item.id, item.trajectory) for item in [*services, *users]]
+        assert min(traj.t[0] for _, traj in items) == 1
+        return items
+
+    @staticmethod
+    def assert_round_trip(result, items):
+        assert (result.skipped_rows, result.rejected_ids) == (0, [])
+        assert [i for i, _ in result.trajectories] == [i for i, _ in items]
+        for (_, got), (_, want) in zip(result.trajectories, items):
+            for col in ("t", "x", "y"):
+                assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+
+    def test_indoor_at_rate_one(self, tmp_path, items):
+        path = tmp_path / "raw.csv"
+        write_raw_traces(path, "person,time,x,y", items)
+        self.assert_round_trip(ingest_indoor(path, rate=1), items)
+
+    def test_gps(self, tmp_path, items):
+        items = in_gps_box(items)
+        path = tmp_path / "raw.csv"
+        write_raw_traces(path, "trip,epoch,lon,lat", items)
+        self.assert_round_trip(ingest_gps(path), items)
 
 
 class TestCanonicalIdempotence:
