@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from mobicomp.errors import ContractViolationError, InvalidInputError
+from mobicomp.errors import ContractViolationError, InvalidInputError, ProtocolError
 from mobicomp.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from mobicomp.oracle import DUMMY_SERVICE
 from mobicomp.trajectories import DistanceMode, Trajectory, haversine_m, in_gps_range
 
 
@@ -328,3 +329,41 @@ def row_load_trajectories_csv(path):
             raise InvalidInputError(f"{exc} for id {ident!r} in {path}") from None
         out.append((ident, traj))
     return out
+
+
+def keyed_accuracy(agent_plan, oracle_plan, lenient=False):
+    """The accuracy report, as the dict ``asdict`` gives, of an agent plan
+    against the oracle plan, both keyed by timestep and compared as sets: of
+    the timesteps where the oracle has a validated pick, those where the
+    agent picked a validated service (capacity above 0) of the oracle's
+    capacity, or of any capacity when ``lenient``."""
+    a_steps = {s.user_timestep: s for s in agent_plan.steps}
+    o_steps = {s.user_timestep: s for s in oracle_plan.steps}
+    if set(a_steps) != set(o_steps):
+        raise ProtocolError("plans do not cover identical timesteps")
+    cs = ns = 0
+    for t, o in o_steps.items():
+        if o.chosen == DUMMY_SERVICE:
+            continue
+        ns += 1
+        a = a_steps[t]
+        if a.chosen == DUMMY_SERVICE or a.capacity <= 0.0:
+            continue
+        if lenient or a.capacity == o.capacity:
+            cs += 1
+    acc = cs / ns if ns else 1.0
+    row = {"correct_selections": cs, "valid_samples": ns, "accuracy": acc}
+    return {**row, "error": 1.0 - acc, "per_trajectory": {agent_plan.user_id: row}}
+
+
+def summed_reports(reports):
+    """One report of several users' ``keyed_accuracy`` reports: their
+    per-user rows merged and their counts summed."""
+    per = {}
+    for r in reports:
+        per.update(r["per_trajectory"])
+    cs = sum(r["correct_selections"] for r in reports)
+    ns = sum(r["valid_samples"] for r in reports)
+    acc = cs / ns if ns else 1.0
+    return {"correct_selections": cs, "valid_samples": ns, "accuracy": acc,
+            "error": 1.0 - acc, "per_trajectory": per}

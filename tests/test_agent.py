@@ -483,6 +483,11 @@ class TestModelSerialization:
         with pytest.raises(InvalidInputError, match=f"{field} must be >= 1, got 0"):
             AgentConfig(**{field: 0})
 
+    def test_memory_past_the_bound_rejected(self):
+        # 10**13 rows would take 650 TB: refused before any ring is allocated
+        with pytest.raises(InvalidInputError, match="memory_capacity"):
+            AgentConfig(memory_capacity=10**13)
+
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):
             AgentConfig(gamma=1.0)

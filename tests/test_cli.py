@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -365,6 +366,20 @@ def bad_value_case(case, bundle, tmp_path):
     if case == "evaluate_negative_seed":
         return ["evaluate", "--scenario", scenario, "--mode", "accuracy",
                 "--out", str(tmp_path / "out" / "r.json"), *FAST_FLAGS, "--seed", "-1"], "seed"
+    if case == "evaluate_require_accuracy_nan":
+        # NaN compares false with every accuracy, so the gate would never fire
+        return ["evaluate", "--scenario", scenario, "--mode", "accuracy", "--require-accuracy",
+                "nan", "--out", str(tmp_path / "out" / "r.json"), *FAST_FLAGS], "--require-accuracy"
+    # sizes past a bound, each far more than this machine could allocate:
+    # refused before anything is allocated
+    if case == "gen_timesteps_past_bound":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "timestep_count": 10**13}))
+        return ["gen", "--spec", str(spec), "--out", str(tmp_path / "out")], "timestep_count"
+    if case == "train_memory_past_bound":
+        return [*train, *FAST_FLAGS, "--memory", "10000000000000"], "memory_capacity"
+    if case == "train_hidden_past_bound":
+        return [*train, *FAST_FLAGS, "--hidden", "10000000000000"], "parameters"
     if case == "train_epsilon_min_nan":
         return [*train, *FAST_FLAGS, "--epsilon-min", "nan"], "epsilon_min"
     if case == "train_lr_negative":
@@ -443,10 +458,12 @@ BAD_REWARDS = {
 }
 
 BAD_VALUES = [
-    "evaluate_negative_seed", "ingest_gps_t_2_53", "ingest_r_s_zero", "ingest_rate_nan",
+    "evaluate_negative_seed", "evaluate_require_accuracy_nan", "gen_timesteps_past_bound",
+    "ingest_gps_t_2_53", "ingest_r_s_zero", "ingest_rate_nan",
     "ingest_rate_huge_grid", "ingest_w_zero",
     "scenario_r_s_zero", *BAD_SCENARIO_KEYS, *BAD_REWARDS, "services_t_nan", "train_epsilon_min_nan",
-    "train_lr_inf", "train_lr_negative", "train_negative_seed", "users_x_inf",
+    "train_hidden_past_bound", "train_lr_inf", "train_lr_negative", "train_memory_past_bound",
+    "train_negative_seed", "users_x_inf",
     *BAD_SERVICES, "user_file_t_fraction",
 ]
 
@@ -691,6 +708,54 @@ def test_discover_bytes_are_pinned(tmp_path, monkeypatch, mode):
     payload = json.loads((tmp_path / "d.json").read_text())
     assert any(step["candidates"] for u in payload["users"] for step in u["steps"])
     assert sha256_file("d.json") == PINNED_DISCOVER_SHA256[mode]
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [("users.csv", ["user:zz,1,5.0,5.0", "user:zz,2,6.0,5.0"]),
+     ("services.csv", ["szz,1,5.0,5.0", "szz,2,6.0,5.0"])],
+)
+def test_discover_meta_hashes_the_scenario_csvs(bundle, tmp_path, monkeypatch, name, rows):
+    # two bundles that differ only in one CSV give different provenance
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(bundle, "other")
+    for row in rows:
+        append_line(tmp_path / "other" / name, row)
+    metas = []
+    for scen in (bundle, tmp_path / "other"):
+        assert dispatch(["discover", "--scenario", str(scen / "scenario.json"), "--out", "d.json",
+                         "--quiet"]) == 0
+        metas.append(json.loads((tmp_path / "d.json").read_text())["meta"]["input_hashes"])
+    assert metas[0]["scenario"] == metas[1]["scenario"]
+    assert metas[0] != metas[1]
+
+
+# sha256 of the report and of the series CSV that `mobicomp evaluate --mode
+# accuracy --counts 1 2` writes on SPEC's bundle with CI_FLAGS, the training
+# flags of the CI's command step, strict and lenient. The strict model scores
+# 0.0 and the lenient one 0.76 there, so these pin the bytes, and the
+# reference test in test_evaluation checks what the scorer counts.
+CI_FLAGS = ["--repetition", "2", "--memory", "64", "--batch", "8", "--train-interval", "8",
+            "--hidden", "8"]
+PINNED_EVALUATE = {
+    "strict": (
+        "788ca0858c3f8bddf1de9d7aa06fd30218e539f21a3de3b68c659cd1ffde8a80",
+        "e70b68f11825cde9d2a14128ebb4beafa59ba33876fa9e03ab6f6ef645d794d3",
+    ),
+    "lenient": (
+        "7cd91a04aa4ec3e8282234b3b478c38a48624205cc274baa7b0df42a4bcfb14e",
+        "10036ac1c873af58f47826b1a281f46ebd718bd2e4304da0be0efdf88684f5a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EVALUATE))
+def test_evaluate_bytes_are_pinned(bundle, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    args = ["evaluate", "--scenario", str(bundle / "scenario.json"), "--mode", "accuracy",
+            "--counts", "1", "2", "--out", "r.json", "--quiet", *CI_FLAGS]
+    assert dispatch([*args, *(["--lenient-validity"] if case == "lenient" else [])]) == 0
+    assert (sha256_file("r.json"), sha256_file("r.series.csv")) == PINNED_EVALUATE[case]
 
 
 # sha256 of `mobicomp discover` on a denser corridor scenario (30 services,

@@ -45,6 +45,15 @@ def small_spec(**overrides):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "overrides", [{"timestep_count": 10**13}, {"n_services": 10**12, "timestep_count": 50}],
+        ids=["timesteps", "services"],
+    )
+    def test_samples_past_the_bound_rejected(self, overrides):
+        # refused before generation allocates a column
+        with pytest.raises(InvalidInputError, match="samples"):
+            small_spec(**overrides)
+
     def test_deterministic_and_byte_identical(self, tmp_path):
         spec = small_spec()
         qos = QosParams.defaults_for(spec.r_s_meters)

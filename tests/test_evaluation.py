@@ -1,10 +1,12 @@
 import json
 import math
 from dataclasses import asdict, replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mobicomp import evaluation, oracle
@@ -37,7 +39,7 @@ from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode
 
 from conftest import line_user, make_env, service_tracking
-from oracles import quadratic_convergence
+from oracles import keyed_accuracy, quadratic_convergence, summed_reports
 
 FAST = dict(
     memory_capacity=128,
@@ -125,6 +127,16 @@ class TestAccuracy:
         with pytest.raises(ProtocolError):
             accuracy(a, o)
 
+    @pytest.mark.parametrize(
+        "a_ts, o_ts", [((1, 2), (2, 1)), ((1, 1), (1,)), ((1,), (1, 1))],
+        ids=["reordered", "agent_repeats", "oracle_repeats"],
+    )
+    def test_reordered_or_repeated_timesteps_rejected(self, a_ts, o_ts):
+        a = plan("user:u", [(t, "a", 0.9, 9.0) for t in a_ts])
+        o = plan("user:u", [(t, "a", 0.9, 9.0) for t in o_ts])
+        with pytest.raises(ProtocolError):
+            accuracy(a, o)
+
     def test_combine_reports(self):
         r1 = AccuracyReport(3, 4, 0.75, 0.25, {"u1": {}})
         r2 = AccuracyReport(1, 4, 0.25, 0.75, {"u2": {}})
@@ -140,6 +152,59 @@ class TestAccuracy:
         rep = AccuracyReport(93, 100, 0.93, 0.07, {"user:u": {"accuracy": 0.93}})
         restored = AccuracyReport(**json.loads(json.dumps(asdict(rep))))
         assert restored == rep
+
+
+# the (chosen, reward, capacity) of one plan step: the dummy or a service,
+# at capacity 0 (an invalid pick) or one of two others, so that ties are
+# common; a hand-built dummy step may carry a capacity
+STEP = st.tuples(
+    st.sampled_from([DUMMY_SERVICE, "a", "b"]), st.just(0.5), st.sampled_from([0.0, 2.5, 5.0])
+)
+
+
+@st.composite
+def plan_rows(draw):
+    """The rows of an agent plan and of an oracle plan over the same
+    ascending timesteps."""
+    timesteps = sorted(draw(st.sets(st.integers(0, 9), max_size=6)))
+    return tuple([(t, *draw(STEP)) for t in timesteps] for _ in range(2))
+
+
+class TestScorerReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(plan_rows(), min_size=1, max_size=4), lenient=st.booleans())
+    def test_reports_equal_the_timestep_keyed_reference(self, pairs, lenient):
+        # each user alone through accuracy, and all users through
+        # evaluate_model with the plans it would compose and discover
+        users = [SimpleNamespace(id=f"user:{i}") for i in range(len(pairs))]
+        agent_plans = {u.id: plan(u.id, a_rows) for u, (a_rows, _) in zip(users, pairs)}
+        oracle_plans = {u.id: plan(u.id, o_rows) for u, (_, o_rows) in zip(users, pairs)}
+        expected = [keyed_accuracy(agent_plans[u.id], oracle_plans[u.id], lenient) for u in users]
+        for u, want in zip(users, expected):
+            assert asdict(accuracy(agent_plans[u.id], oracle_plans[u.id], lenient)) == want
+        env = SimpleNamespace(
+            reward_scale=1.0, rewards=SimpleNamespace(dummy=-1.0), table_for=lambda user: None
+        )
+        with mock.patch.object(
+            evaluation.agent_mod, "compose", lambda model, env, user: agent_plans[user.id]
+        ), mock.patch.object(
+            evaluation.oracle_mod, "optimal_plan", lambda table, user, **kw: oracle_plans[user.id]
+        ):
+            report = evaluate_model(None, env, users, lenient=lenient)
+        assert asdict(report) == summed_reports(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a_ts=st.lists(st.integers(0, 4), max_size=4),
+        o_ts=st.lists(st.integers(0, 4), max_size=4),
+    )
+    def test_plans_over_other_timesteps_are_refused_like_the_reference(self, a_ts, o_ts):
+        assume(set(a_ts) != set(o_ts))
+        a = plan("user:u", [(t, "a", 0.9, 9.0) for t in a_ts])
+        o = plan("user:u", [(t, "a", 0.9, 9.0) for t in o_ts])
+        for score in (accuracy, keyed_accuracy):
+            with pytest.raises(ProtocolError):
+                score(a, o)
 
 
 class TestSweep:
@@ -339,6 +404,11 @@ class TestEvaluateModel:
         report = evaluate_model(result.model, env, [user_b])
         assert report.accuracy >= 0.9
         assert "user:b" in report.per_trajectory
+
+    def test_no_users_is_refused(self):
+        env = SimpleNamespace(reward_scale=1.0, rewards=SimpleNamespace(dummy=-1.0))
+        with pytest.raises(InvalidInputError):
+            evaluate_model(None, env, [])
 
     def test_train_on_scenario_splits_70_30(self):
         # the 70% split trains: one episode per user and repetition, and the

@@ -62,6 +62,16 @@ def gradient_check(state, X, actions, y, n_samples=40, step=1e-5, seed=0):
     return worst
 
 
+class TestSpec:
+    @pytest.mark.parametrize(
+        "hidden", [(10**13,), (2**32 - 1, 2**32 - 1)], ids=["wide", "past_int64"]
+    )
+    def test_parameters_past_the_bound_rejected(self, hidden):
+        # counted in Python ints, so a count past int64 is refused too
+        with pytest.raises(InvalidInputError, match="parameters"):
+            NetworkSpec(3, hidden, 2)
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         spec = NetworkSpec(input_dim=3, hidden_layers=(4,), output_dim=2)
