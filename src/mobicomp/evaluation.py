@@ -2,6 +2,10 @@
 clock timing of discovery vs. agent selection, and convergence detection on
 training logs.
 
+Accuracy is one scoring row per user (``_row``: correct picks, oracle-valid
+steps and their ratio, from the two plans' steps walked pairwise), and a
+report's totals are the rows summed once (``_report``).
+
 Every model is trained by ``train_on_scenario`` on an explicit user list. The
 accuracy sweep trains on prefixes of the seeded 70% split and scores on the
 held-out 30%; timing and convergence run on ``service_subsets``, the scenario
@@ -60,73 +64,56 @@ class ConvergenceReport:
     final_value: float
 
 
-def _report(cs: int, ns: int, per_trajectory: dict) -> AccuracyReport:
-    """A report of ``cs`` correct picks out of ``ns`` oracle-valid steps."""
-    acc = cs / ns if ns else 1.0
-    return AccuracyReport(
-        correct_selections=cs,
-        valid_samples=ns,
-        accuracy=acc,
-        error=1.0 - acc,
-        per_trajectory=per_trajectory,
+def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool) -> dict:
+    """One user's scoring row. The two plans' steps are walked pairwise; the
+    steps where the oracle has a validated pick are the denominator, and one
+    counts when the agent picked a validated candidate (not the dummy,
+    capacity above 0) of the oracle's capacity, so ties count, or of any
+    capacity when ``lenient``."""
+    a_steps, o_steps = agent_plan.steps, oracle_plan.steps
+    if [s.user_timestep for s in a_steps] != [s.user_timestep for s in o_steps]:
+        raise ProtocolError("plans do not list identical timesteps in the same order")
+    valid = [(a, o) for a, o in zip(a_steps, o_steps) if o.chosen != DUMMY_SERVICE]
+    cs = sum(
+        1
+        for a, o in valid
+        if a.chosen != DUMMY_SERVICE and a.capacity > 0.0 and (lenient or a.capacity == o.capacity)
     )
+    ns = len(valid)
+    return {"correct_selections": cs, "valid_samples": ns, "accuracy": cs / ns if ns else 1.0}
+
+
+def _report(per_trajectory: dict[str, dict]) -> AccuracyReport:
+    """The report of the per-user rows, their counts summed once."""
+    cs = sum(row["correct_selections"] for row in per_trajectory.values())
+    ns = sum(row["valid_samples"] for row in per_trajectory.values())
+    acc = cs / ns if ns else 1.0
+    return AccuracyReport(cs, ns, acc, 1.0 - acc, per_trajectory)
 
 
 def accuracy(
     agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool = False
 ) -> AccuracyReport:
-    """Fraction of oracle-valid timesteps where the agent picked an optimal
-    validated candidate (``lenient=True`` relaxes optimal to merely valid)."""
-    a_steps = {s.user_timestep: s for s in agent_plan.steps}
-    o_steps = {s.user_timestep: s for s in oracle_plan.steps}
-    if set(a_steps) != set(o_steps):
-        raise ProtocolError("plans do not cover identical timesteps")
-    cs = ns = 0
-    for t, o in o_steps.items():
-        if o.chosen == DUMMY_SERVICE:
-            continue  # no valid candidate exists; excluded from the denominator
-        ns += 1
-        a = a_steps[t]
-        if a.chosen == DUMMY_SERVICE or a.capacity <= 0.0:
-            continue  # dummy or invalid pick
-        if lenient:
-            cs += 1  # any validated candidate counts under the weaker reading
-        elif a.capacity == o.capacity:
-            cs += 1  # optimal pick; capacity ties count as correct
-    rep = _report(cs, ns, {})
-    rep.per_trajectory[agent_plan.user_id] = {
-        "correct_selections": cs, "valid_samples": ns, "accuracy": rep.accuracy
-    }
-    return rep
-
-
-def combine_reports(reports: list[AccuracyReport]) -> AccuracyReport:
-    if not reports:
-        raise InvalidInputError("cannot combine an empty report list")
-    per = {}
-    for r in reports:
-        per.update(r.per_trajectory)
-    cs = sum(r.correct_selections for r in reports)
-    return _report(cs, sum(r.valid_samples for r in reports), per)
+    """The report of one user's plans, which must list the same timesteps in
+    the same order (``_row`` says what counts)."""
+    return _report({agent_plan.user_id: _row(agent_plan, oracle_plan, lenient)})
 
 
 def evaluate_model(
-    model: PolicyModel,
-    env: Environment,
-    users,
-    lenient: bool = False,
+    model: PolicyModel, env: Environment, users, lenient: bool = False
 ) -> AccuracyReport:
-    """Accuracy of greedy composition against the oracle plan, per user."""
-    scale = env.reward_scale
-    reports = []
+    """Accuracy of greedy composition against the oracle plan: one row per
+    user, summed once."""
+    if not users:
+        raise InvalidInputError("cannot evaluate an empty user list")
+    rows = {}
     for user in users:
-        table = env.table_for(user)
         oracle_plan = oracle_mod.optimal_plan(
-            table, user, reward_scale=scale, dummy_reward=env.rewards.dummy
+            env.table_for(user), user, reward_scale=env.reward_scale, dummy_reward=env.rewards.dummy
         )
         agent_plan = agent_mod.compose(model, env, user)
-        reports.append(accuracy(agent_plan, oracle_plan, lenient=lenient))
-    return combine_reports(reports)
+        rows[agent_plan.user_id] = _row(agent_plan, oracle_plan, lenient)
+    return _report(rows)
 
 
 def build_environment(scenario: Scenario, train_users=None) -> Environment:

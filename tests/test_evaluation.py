@@ -25,7 +25,6 @@ from mobicomp.evaluation import (
     AccuracyReport,
     accuracy,
     build_environment,
-    combine_reports,
     detect_convergence,
     evaluate_model,
     moving_average,
@@ -136,17 +135,6 @@ class TestAccuracy:
         o = plan("user:u", [(t, "a", 0.9, 9.0) for t in o_ts])
         with pytest.raises(ProtocolError):
             accuracy(a, o)
-
-    def test_combine_reports(self):
-        r1 = AccuracyReport(3, 4, 0.75, 0.25, {"u1": {}})
-        r2 = AccuracyReport(1, 4, 0.25, 0.75, {"u2": {}})
-        combined = combine_reports([r1, r2])
-        assert combined.correct_selections == 4
-        assert combined.valid_samples == 8
-        assert combined.accuracy == 0.5
-        assert set(combined.per_trajectory) == {"u1", "u2"}
-        with pytest.raises(InvalidInputError):
-            combine_reports([])
 
     def test_report_round_trips_through_json(self):
         rep = AccuracyReport(93, 100, 0.93, 0.07, {"user:u": {"accuracy": 0.93}})
