@@ -44,6 +44,11 @@ from .trajectories import UserTrajectory
 
 _MODEL_MAGIC = b"MPOL"
 _MODEL_VERSION = 2
+# The most transitions the replay ring may hold. A row is two float64 states
+# of STATE_DIM (3) columns, an intp action, a float64 reward and a bool, 65
+# bytes, so a ring at the bound takes 2**24 * 65 B = 1.09 GB; the default
+# holds 1,024.
+MAX_REPLAY_ROWS = 2**24
 
 
 @dataclass
@@ -70,6 +75,10 @@ class AgentConfig:
             raise InvalidInputError(f"epsilon_min must be in [0, 1], got {self.epsilon_min}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise InvalidInputError(f"lr must be positive and finite, got {self.lr}")
+        if self.memory_capacity > MAX_REPLAY_ROWS:
+            raise InvalidInputError(
+                f"memory_capacity must be <= {MAX_REPLAY_ROWS}, got {self.memory_capacity}"
+            )
         if not self.memory_capacity >= self.batch_size >= 1:
             raise InvalidInputError(
                 f"require memory_capacity >= batch_size >= 1, got "
@@ -328,7 +337,6 @@ def load_model(data: bytes) -> PolicyModel:
     for name, value in asdict(extents).items():
         if not math.isfinite(value):
             raise CheckpointError(f"bad policy model header: extent {name} is {value}")
-    # Python ints: a layer too wide for int64 is a size mismatch, not a wrap
     sizes = [n for fan_in, fan_out in spec.layer_dims for n in (fan_in * fan_out, fan_out)]
     if 12 + hlen + 8 * sum(sizes) != len(data):
         raise CheckpointError("truncated or oversized policy model payload")

@@ -11,6 +11,7 @@ input hashes) for provenance; no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -377,6 +378,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.require_accuracy is not None and not math.isfinite(args.require_accuracy):
+        raise InvalidInputError(f"--require-accuracy must be finite, got {args.require_accuracy}")
     scenario = load_scenario(args.scenario)
     config = _config_from(args)
     out = Path(args.out)

@@ -36,6 +36,11 @@ from .trajectories import (
 )
 
 DEFAULT_SERVICE_QOS = {"bandwidth_bps": 5_000_000.0, "max_concurrent": 2}
+# The most samples a generated scenario may have, bounding (n_services +
+# n_users) * timestep_count. Each is held as a float64 t, x and y, 24 bytes,
+# so a scenario at the bound takes 4e7 * 24 B = 0.96 GB; the default has
+# 150,000.
+MAX_SCENARIO_SAMPLES = 40_000_000
 
 
 def _is_real(v) -> bool:
@@ -89,6 +94,12 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not ok(value):
                 raise InvalidInputError(f"bad {name}: {value!r}")
+        samples = (self.n_services + self.n_users) * self.timestep_count
+        if samples > MAX_SCENARIO_SAMPLES:
+            raise InvalidInputError(
+                f"(n_services + n_users) * timestep_count is {samples} samples, "
+                f"more than {MAX_SCENARIO_SAMPLES}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":

@@ -21,6 +21,11 @@ ADAM_EPS = 1e-8
 # in a 2 MiB L2 cache; a 3x512 network's step took 4.2 ms at this size against
 # 5.2-6.2 ms at 4,096 and 5.5 ms at 131,072 elements (2-vCPU Xeon).
 _ADAM_BLOCK = 32_768
+# The most parameters (weights and biases) a network may have. Training holds
+# each as a float64 parameter, gradient and two Adam moments, 32 bytes, so a
+# network at the bound takes 2**25 * 32 B = 1.07 GB; the default 3x512 one
+# over 200 services has 630,473.
+MAX_PARAMETERS = 2**25
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,11 @@ class NetworkSpec:
         widths = (self.input_dim, *self.hidden_layers, self.output_dim)
         if any(w < 1 for w in widths):
             raise InvalidInputError(f"all layer widths must be >= 1, got {widths}")
+        n_params = sum((a + 1) * b for a, b in zip(widths, widths[1:]))  # Python ints: no wrap
+        if n_params > MAX_PARAMETERS:
+            raise InvalidInputError(
+                f"layer widths {widths} make {n_params} parameters, more than {MAX_PARAMETERS}"
+            )
         if not (0.0 <= self.dropout_p < 1.0):
             raise InvalidInputError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 

@@ -474,8 +474,8 @@ class TestModelSerialization:
         with pytest.raises(CheckpointError, match="truncated or oversized"):
             load_model(data)
 
-    def test_network_too_large_for_int64_is_truncated(self):
-        with pytest.raises(CheckpointError, match="truncated"):
+    def test_network_past_the_parameter_bound_is_a_bad_header(self):
+        with pytest.raises(CheckpointError, match="bad policy model header.*parameters, more than"):
             load_model(wrapping_policy_file())
 
     @pytest.mark.parametrize("field", ["repetition", "train_interval"])

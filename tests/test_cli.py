@@ -1014,9 +1014,10 @@ def malformed_model_error(bundle, tmp_path, capsys, data):
 
 
 def test_corrupt_model_is_one_line_error(bundle, tmp_path, capsys):
-    # a layer of (2**32 - 1)**2 weights, whose size wraps around in int64
+    # a layer of (2**32 - 1)**2 weights, whose size wraps around in int64:
+    # past the parameter bound, so a bad header
     line = malformed_model_error(bundle, tmp_path, capsys, wrapping_policy_file())
-    assert "truncated" in line
+    assert "bad policy model header" in line and "parameters, more than" in line
 
 
 def test_model_header_the_spec_refuses_is_one_line_error(bundle, tmp_path, capsys):

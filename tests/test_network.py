@@ -319,8 +319,9 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=f"unsupported policy model version {version}"):
                 load_model(data)
 
-    def test_layer_too_large_for_int64_is_truncated(self):
-        with pytest.raises(CheckpointError, match="truncated"):
+    def test_layers_past_the_parameter_bound_are_a_bad_header(self):
+        # the header's two 2**32 - 1 wide layers, past int64 in parameters
+        with pytest.raises(CheckpointError, match="bad policy model header.*parameters, more than"):
             load_model(wrapping_policy_file())
 
 
