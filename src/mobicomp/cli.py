@@ -59,8 +59,8 @@ from .trajectories import (
 
 def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
     """Provenance block; input hashes are keyed by the input's role (``spec``,
-    ``input``, ``scenario``, ``model``, ``user``), so the bytes do not depend
-    on how a path was spelled."""
+    ``input``, ``scenario``, ``services``, ``users``, ``model``, ``user``), so
+    the bytes do not depend on how a path was spelled."""
     return {
         "tool": "mobicomp",
         "version": __version__,
@@ -69,11 +69,12 @@ def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
     }
 
 
-def _refuse_overwrite(inputs, outputs) -> None:
+def _refuse_overwrite(inputs: dict[str, str | Path], outputs) -> None:
     """Refuse, before anything is written, an output that is the same file as
-    one of the inputs (by ``os.path.samefile``, so a link to it too)."""
+    one of the inputs, by role as ``_meta`` takes them (by
+    ``os.path.samefile``, so a link to it too)."""
     for out in outputs:
-        for inp in inputs:
+        for inp in inputs.values():
             try:
                 same = os.path.samefile(out, inp)
             except OSError:  # either is not there: nothing to overwrite
@@ -199,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    _refuse_overwrite([args.spec] if args.spec else [], _bundle_files(out))
+    inputs = {"spec": args.spec} if args.spec else {}
+    _refuse_overwrite(inputs, _bundle_files(out))
     if args.spec:
         doc = read_json_object(args.spec)
         try:
@@ -208,10 +210,8 @@ def _cmd_gen(args) -> int:
             raise InvalidInputError(f"{args.spec}: bad scenario spec: {exc}") from None
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-        inputs = {"spec": args.spec}
     else:
         spec = default_scenario_spec(seed=DEFAULT_SEED if args.seed is None else args.seed)
-        inputs = {}
     services, users = generate(spec)
     scenario_path = write_scenario_bundle(
         out,
@@ -238,7 +238,8 @@ def _cmd_ingest(args) -> int:
     if args.w < 1:
         raise InvalidInputError(f"--w must be >= 1, got {args.w}")
     out = Path(args.out)
-    _refuse_overwrite([args.input], _bundle_files(out))
+    inputs = {"input": args.input}
+    _refuse_overwrite(inputs, _bundle_files(out))
     qos_params = QosParams.defaults_for(args.r_s)
     if args.format == "indoor":
         result = ingest_indoor(args.input, rate=args.rate)
@@ -269,7 +270,7 @@ def _cmd_ingest(args) -> int:
         mode=mode,
         seed=args.seed,
     )
-    atomic_write_text(out / "meta.json", dump_json(_meta(args.seed, {"input": args.input})))
+    atomic_write_text(out / "meta.json", dump_json(_meta(args.seed, inputs)))
     if not args.quiet:
         _summary(
             "ingest",
@@ -299,7 +300,8 @@ def _select_users(scenario: Scenario, user_arg: str | None):
 def _cmd_discover(args) -> int:
     scenario = load_scenario(args.scenario)
     users, user_input = _select_users(scenario, args.user)
-    _refuse_overwrite([*scenario.files, *user_input.values()], [args.out])
+    inputs = {**scenario.files, **user_input}
+    _refuse_overwrite(inputs, [args.out])
     env = eval_mod.build_environment(scenario)
     blocks = []
     for user in users:
@@ -312,8 +314,7 @@ def _cmd_discover(args) -> int:
         blocks.append(
             {"user_id": user.id, "steps": oracle_mod.table_plan_json(table, plan, user)}
         )
-    meta = _meta(args.seed, {"scenario": args.scenario, **user_input})
-    payload = {"meta": meta, "users": blocks}
+    payload = {"meta": _meta(args.seed, inputs), "users": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
         _summary("discover", users=len(blocks), out=args.out)
@@ -345,7 +346,8 @@ def _cmd_train(args) -> int:
 def _cmd_compose(args) -> int:
     scenario = load_scenario(args.scenario)
     users, user_input = _select_users(scenario, args.user)
-    _refuse_overwrite([*scenario.files, args.model, *user_input.values()], [args.out])
+    inputs = {**scenario.files, "model": args.model, **user_input}
+    _refuse_overwrite(inputs, [args.out])
     try:
         model = agent_mod.load_model(read_input(args.model))
     except CheckpointError as exc:
@@ -369,8 +371,7 @@ def _cmd_compose(args) -> int:
                 "total_reward": plan.total_reward(),
             }
         )
-    meta = _meta(args.seed, {"scenario": args.scenario, "model": args.model, **user_input})
-    payload = {"meta": meta, "plans": blocks}
+    payload = {"meta": _meta(args.seed, inputs), "plans": blocks}
     atomic_write_text(args.out, dump_json(payload))
     if not args.quiet:
         _summary("compose", users=len(blocks), out=args.out)
@@ -385,7 +386,7 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     series_path = out.with_name(f"{out.stem}.series.csv")
     _refuse_overwrite(scenario.files, [out, series_path])
-    meta = _meta(args.seed, {"scenario": args.scenario})
+    meta = _meta(args.seed, scenario.files)
     exit_code = 0
 
     if args.mode == "accuracy":

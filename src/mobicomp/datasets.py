@@ -279,7 +279,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[MovingService], list[UserTrajecto
 @dataclass
 class Scenario:
     """A loaded scenario bundle: the service universe, users, and parameters,
-    and the files they were read from (scenario.json and its two CSVs)."""
+    and the files they were read from by role (``scenario``, ``services``,
+    ``users``: scenario.json and its two CSVs)."""
 
     services: list[MovingService]
     users: list[UserTrajectory]
@@ -287,7 +288,7 @@ class Scenario:
     w: int
     mode: DistanceMode
     rewards: RewardScheme
-    files: tuple[Path, ...] = ()
+    files: dict[str, Path] = field(default_factory=dict)
 
 
 def write_scenario_bundle(
@@ -427,7 +428,7 @@ def load_scenario(path: str | Path) -> Scenario:
         w=w,
         mode=mode,
         rewards=rewards,
-        files=(path, services_csv, users_csv),
+        files={"scenario": path, "services": services_csv, "users": users_csv},
     )
 
 

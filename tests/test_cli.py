@@ -668,12 +668,13 @@ def test_ingest_skips_a_row_with_a_non_finite_time(tmp_path, monkeypatch, capsys
 
 
 # sha256 of `mobicomp discover` on SPEC's scenario; the meta block keys the
-# scenario's hash by its role, so the bytes do not depend on the path. A
+# hashes of scenario.json and its two CSVs by their roles, so the bytes do
+# not depend on the path. A
 # change to these bytes is a change to the ground truth the composer is
 # scored against and must be made on purpose.
 PINNED_DISCOVER_SHA256 = {
-    "planar": "f56b5b9ab911c46e1481458ab3243d98d66b7b16a220bb22aa1e955e271e1383",
-    "haversine": "bf9e3f663dee37b33a46f9070b4c6950b9ec9894c75436c6d916ab3b2e03e613",
+    "planar": "b93468e89fab9777bb492d6c24a05b208cbb3912915f16483daab6f61d1c65c2",
+    "haversine": "9b794f679bbe19f82aa5f1506bfdc6b6ffa52c11986367f31aba7dc0b3e605b4",
 }
 
 
@@ -739,11 +740,11 @@ CI_FLAGS = ["--repetition", "2", "--memory", "64", "--batch", "8", "--train-inte
             "--hidden", "8"]
 PINNED_EVALUATE = {
     "strict": (
-        "788ca0858c3f8bddf1de9d7aa06fd30218e539f21a3de3b68c659cd1ffde8a80",
+        "0565764fbfff87f136756bb418e40a072350815ab917f9cd5a09a258ea161840",
         "e70b68f11825cde9d2a14128ebb4beafa59ba33876fa9e03ab6f6ef645d794d3",
     ),
     "lenient": (
-        "7cd91a04aa4ec3e8282234b3b478c38a48624205cc274baa7b0df42a4bcfb14e",
+        "b0ca7304e6d41c1344c149f38ffd6c9005cf8e6ba522252317a77aa0e76b95cc",
         "10036ac1c873af58f47826b1a281f46ebd718bd2e4304da0be0efdf88684f5a1",
     ),
 }
@@ -766,7 +767,7 @@ DENSE_SPEC = {
     **SPEC, "n_services": 30, "n_users": 3, "area": [0.0, 0.0, 100.0, 100.0],
     "timestep_count": 200, "coroute_fraction": 0.8, "jitter_m": 4.0,
 }
-PINNED_DENSE_DISCOVER_SHA256 = "2edede21051f418d5a1b8173782637ed3e02224d82e4c6d3887c7060e794d554"
+PINNED_DENSE_DISCOVER_SHA256 = "00ce10413448f8e29660dadb363e695a96c05c36efc46373426dfe5cbd11f81f"
 
 
 def test_discover_bytes_of_long_repeating_columns_are_pinned(tmp_path, monkeypatch):
@@ -945,6 +946,7 @@ def test_full_pipeline_train_compose_evaluate(bundle, tmp_path):
     assert payload["plans"][0]["user_id"] == "user:u0000"
     assert len(payload["plans"][0]["steps"]) == SPEC["timestep_count"]
     hashes = {"model": sha256_file(model), "scenario": sha256_file(scenario)}
+    hashes |= {role: sha256_file(bundle / f"{role}.csv") for role in ("services", "users")}
     assert payload["meta"]["input_hashes"] == hashes
 
     report_path = tmp_path / "report.json"
