@@ -39,7 +39,7 @@ from . import network
 from .environment import STATE_DIM, Environment, Extents, encode_states
 from .errors import CheckpointError, ConfigError, InvalidInputError
 from .network import NetworkSpec, NetworkState
-from .oracle import CompositionPlan, PlanStep
+from .oracle import CompositionPlan
 from .trajectories import UserTrajectory
 
 _MODEL_MAGIC = b"MPOL"
@@ -236,17 +236,16 @@ def train(
 
     for user in users:
         for _ in range(config.repetition):
-            state = env.reset(user)
-            done = False
+            states = env.reset(user)
+            last = len(states) - 1
             cum = 0.0
-            while not done:
+            # the last row is its own next state, and the only terminal one
+            for i, state in enumerate(states):
                 a_idx = select_action(model, state, epsilon, rng)
-                outcome = env.step(model.action_ids[a_idx])
-                memory.push(state, a_idx, outcome.reward, outcome.next_state, outcome.done)
+                reward, _ = env.step(model.action_ids[a_idx])
+                memory.push(state, a_idx, reward, states[min(i + 1, last)], i == last)
                 new_since_train += 1
-                cum += outcome.reward
-                state = outcome.next_state
-                done = outcome.done
+                cum += reward
             episode += 1
             loss = math.nan
             if memory.full and (not trained_once or new_since_train >= config.train_interval):
@@ -272,22 +271,11 @@ def compose(model: PolicyModel, env: Environment, user: UserTrajectory) -> Compo
         )
     states = encode_states(user.trajectory, model.extents)
     q = network.forward(model.network, states)
-    greedy = np.argmax(q, axis=1)
+    chosen = np.array(model.action_ids, dtype=object)[np.argmax(q, axis=1)]
 
     env.reset(user)
-    steps = []
-    for t, a in zip(user.trajectory.t.tolist(), greedy.tolist()):
-        action_id = model.action_ids[a]
-        outcome = env.step(action_id)
-        steps.append(
-            PlanStep(
-                user_timestep=int(t),
-                chosen=action_id,
-                reward=outcome.reward,
-                capacity=outcome.capacity,
-            )
-        )
-    return CompositionPlan(user_id=user.id, steps=tuple(steps))
+    reward, capacity = np.array(list(map(env.step, chosen.tolist()))).reshape(-1, 2).T
+    return CompositionPlan(user.id, user.trajectory.t.astype(np.int64), chosen, reward, capacity)
 
 
 def save_model(model: PolicyModel) -> bytes:

@@ -76,14 +76,6 @@ class RewardScheme:
             )
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    reward: float
-    capacity: float  # the picked pair's capacity; 0.0 for dummy and invalid picks
-    next_state: np.ndarray
-    done: bool
-
-
 class Environment:
     """One episode walks one user trajectory sample by sample.
 
@@ -114,9 +106,7 @@ class Environment:
         self._tables: dict[UserTrajectory, CandidateTable] = {}
         self._capacity_at: dict[tuple[int, str], float] = {}
         self._timesteps: list[int] = []
-        self._states: np.ndarray | None = None
         self._cursor = 0
-        self._done = True
 
     @property
     def n_actions(self) -> int:
@@ -130,39 +120,29 @@ class Environment:
         return table
 
     def reset(self, user: UserTrajectory) -> np.ndarray:
+        """Start an episode over ``user``'s samples; returns its encoded
+        states, one row per sample."""
         self._capacity_at = self.table_for(user).capacity_at
         self._timesteps = user.trajectory.t.astype(np.int64).tolist()
-        self._states = encode_states(user.trajectory, self.extents)
         self._cursor = 0
-        self._done = False
-        return self._states[0]
+        return encode_states(user.trajectory, self.extents)
 
-    def step(self, action_id: str) -> StepOutcome:
-        """Apply one action at the current sample and advance the cursor.
+    def step(self, action_id: str) -> tuple[float, float]:
+        """Apply one action at the current sample and advance the cursor;
+        returns (reward, capacity).
 
         Rewards: normalized capacity in (0, 1] for a validated candidate
         covering this timestep, the dummy penalty for the dummy action, and
-        the invalid penalty for anything else. The outcome also carries the
-        capacity delivered, 0.0 unless the pick is a validated candidate.
+        the invalid penalty for anything else. The capacity is the one
+        delivered, 0.0 unless the pick is a validated candidate.
         """
-        if self._done:
+        if self._cursor == len(self._timesteps):
             raise ProtocolError("step() called on a finished episode; call reset() first")
-        n = len(self._states)
-        cap = 0.0
-        if action_id == DUMMY_SERVICE:
-            rew = self.rewards.dummy
-        else:
-            pair_cap = self._capacity_at.get((self._timesteps[self._cursor], action_id))
-            if pair_cap is None:
-                rew = self.rewards.invalid
-            else:
-                cap = pair_cap
-                rew = cap / self.reward_scale
+        t = self._timesteps[self._cursor]
         self._cursor += 1
-        self._done = self._cursor >= n
-        return StepOutcome(
-            reward=rew,
-            capacity=cap,
-            next_state=self._states[min(self._cursor, n - 1)],
-            done=self._done,
-        )
+        if action_id == DUMMY_SERVICE:
+            return self.rewards.dummy, 0.0
+        cap = self._capacity_at.get((t, action_id))
+        if cap is None:
+            return self.rewards.invalid, 0.0
+        return cap / self.reward_scale, cap

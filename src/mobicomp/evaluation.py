@@ -3,8 +3,8 @@ clock timing of discovery vs. agent selection, and convergence detection on
 training logs.
 
 Accuracy is one scoring row per user (``_row``: correct picks, oracle-valid
-steps and their ratio, from the two plans' steps walked pairwise), and a
-report's totals are the rows summed once (``_report``).
+steps and their ratio, from the two plans' columns compared row by row), and
+a report's totals are the rows summed once (``_report``).
 
 Every model is trained by ``train_on_scenario`` on an explicit user list. The
 accuracy sweep trains on prefixes of the seeded 70% split and scores on the
@@ -65,21 +65,19 @@ class ConvergenceReport:
 
 
 def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool) -> dict:
-    """One user's scoring row. The two plans' steps are walked pairwise; the
-    steps where the oracle has a validated pick are the denominator, and one
-    counts when the agent picked a validated candidate (not the dummy,
-    capacity above 0) of the oracle's capacity, so ties count, or of any
-    capacity when ``lenient``."""
-    a_steps, o_steps = agent_plan.steps, oracle_plan.steps
-    if [s.user_timestep for s in a_steps] != [s.user_timestep for s in o_steps]:
+    """One user's scoring row, from the two plans' columns compared row by
+    row; the steps where the oracle has a validated pick are the
+    denominator, and one counts when the agent picked a validated candidate
+    (not the dummy, capacity above 0) of the oracle's capacity, so ties
+    count, or of any capacity when ``lenient``."""
+    a, o = agent_plan, oracle_plan
+    if not np.array_equal(a.timestep, o.timestep):
         raise ProtocolError("plans do not list identical timesteps in the same order")
-    valid = [(a, o) for a, o in zip(a_steps, o_steps) if o.chosen != DUMMY_SERVICE]
-    cs = sum(
-        1
-        for a, o in valid
-        if a.chosen != DUMMY_SERVICE and a.capacity > 0.0 and (lenient or a.capacity == o.capacity)
-    )
-    ns = len(valid)
+    valid = o.chosen != DUMMY_SERVICE
+    hit = valid & (a.chosen != DUMMY_SERVICE) & (a.capacity > 0.0)
+    if not lenient:
+        hit &= a.capacity == o.capacity
+    cs, ns = int(hit.sum()), int(valid.sum())
     return {"correct_selections": cs, "valid_samples": ns, "accuracy": cs / ns if ns else 1.0}
 
 

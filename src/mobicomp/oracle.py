@@ -122,13 +122,26 @@ class PlanStep:
     capacity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionPlan:
+    """One user's plan as columns, one row per user sample in trajectory
+    order: the timestep (int64), the pick (object: a service id or
+    DUMMY_SERVICE), its reward and the capacity it delivers (float64)."""
+
     user_id: str
-    steps: tuple[PlanStep, ...]
+    timestep: np.ndarray
+    chosen: np.ndarray
+    reward: np.ndarray
+    capacity: np.ndarray
+
+    @property
+    def steps(self) -> tuple[PlanStep, ...]:
+        """The per-step view, built from the columns on each read."""
+        cols = self.timestep, self.chosen, self.reward, self.capacity
+        return tuple(map(PlanStep, *(c.tolist() for c in cols)))
 
     def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
+        return sum(self.reward.tolist())
 
 
 # Relative widening of the search disk for the numpy prefilter. numpy's
@@ -371,8 +384,7 @@ def optimal_plan(
     cap[hit] = table.capacity[pick]
     reward = np.full(len(t), dummy_reward, dtype=np.float64)
     reward[hit] = cap[hit] / reward_scale  # IEEE division: the scalar quotient
-    steps = map(PlanStep, t.tolist(), chosen.tolist(), reward.tolist(), cap.tolist())
-    return CompositionPlan(user_id=user.id, steps=tuple(steps))
+    return CompositionPlan(user.id, t, chosen, reward, cap)
 
 
 def discover(
@@ -400,8 +412,8 @@ def discover(
 def table_plan_json(
     table: CandidateTable, plan: CompositionPlan, user: UserTrajectory
 ) -> list[dict]:
-    """Per-timestep JSON rows combining the candidate table and the plan."""
-    chosen_by_t = {s.user_timestep: s.chosen for s in plan.steps}
+    """Per-timestep JSON rows combining the candidate table and the plan of
+    the same user."""
     # most strengths are the full 1.0; one shared float for them keeps a
     # payload that is held until it is written about 8 % smaller
     strengths = [1.0 if st == 1.0 else st for st in table.strength.tolist()]
@@ -412,8 +424,9 @@ def table_plan_json(
         )
     ]
     at, none = table.per_timestep, range(0)
+    timesteps = user.trajectory.t.astype(np.int64).tolist()
     return [
-        {"timestep": t, "candidates": cands[r.start : r.stop], "chosen": chosen_by_t[t]}
-        for t in user.trajectory.t.astype(np.int64).tolist()
+        {"timestep": t, "candidates": cands[r.start : r.stop], "chosen": chosen}
+        for t, chosen in zip(timesteps, plan.chosen.tolist(), strict=True)
         for r in (at.get(t, none),)
     ]

@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from mobicomp.agent import (
     select_action,
     train,
 )
-from mobicomp.environment import Extents
+from mobicomp.environment import Extents, encode_states
 from mobicomp.errors import CheckpointError, ConfigError, InvalidInputError
 from mobicomp.network import NetworkSpec, init_network
 from mobicomp.oracle import DUMMY_SERVICE
@@ -199,6 +199,32 @@ class TestTraining:
         assert calls["n"] == passes * n_batches
         assert all(row.epsilon == 1.0 for row in result.log)
 
+    def test_pushed_transitions_walk_the_encoded_episode(self, monkeypatch):
+        # each row's next state is the episode's next encoded row; only the
+        # last row is terminal, and it is its own next state
+        user_a, user_b = line_user(4, user_id="user:a"), line_user(3, user_id="user:b", y=5.0)
+        env = make_env([service_tracking(user_a, "a", 1, 4)], [user_a, user_b])
+        pushed = []
+        real_push = ReplayMemory.push
+
+        def recording_push(memory, state, action, reward, next_state, done):
+            pushed.append((np.array(state), reward, np.array(next_state), done))
+            real_push(memory, state, action, reward, next_state, done)
+
+        monkeypatch.setattr(ReplayMemory, "push", recording_push)
+        cfg = AgentConfig(repetition=2, memory_capacity=8, batch_size=4, train_interval=4,
+                          hidden_layers=(4,), seed=2)
+        result = train(env, [user_a, user_b], cfg)
+        episodes = [user_a, user_a, user_b, user_b]
+        assert len(pushed) == sum(len(u.trajectory) for u in episodes)
+        for user, row in zip(episodes, [r.cum_reward for r in result.log]):
+            states = encode_states(user.trajectory, env.extents)
+            episode, pushed = pushed[: len(states)], pushed[len(states) :]
+            assert np.array_equal([p[0] for p in episode], states)
+            assert np.array_equal([p[2] for p in episode], np.vstack([states[1:], states[-1:]]))
+            assert [p[3] for p in episode] == [False] * (len(states) - 1) + [True]
+            assert sum(p[1] for p in episode) == row
+
     def test_learns_single_valid_candidate(self):
         env, user = self._single_candidate()
         cfg = AgentConfig(repetition=120, seed=0, **FAST_LEARNER)
@@ -303,7 +329,22 @@ class TestCompose:
         model = train(env, [user], cfg).model
         p1 = compose(model, env, user)
         p2 = compose(model, env, user)
-        assert p1 == p2
+        assert (p1.user_id, p1.steps) == (p2.user_id, p2.steps)
+
+    def test_steps_view_holds_python_values_equal_to_the_columns(self):
+        user = line_user(5)
+        env = make_env([service_tracking(user, "a", 2, 4)], [user])
+        # always picks "a": valid at t = 2..4, invalid at t = 1 and 5
+        model = PolicyModel(fixed_model([1.0, 0.0]).network, env.action_ids, env.extents)
+        plan = compose(model, env, user)
+        steps = plan.steps
+        assert [type(v) for s in steps for v in astuple(s)] == [int, str, float, float] * 5
+        assert [s.user_timestep for s in steps] == plan.timestep.tolist() == [1, 2, 3, 4, 5]
+        assert [s.chosen for s in steps] == plan.chosen.tolist() == ["a"] * 5
+        assert [s.reward for s in steps] == plan.reward.tolist()
+        assert plan.reward[[0, 4]].tolist() == [-10.0, -10.0] and min(plan.reward[1:4]) > 0.0
+        assert [s.capacity for s in steps] == plan.capacity.tolist()
+        assert plan.total_reward() == sum(s.reward for s in steps)
 
     def test_zero_services_composes_all_dummy(self):
         user = line_user(4)

@@ -69,19 +69,17 @@ class TestStepRewards:
     def test_best_candidate_reward_is_one(self):
         env, user = self._env_single_candidate()
         env.reset(user)
-        out = env.step("a")
-        assert out.reward == 1.0
-        assert not out.done
+        assert env.step("a") == (1.0, 1.0)
 
     def test_dummy_reward(self):
         env, user = self._env_single_candidate()
         env.reset(user)
-        assert env.step(DUMMY_SERVICE).reward == -1.0
+        assert env.step(DUMMY_SERVICE) == (-1.0, 0.0)
 
     def test_invalid_reward(self):
         env, user = self._env_single_candidate()
         env.reset(user)
-        assert env.step("not-a-candidate").reward == -10.0
+        assert env.step("not-a-candidate") == (-10.0, 0.0)
 
     def test_rewards_partition_and_match_table(self):
         user = line_user(6)
@@ -103,7 +101,7 @@ class TestStepRewards:
                 env2.reset(user)
                 for _ in range(t - 1):
                     env2.step(DUMMY_SERVICE)
-                r = env2.step(action).reward
+                r, _ = env2.step(action)
                 if expected_kind == "dummy":
                     assert r == -1.0
                 elif expected_kind == "invalid":
@@ -127,16 +125,21 @@ class TestStepRewards:
 
 
 class TestEpisodeProtocol:
+    def test_reset_returns_the_encoded_states(self):
+        user = line_user(5)
+        env = make_env([service_tracking(user, "a", 1, 5)], [user])
+        states = env.reset(user)
+        assert np.array_equal(states, encode_states(user.trajectory, env.extents))
+        assert states.shape == (5, 3)
+
     def test_episode_length_equals_samples(self):
         user = line_user(5)
         env = make_env([service_tracking(user, "a", 1, 5)], [user])
         env.reset(user)
-        steps = 0
-        done = False
-        while not done:
-            done = env.step("a").done
-            steps += 1
-        assert steps == 5
+        for _ in range(5):
+            env.step("a")
+        with pytest.raises(ProtocolError):
+            env.step("a")
 
     def test_step_after_done_is_protocol_error(self):
         user = line_user(2)
@@ -152,14 +155,6 @@ class TestEpisodeProtocol:
         env = make_env([service_tracking(user, "a", 1, 2)], [user])
         with pytest.raises(ProtocolError):
             env.step("a")
-
-    def test_done_exactly_when_terminal_consumed(self):
-        user = line_user(3)
-        env = make_env([service_tracking(user, "a", 1, 3)], [user])
-        env.reset(user)
-        assert not env.step("a").done
-        assert not env.step("a").done
-        assert env.step("a").done
 
     def test_reset_never_builds_the_runs(self):
         user = line_user(3)

@@ -33,7 +33,7 @@ from mobicomp.evaluation import (
     run_timing,
     train_on_scenario,
 )
-from mobicomp.oracle import DUMMY_SERVICE, CompositionPlan, PlanStep
+from mobicomp.oracle import DUMMY_SERVICE, CompositionPlan
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode
 
@@ -53,9 +53,11 @@ FAST = dict(
 
 
 def plan(user_id, rows):
+    """The plan of (timestep, chosen, reward, capacity) rows, as columns."""
+    t, c, r, cap = zip(*rows) if rows else ((),) * 4
     return CompositionPlan(
-        user_id=user_id,
-        steps=tuple(PlanStep(user_timestep=t, chosen=c, reward=r, capacity=cap) for t, c, r, cap in rows),
+        user_id, np.array(t, dtype=np.int64), np.array(c, dtype=object),
+        np.array(r, dtype=np.float64), np.array(cap, dtype=np.float64),
     )
 
 
