@@ -13,6 +13,7 @@ import numpy as np
 from mobicomp.errors import ContractViolationError, InvalidInputError, ProtocolError
 from mobicomp.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from mobicomp.oracle import DUMMY_SERVICE
+from mobicomp.qos import composite_qos
 from mobicomp.trajectories import DistanceMode, Trajectory, haversine_m, in_gps_range
 
 
@@ -331,12 +332,30 @@ def row_load_trajectories_csv(path):
     return out
 
 
+def _quality(row, agent_qos, oracle_qos):
+    """``row`` with the quality fields that are ratios of its sums, given the
+    agent's and the oracle's mean capacity: None where a denominator is 0."""
+    n = row["steps"]
+    return {
+        **row,
+        "regret": row["oracle_reward"] - row["reward"],
+        "mean_reward": row["reward"] / n if n else None,
+        "invalid_rate": row["invalid_picks"] / n if n else None,
+        "dummy_rate": row["dummy_picks"] / n if n else None,
+        "qos_ratio": agent_qos / oracle_qos if agent_qos is not None and oracle_qos else None,
+    }
+
+
 def keyed_accuracy(agent_plan, oracle_plan, lenient=False):
     """The accuracy report, as the dict ``asdict`` gives, of an agent plan
     against the oracle plan, both keyed by timestep and compared as sets: of
     the timesteps where the oracle has a validated pick, those where the
     agent picked a validated service (capacity above 0) of the oracle's
-    capacity, or of any capacity when ``lenient``."""
+    capacity, or of any capacity when ``lenient``. The quality fields: each
+    plan's rewards summed in step order, the agent's dummy picks and its
+    invalid ones (another pick of capacity 0.0), the capacities of the
+    agent's other picks and of the oracle's validated ones (``math.fsum``),
+    and the ratio of the two plans' ``composite_qos`` over those picks."""
     a_steps = {s.user_timestep: s for s in agent_plan.steps}
     o_steps = {s.user_timestep: s for s in oracle_plan.steps}
     if set(a_steps) != set(o_steps):
@@ -352,18 +371,41 @@ def keyed_accuracy(agent_plan, oracle_plan, lenient=False):
         if lenient or a.capacity == o.capacity:
             cs += 1
     acc = cs / ns if ns else 1.0
-    row = {"correct_selections": cs, "valid_samples": ns, "accuracy": acc}
+    picks = [a.capacity for a in a_steps.values() if a.chosen != DUMMY_SERVICE]
+    valid = [o.capacity for o in o_steps.values() if o.chosen != DUMMY_SERVICE]
+    row = {
+        "correct_selections": cs, "valid_samples": ns, "accuracy": acc,
+        "steps": len(a_steps),
+        "reward": sum(a.reward for a in a_steps.values()),
+        "oracle_reward": sum(o.reward for o in o_steps.values()),
+        "dummy_picks": len(a_steps) - len(picks),
+        "invalid_picks": picks.count(0.0),
+        "capacity": math.fsum(picks),
+        "oracle_capacity": math.fsum(valid),
+    }
+    row = _quality(
+        row, composite_qos(picks) if picks else None, composite_qos(valid) if valid else None
+    )
     return {**row, "error": 1.0 - acc, "per_trajectory": {agent_plan.user_id: row}}
 
 
 def summed_reports(reports):
     """One report of several users' ``keyed_accuracy`` reports: their
-    per-user rows merged and their counts summed."""
+    per-user rows merged, their counts and rewards summed in user order,
+    their capacities by ``math.fsum``, and the ratios taken of the sums."""
     per = {}
     for r in reports:
         per.update(r["per_trajectory"])
-    cs = sum(r["correct_selections"] for r in reports)
-    ns = sum(r["valid_samples"] for r in reports)
+    total = {}
+    for key in ("correct_selections", "valid_samples", "steps", "reward", "oracle_reward",
+                "dummy_picks", "invalid_picks"):
+        total[key] = sum(r[key] for r in reports)
+    for key in ("capacity", "oracle_capacity"):
+        total[key] = math.fsum(r[key] for r in reports)
+    cs, ns = total["correct_selections"], total["valid_samples"]
     acc = cs / ns if ns else 1.0
-    return {"correct_selections": cs, "valid_samples": ns, "accuracy": acc,
-            "error": 1.0 - acc, "per_trajectory": per}
+    picks = total["steps"] - total["dummy_picks"]
+    agent_qos = total["capacity"] / picks if picks else None
+    oracle_qos = total["oracle_capacity"] / ns if ns else None
+    total = _quality({**total, "accuracy": acc}, agent_qos, oracle_qos)
+    return {**total, "error": 1.0 - acc, "per_trajectory": per}

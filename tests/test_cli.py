@@ -503,11 +503,24 @@ def test_field_beyond_the_csv_limit_is_one_line_error(bundle, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
-# an output that is one of the command's inputs; each case gives the
-# argument list, the output and the input, which must keep its bytes
+# an output that is one of the command's inputs, or (the "outputs" cases)
+# one of its other outputs; each case gives the argument list, the output
+# and the file it names, which must keep its bytes, or stay absent
 def overwrite_case(case, bundle, tmp_path):
     scenario = bundle / "scenario.json"
     cmd, _, target = case.partition("_")
+    model = tmp_path / "m.ckpt"
+    if target.startswith("outputs"):
+        # --log names the --out file: spelled alike, through "./" over an
+        # earlier model, or through a link to it
+        log = {"outputs": model, "outputs_dotslash": f"{tmp_path}/./m.ckpt"}.get(target)
+        if target == "outputs_dotslash":
+            model.write_bytes(policy_file())
+        if log is None:
+            log = tmp_path / "link.csv"
+            log.symlink_to(model)
+        run = [cmd, "--scenario", str(scenario), *FAST_FLAGS]
+        return [*run, "--out", str(model), "--log", str(log)], log, model
     if cmd == "gen":
         spec = tmp_path / "g" / "scenario.json"
         spec.parent.mkdir()
@@ -525,7 +538,6 @@ def overwrite_case(case, bundle, tmp_path):
     if cmd == "evaluate":
         run += ["--mode", "timing", "--counts", "1", "--repeats", "1"]
     if cmd == "compose":
-        model = tmp_path / "m.ckpt"
         model.write_bytes(policy_file())
         run += ["--model", str(model)]
         if target == "model":
@@ -552,18 +564,20 @@ def overwrite_case(case, bundle, tmp_path):
 OVERWRITES = [
     "gen_spec", "ingest_in", "discover_scenario.json", "discover_users.csv", "discover_symlink",
     "discover_user_file", "train_services.csv", "train_log", "compose_model", "compose_user_file",
-    "evaluate_users.csv", "evaluate_series",
+    "evaluate_users.csv", "evaluate_series", "train_outputs", "train_outputs_dotslash",
+    "train_outputs_symlink",
 ]
 
 
 @pytest.mark.parametrize("case", OVERWRITES)
 def test_output_that_is_an_input_is_one_line_error(bundle, tmp_path, capsys, case):
     args, out, victim = overwrite_case(case, bundle, tmp_path)
-    before = victim.read_bytes()
+    before = victim.read_bytes() if victim.exists() else None
     assert dispatch([*args, "--quiet"]) == 1
     line = assert_one_error_line(capsys, "InvalidInputError", victim)
-    assert f"output {out} is the input {victim}" in line, line
-    assert victim.read_bytes() == before
+    kind = "output" if "_outputs" in case else "input"
+    assert f"output {out} is the {kind} {victim}" in line, line
+    assert (victim.read_bytes() if victim.exists() else None) == before
 
 
 # a row appended to a bundle's trajectory CSV whose t the file cannot hold:

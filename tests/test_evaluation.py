@@ -139,16 +139,23 @@ class TestAccuracy:
             accuracy(a, o)
 
     def test_report_round_trips_through_json(self):
-        rep = AccuracyReport(93, 100, 0.93, 0.07, {"user:u": {"accuracy": 0.93}})
+        # the agent picks only the dummy, so its QoS ratio is None
+        a = plan("user:u", [(1, DUMMY_SERVICE, -1.0, 0.0), (2, DUMMY_SERVICE, -1.0, 0.0)])
+        o = plan("user:u", [(1, "a", 0.5, 5.0), (2, DUMMY_SERVICE, -1.0, 0.0)])
+        rep = AccuracyReport(**keyed_accuracy(a, o))
+        assert rep.qos_ratio is None and rep.regret == 1.5
         restored = AccuracyReport(**json.loads(json.dumps(asdict(rep))))
         assert restored == rep
 
 
 # the (chosen, reward, capacity) of one plan step: the dummy or a service,
 # at capacity 0 (an invalid pick) or one of two others, so that ties are
-# common; a hand-built dummy step may carry a capacity
+# common; a hand-built dummy step may carry a capacity, and the rewards'
+# sums round differently in another order
 STEP = st.tuples(
-    st.sampled_from([DUMMY_SERVICE, "a", "b"]), st.just(0.5), st.sampled_from([0.0, 2.5, 5.0])
+    st.sampled_from([DUMMY_SERVICE, "a", "b"]),
+    st.sampled_from([-10.0, -1.0, 0.1, 0.2, 0.7]),
+    st.sampled_from([0.0, 2.5, 5.0]),
 )
 
 
