@@ -3,8 +3,10 @@ clock timing of discovery vs. agent selection, and convergence detection on
 training logs.
 
 Accuracy is one scoring row per user (``_row``: correct picks, oracle-valid
-steps and their ratio, from the two plans' columns compared row by row), and
-a report's totals are the rows summed once (``_report``).
+steps and their ratio, from the two plans' columns compared row by row, with
+the quality fields: regret, mean reward, invalid and dummy rates and the QoS
+ratio, each derived from the row's sums by ``_quality``), and a report's
+totals are the rows summed once and derived again (``_report``).
 
 Every model is trained by ``train_on_scenario`` on an explicit user list. The
 accuracy sweep trains on prefixes of the seeded 70% split and scores on the
@@ -15,6 +17,7 @@ split or universe. Reports are dataclasses that serialize through ``asdict``.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -38,10 +41,26 @@ FINAL_TAIL = 50
 
 @dataclass
 class AccuracyReport:
+    """The totals of the per-user rows of ``per_trajectory`` (``_row``
+    says what each field is): the sums of their counts, rewards and
+    capacities, and the ratios derived from those sums."""
+
     correct_selections: int
     valid_samples: int
     accuracy: float
     error: float
+    steps: int
+    reward: float
+    oracle_reward: float
+    dummy_picks: int
+    invalid_picks: int
+    capacity: float
+    oracle_capacity: float
+    regret: float
+    mean_reward: float | None
+    invalid_rate: float | None
+    dummy_rate: float | None
+    qos_ratio: float | None
     per_trajectory: dict[str, dict] = field(default_factory=dict)
 
 
@@ -69,24 +88,69 @@ def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: boo
     row; the steps where the oracle has a validated pick are the
     denominator, and one counts when the agent picked a validated candidate
     (not the dummy, capacity above 0) of the oracle's capacity, so ties
-    count, or of any capacity when ``lenient``."""
+    count, or of any capacity when ``lenient``.
+
+    The quality sums: each plan's total reward, the agent's dummy picks and
+    its invalid ones (another pick of capacity 0.0), and the capacities of
+    the agent's other picks and of the oracle's validated ones. ``_quality``
+    derives the rest."""
     a, o = agent_plan, oracle_plan
     if not np.array_equal(a.timestep, o.timestep):
         raise ProtocolError("plans do not list identical timesteps in the same order")
     valid = o.chosen != DUMMY_SERVICE
-    hit = valid & (a.chosen != DUMMY_SERVICE) & (a.capacity > 0.0)
+    picks = a.chosen != DUMMY_SERVICE
+    hit = valid & picks & (a.capacity > 0.0)
     if not lenient:
         hit &= a.capacity == o.capacity
-    cs, ns = int(hit.sum()), int(valid.sum())
-    return {"correct_selections": cs, "valid_samples": ns, "accuracy": cs / ns if ns else 1.0}
+    return _quality({
+        "correct_selections": int(hit.sum()),
+        "valid_samples": int(valid.sum()),
+        "steps": len(a.timestep),
+        "reward": a.total_reward(),
+        "oracle_reward": o.total_reward(),
+        "dummy_picks": int((~picks).sum()),
+        "invalid_picks": int((picks & (a.capacity == 0.0)).sum()),
+        "capacity": math.fsum(a.capacity[picks].tolist()),
+        "oracle_capacity": math.fsum(o.capacity[valid].tolist()),
+    })
+
+
+# how _report sums each field of the rows, in user order
+_SUMS = {
+    "correct_selections": sum, "valid_samples": sum, "steps": sum, "reward": sum,
+    "oracle_reward": sum, "dummy_picks": sum, "invalid_picks": sum,
+    "capacity": math.fsum, "oracle_capacity": math.fsum,
+}
+
+
+def _quality(sums: dict) -> dict:
+    """``sums`` (``_SUMS``'s fields) with the fields derived from them:
+    accuracy, the regret (the oracle's reward less the agent's), the mean
+    reward, the invalid and dummy rates per step, and the QoS ratio, the
+    agent's mean capacity over its non-dummy picks to the oracle's over its
+    validated ones (each what ``qos.composite_qos`` computes). A ratio whose
+    denominator is 0 is None, but accuracy is then 1.0."""
+    cs, ns, n = sums["correct_selections"], sums["valid_samples"], sums["steps"]
+    picks = n - sums["dummy_picks"]
+    agent_qos = sums["capacity"] / picks if picks else None
+    oracle_qos = sums["oracle_capacity"] / ns if ns else None
+    return {
+        **sums,
+        "accuracy": cs / ns if ns else 1.0,
+        "regret": sums["oracle_reward"] - sums["reward"],
+        "mean_reward": sums["reward"] / n if n else None,
+        "invalid_rate": sums["invalid_picks"] / n if n else None,
+        "dummy_rate": sums["dummy_picks"] / n if n else None,
+        "qos_ratio": agent_qos / oracle_qos if agent_qos is not None and oracle_qos else None,
+    }
 
 
 def _report(per_trajectory: dict[str, dict]) -> AccuracyReport:
-    """The report of the per-user rows, their counts summed once."""
-    cs = sum(row["correct_selections"] for row in per_trajectory.values())
-    ns = sum(row["valid_samples"] for row in per_trajectory.values())
-    acc = cs / ns if ns else 1.0
-    return AccuracyReport(cs, ns, acc, 1.0 - acc, per_trajectory)
+    """The report of the per-user rows: their sums, summed once, and the
+    fields derived from those."""
+    rows = per_trajectory.values()
+    total = _quality({key: add(row[key] for row in rows) for key, add in _SUMS.items()})
+    return AccuracyReport(**total, error=1.0 - total["accuracy"], per_trajectory=per_trajectory)
 
 
 def accuracy(

@@ -754,11 +754,11 @@ CI_FLAGS = ["--repetition", "2", "--memory", "64", "--batch", "8", "--train-inte
             "--hidden", "8"]
 PINNED_EVALUATE = {
     "strict": (
-        "0565764fbfff87f136756bb418e40a072350815ab917f9cd5a09a258ea161840",
+        "d6b8c9deb2ac3cb047601c08eaff0fedb75df105f82da288cba3f461601e787e",
         "e70b68f11825cde9d2a14128ebb4beafa59ba33876fa9e03ab6f6ef645d794d3",
     ),
     "lenient": (
-        "b0ca7304e6d41c1344c149f38ffd6c9005cf8e6ba522252317a77aa0e76b95cc",
+        "e854317282c7e92b95d87c15026541e5fb5b3aa839b1091a50aecd89708c1d34",
         "10036ac1c873af58f47826b1a281f46ebd718bd2e4304da0be0efdf88684f5a1",
     ),
 }
@@ -771,6 +771,28 @@ def test_evaluate_bytes_are_pinned(bundle, tmp_path, monkeypatch, case):
             "--counts", "1", "2", "--out", "r.json", "--quiet", *CI_FLAGS]
     assert dispatch([*args, *(["--lenient-validity"] if case == "lenient" else [])]) == 0
     assert (sha256_file("r.json"), sha256_file("r.series.csv")) == PINNED_EVALUATE[case]
+
+
+def test_evaluate_accuracy_reports_the_quality_fields(bundle, tmp_path, monkeypatch):
+    # each point's report and its per-user rows hold the quality fields: the
+    # report's sums are its rows' sums, and its ratios are read from them
+    monkeypatch.chdir(tmp_path)
+    args = ["evaluate", "--scenario", str(bundle / "scenario.json"), "--mode", "accuracy",
+            "--counts", "1", "2", "--out", "r.json", "--quiet", *CI_FLAGS]
+    assert dispatch(args) == 0
+    report = json.loads((tmp_path / "r.json").read_text())["points"][-1]["report"]
+    rows = list(report["per_trajectory"].values())
+    for rep in [report, *rows]:
+        n = rep["steps"]
+        assert rep["regret"] == rep["oracle_reward"] - rep["reward"]
+        assert rep["mean_reward"] == rep["reward"] / n
+        assert rep["invalid_rate"] == rep["invalid_picks"] / n
+        assert rep["dummy_rate"] == rep["dummy_picks"] / n
+        assert 0.0 <= rep["invalid_rate"] + rep["dummy_rate"] <= 1.0
+        assert math.isfinite(rep["qos_ratio"]) and rep["qos_ratio"] > 0.0
+    for key in ("steps", "dummy_picks", "invalid_picks", "valid_samples", "correct_selections"):
+        assert report[key] == sum(row[key] for row in rows)
+    assert report["capacity"] == math.fsum(row["capacity"] for row in rows)
 
 
 # sha256 of `mobicomp discover` on a denser corridor scenario (30 services,
