@@ -69,18 +69,26 @@ def _meta(seed: int, inputs: dict[str, str | Path]) -> dict:
     }
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    """Whether two paths name one file: by ``os.path.samefile`` (a link to
+    it too), or, where either is not there yet, by the path each resolves
+    to."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _refuse_overwrite(inputs: dict[str, str | Path], outputs) -> None:
     """Refuse, before anything is written, an output that is the same file as
-    one of the inputs, by role as ``_meta`` takes them (by
-    ``os.path.samefile``, so a link to it too)."""
-    for out in outputs:
-        for inp in inputs.values():
-            try:
-                same = os.path.samefile(out, inp)
-            except OSError:  # either is not there: nothing to overwrite
-                continue
-            if same:
-                raise InvalidInputError(f"output {out} is the input {inp}")
+    one of the inputs, by role as ``_meta`` takes them, or as an earlier
+    output (``_same_file``)."""
+    outputs = list(outputs)
+    for i, out in enumerate(outputs):
+        named = [("input", p) for p in inputs.values()] + [("output", p) for p in outputs[:i]]
+        for kind, other in named:
+            if _same_file(out, other):
+                raise InvalidInputError(f"output {out} is the {kind} {other}")
 
 
 def _bundle_files(out: Path) -> list[Path]:
