@@ -68,10 +68,11 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.timestep)
 
-    def rows(self, index) -> CandidateTable:
-        """The table of the rows ``index`` selects, in that order."""
+    def rows(self, keep: np.ndarray) -> CandidateTable:
+        """The table of the rows the boolean mask ``keep`` selects, in join
+        order still."""
         cols = self.timestep, self.service, self.distance, self.strength, self.capacity
-        return CandidateTable(*(c[index] for c in cols), self.ids)
+        return CandidateTable(*(c[keep] for c in cols), self.ids)
 
     @cached_property
     def service_id(self) -> np.ndarray:
@@ -341,15 +342,18 @@ def _band_half_width(r_s: float, mode: DistanceMode) -> float:
 def reduce_validate(pairs: CandidateTable, w: int) -> CandidateTable:
     """Keep services paired over runs of >= w consecutive timesteps.
 
-    Each (timestep, service) pair occurs once. Runs split where a service's
-    consecutive timesteps differ by more than one (``_runs``); the rows of
-    the long runs are returned in join order, by timestep, then id.
+    Each (timestep, service) pair occurs once, and ``pairs`` is in join
+    order, by timestep, then id, as every ``CandidateTable`` is. Runs split
+    where a service's consecutive timesteps differ by more than one
+    (``_runs``); the rows of the long runs are kept through a mask, so in
+    join order still.
     """
     if w < 1:
         raise InvalidInputError(f"w must be >= 1, got {w}")
     order, _, length = _runs(pairs)
-    keep = order[np.repeat(length >= w, length)]
-    return pairs.rows(keep[np.lexsort((pairs.service[keep], pairs.timestep[keep]))])
+    keep = np.zeros(len(pairs), dtype=bool)
+    keep[order] = np.repeat(length >= w, length)
+    return pairs.rows(keep)
 
 
 def optimal_plan(

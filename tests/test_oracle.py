@@ -210,22 +210,15 @@ class TestReduceValidate:
             min_size=1, max_size=4,
         ),
         st.integers(1, 4),
-        st.booleans(),
-        st.randoms(use_true_random=False),
     )
     @settings(max_examples=200)
-    def test_keeps_the_brute_force_rows_in_join_order_given_any_order(
-        self, steps, w, shuffled, rnd
-    ):
-        # every row's float columns are its own, so a row moved whole shows
-        rows = [
+    def test_keeps_the_brute_force_rows_of_a_join_ordered_table(self, steps, w):
+        # every row's float columns are its own, so a row moved whole shows;
+        # the table is in join order, by timestep, then id, as spatial_map's
+        rows = sorted(
             pair(t, sid, distance=t + k / 8, strength=k + t / 64, capacity=t * 8.0 + k)
             for k, (sid, ts) in enumerate(sorted(steps.items())) for t in ts
-        ]
-        if shuffled:
-            rnd.shuffle(rows)
-        else:
-            rows.sort()  # join order: by timestep, then id
+        )
         runs = {
             sid: tuple(r for r in rle_runs(sorted(ts)) if r[1] - r[0] + 1 >= w)
             for sid, ts in sorted(steps.items())
@@ -265,16 +258,16 @@ class TestOptimalPlan:
         assert [s.chosen for s in plan.steps] == ["a"] * 3
 
     def test_equal_capacities_tie_to_the_smallest_id_in_any_bundle_order(self):
-        # pairs in the order c, a, d, b; c, a and b tie at both steps, d
-        # beats them at step 2 only
-        rows = [pair(t, sid, capacity=7.0) for t in (1, 2) for sid in ("c", "a", "b")]
-        rows.insert(4, pair(2, "d", capacity=8.0))
-        rows.insert(1, pair(1, "d", capacity=6.0))
-        table = reduce_validate(disk_pairs(rows), w=1)
-        assert [r[1] for r in table_rows(table)] == ["a", "b", "c", "d"] * 2
-        plan = optimal_plan(table, line_user(3), reward_scale=2.0)
+        # services in the bundle order c, a, d, b; c, a and b tie at 7.0 over
+        # steps 1-3, d joins at step 2 at 8.0, and no service covers step 4
+        user = line_user(4)
+        tied = {sid: service_tracking(user, sid, 1, 3, bandwidth=7.0, k=1) for sid in "cab"}
+        d = service_tracking(user, "d", 2, 3, bandwidth=8.0, k=1)
+        table = discover([tied["c"], tied["a"], d, tied["b"]], user)
+        assert [r[1] for r in table_rows(table)] == ["a", "b", "c"] + ["a", "b", "c", "d"] * 2
+        plan = optimal_plan(table, user, reward_scale=2.0)
         assert [(s.chosen, s.capacity, s.reward) for s in plan.steps] == [
-            ("a", 7.0, 3.5), ("d", 8.0, 4.0), (DUMMY_SERVICE, 0.0, -1.0)
+            ("a", 7.0, 3.5), ("d", 8.0, 4.0), ("d", 8.0, 4.0), (DUMMY_SERVICE, 0.0, -1.0)
         ]
 
     def test_dummy_where_no_candidate(self):
