@@ -149,13 +149,13 @@ class TestAccuracy:
 
 
 # the (chosen, reward, capacity) of one plan step: the dummy or a service,
-# at capacity 0 (an invalid pick) or one of two others, so that ties are
-# common; a hand-built dummy step may carry a capacity, and the rewards'
-# sums round differently in another order
+# at capacity 0 (an invalid pick) or one of three others, so that ties are
+# common; a hand-built dummy step may carry a capacity, and sums of the
+# rewards and of 0.1 round differently in another order or by another sum
 STEP = st.tuples(
     st.sampled_from([DUMMY_SERVICE, "a", "b"]),
     st.sampled_from([-10.0, -1.0, 0.1, 0.2, 0.7]),
-    st.sampled_from([0.0, 2.5, 5.0]),
+    st.sampled_from([0.0, 0.1, 2.5, 5.0]),
 )
 
 
