@@ -68,12 +68,6 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.timestep)
 
-    def rows(self, keep: np.ndarray) -> CandidateTable:
-        """The table of the rows the boolean mask ``keep`` selects, in join
-        order still."""
-        cols = self.timestep, self.service, self.distance, self.strength, self.capacity
-        return CandidateTable(*(c[keep] for c in cols), self.ids)
-
     @cached_property
     def service_id(self) -> np.ndarray:
         return self.ids[self.service]
@@ -115,7 +109,8 @@ def _runs(pairs: CandidateTable):
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One composed step: the pick, its reward and the capacity it delivers."""
+    """One composed step as ``CompositionPlan.steps`` lists it: the pick, its
+    reward and the capacity it delivers."""
 
     user_timestep: int
     chosen: str  # service id or DUMMY_SERVICE
@@ -353,7 +348,8 @@ def reduce_validate(pairs: CandidateTable, w: int) -> CandidateTable:
     order, _, length = _runs(pairs)
     keep = np.zeros(len(pairs), dtype=bool)
     keep[order] = np.repeat(length >= w, length)
-    return pairs.rows(keep)
+    cols = pairs.timestep, pairs.service, pairs.distance, pairs.strength, pairs.capacity
+    return CandidateTable(*(c[keep] for c in cols), pairs.ids)
 
 
 def optimal_plan(
