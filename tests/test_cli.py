@@ -281,6 +281,9 @@ BAD_SPEC_VALUES = {
     "short_area": ("area", [0, 0]),
     "zero_w": ("w", 0),
     "coroute_above_one": ("coroute_fraction", 1.5),
+    # an integer past float64's range is no real number either
+    "jitter_past_float64": ("jitter_m", 10**400),
+    "area_past_float64": ("area", [0, 0, 10**400, 80]),
 }
 
 
@@ -1071,6 +1074,7 @@ MALFORMED_MODELS = {
     "truncated": (policy_file()[:-8], "truncated or oversized"),
     "trailing_bytes": (policy_file() + bytes(8), "truncated or oversized"),
     "header_not_json": (policy_file(header=b"{"), "bad policy model header"),
+    "extent_past_float64": (policy_file(x_max=10**400), "bad policy model header"),
 }
 
 
