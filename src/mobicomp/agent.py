@@ -320,7 +320,7 @@ def load_model(data: bytes) -> PolicyModel:
                 raise TypeError(f"{key} must be a list of {kind.__name__}, got {value!r}")
         action_ids = tuple(header["action_ids"])
         spec = NetworkSpec(STATE_DIM, tuple(header["hidden_layers"]), len(action_ids))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CheckpointError(f"bad policy model header: {exc!r}") from None
     for name, value in asdict(extents).items():
         if not math.isfinite(value):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +45,8 @@ MAX_SCENARIO_SAMPLES = 40_000_000
 
 
 def _is_real(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    # an int compares with a float exactly, so one past float64's range fails
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def _reals(values, size: int) -> bool:
