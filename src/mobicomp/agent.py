@@ -221,7 +221,7 @@ def train(
     spec = NetworkSpec(
         input_dim=STATE_DIM,
         hidden_layers=tuple(config.hidden_layers),
-        output_dim=env.n_actions,
+        output_dim=len(env.action_ids),
         dropout_p=config.dropout_p,
     )
     net = network.init_network(spec, seed=net_seed)
@@ -235,9 +235,10 @@ def train(
     trained_once = False
 
     for user in users:
+        states = encode_states(user.trajectory, env.extents)
+        last = len(states) - 1
         for _ in range(config.repetition):
-            states = env.reset(user)
-            last = len(states) - 1
+            env.reset(user)
             cum = 0.0
             # the last row is its own next state, and the only terminal one
             for i, state in enumerate(states):

@@ -108,10 +108,6 @@ class Environment:
         self._timesteps: list[int] = []
         self._cursor = 0
 
-    @property
-    def n_actions(self) -> int:
-        return len(self.action_ids)
-
     def table_for(self, user: UserTrajectory) -> CandidateTable:
         table = self._tables.get(user)
         if table is None:
@@ -119,13 +115,12 @@ class Environment:
             self._tables[user] = table
         return table
 
-    def reset(self, user: UserTrajectory) -> np.ndarray:
-        """Start an episode over ``user``'s samples; returns its encoded
-        states, one row per sample."""
+    def reset(self, user: UserTrajectory) -> None:
+        """Start an episode over ``user``'s samples, one step each; the
+        states are ``encode_states`` of its trajectory."""
         self._capacity_at = self.table_for(user).capacity_at
         self._timesteps = user.trajectory.t.astype(np.int64).tolist()
         self._cursor = 0
-        return encode_states(user.trajectory, self.extents)
 
     def step(self, action_id: str) -> tuple[float, float]:
         """Apply one action at the current sample and advance the cursor;

@@ -6,7 +6,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 import pytest
 
-from mobicomp import network
+from mobicomp import agent, environment, network
 from mobicomp.agent import (
     AgentConfig,
     PolicyModel,
@@ -224,6 +224,23 @@ class TestTraining:
             assert np.array_equal([p[2] for p in episode], np.vstack([states[1:], states[-1:]]))
             assert [p[3] for p in episode] == [False] * (len(states) - 1) + [True]
             assert sum(p[1] for p in episode) == row
+
+    def test_each_user_is_encoded_once(self, monkeypatch):
+        # train encodes a user once for all of its episodes, compose once
+        user_a, user_b = line_user(4, user_id="user:a"), line_user(3, user_id="user:b", y=5.0)
+        env = make_env([service_tracking(user_a, "a", 1, 4)], [user_a, user_b])
+        encoded = []
+
+        def counting(traj, extents):
+            encoded.append(len(traj))
+            return encode_states(traj, extents)
+
+        monkeypatch.setattr(environment, "encode_states", counting)
+        monkeypatch.setattr(agent, "encode_states", counting)
+        cfg = AgentConfig(repetition=3, memory_capacity=8, batch_size=4, train_interval=4,
+                          hidden_layers=(4,), seed=2)
+        compose(train(env, [user_a, user_b], cfg).model, env, user_b)
+        assert encoded == [4, 3, 3]
 
     def test_learns_single_valid_candidate(self):
         env, user = self._single_candidate()

@@ -1091,7 +1091,7 @@ def test_model_whose_network_does_not_fit_its_header_is_one_line_error(
     bundle, tmp_path, capsys, n_inputs, extra_outputs
 ):
     env = build_environment(load_scenario(bundle / "scenario.json"))
-    net = init_network(NetworkSpec(n_inputs, (4,), env.n_actions + extra_outputs), seed=0)
+    net = init_network(NetworkSpec(n_inputs, (4,), len(env.action_ids) + extra_outputs), seed=0)
     net.biases[-1][-1] = 1e9  # every greedy pick is the last output
     data = save_model(PolicyModel(net, env.action_ids, env.extents))
     assert "truncated or oversized" in malformed_model_error(bundle, tmp_path, capsys, data)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mobicomp.environment import Environment, Extents, RewardScheme, encode_states
+from mobicomp.environment import STATE_DIM, Environment, Extents, RewardScheme, encode_states
 from mobicomp.errors import InvalidInputError, ProtocolError
 from mobicomp.oracle import DUMMY_SERVICE
 from mobicomp.trajectories import UserTrajectory
@@ -33,18 +33,24 @@ class TestEncodeState:
 
 
 class TestReset:
-    def test_reset_idempotent(self):
+    def test_reset_restarts_the_episode(self):
         user = line_user(4)
         env = make_env([service_tracking(user, "a", 1, 4)], [user])
-        s1 = env.reset(user)
-        s2 = env.reset(user)
-        assert np.array_equal(s1, s2)
+        env.reset(user)
+        first = [env.step("a"), env.step(DUMMY_SERVICE)]
+        env.reset(user)
+        assert [env.step("a"), env.step(DUMMY_SERVICE)] == first
+        env.step("a")
+        env.step("a")
+        with pytest.raises(ProtocolError):
+            env.step("a")
 
     def test_distinct_users_distinct_encodings(self):
         u1 = line_user(4, user_id="user:u1", y=0.0)
         u2 = line_user(4, user_id="user:u2", y=30.0)
         env = make_env([service_tracking(u1, "a", 1, 4)], [u1, u2])
-        assert not np.array_equal(env.reset(u1), env.reset(u2))
+        encoded = [encode_states(u.trajectory, env.extents) for u in (u1, u2)]
+        assert not np.array_equal(*encoded)
 
     def test_empty_universe_extents_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -125,12 +131,11 @@ class TestStepRewards:
 
 
 class TestEpisodeProtocol:
-    def test_reset_returns_the_encoded_states(self):
+    def test_reset_returns_nothing_and_a_state_is_one_encoded_row_per_sample(self):
         user = line_user(5)
         env = make_env([service_tracking(user, "a", 1, 5)], [user])
-        states = env.reset(user)
-        assert np.array_equal(states, encode_states(user.trajectory, env.extents))
-        assert states.shape == (5, 3)
+        assert env.reset(user) is None
+        assert encode_states(user.trajectory, env.extents).shape == (5, STATE_DIM)
 
     def test_episode_length_equals_samples(self):
         user = line_user(5)

@@ -132,7 +132,7 @@ def test_traced_counts_match_brute_force(tmp_path):
 def test_compose_steps_the_environment_once_per_sample(monkeypatch):
     services, user = random_universe(np.random.default_rng(4), n_services=5, n_steps=12)
     env = make_env(services, [user])
-    spec = NetworkSpec(input_dim=3, hidden_layers=(4,), output_dim=env.n_actions)
+    spec = NetworkSpec(input_dim=3, hidden_layers=(4,), output_dim=len(env.action_ids))
     model = agent.PolicyModel(init_network(spec, seed=0), env.action_ids, env.extents)
     calls = counting(monkeypatch, Environment, ["step"])
     plan = agent.compose(model, env, user)
