@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Default: the whole split or universe",
     )
     p.add_argument("--require-accuracy", type=float, help="exit non-zero below this accuracy")
-    p.add_argument("--lenient-validity", action="store_true", help="count any valid pick as correct")
     p.add_argument("--repeats", type=int, default=5, help="timing repetitions, >= 1")
     _agent_flags(p)
     _add_common(p)
@@ -398,9 +397,7 @@ def _cmd_evaluate(args) -> int:
     exit_code = 0
 
     if args.mode == "accuracy":
-        points = eval_mod.run_accuracy_sweep(
-            scenario, args.counts, config, lenient=args.lenient_validity
-        )
+        points = eval_mod.run_accuracy_sweep(scenario, args.counts, config)
         headline = points[-1].report
         payload = {
             "meta": meta,

@@ -444,15 +444,18 @@ def _check_gps(files, noun: str, items: list[MovingService] | list[UserTrajector
         built(files, check_gps_samples, f"{noun} {first.id!r}", x, y)
 
 
+TRAIN_FRACTION = 0.7  # the share of the users split_train_test trains on
+
+
 def split_train_test(
-    users: list[UserTrajectory], seed: int, train_fraction: float = 0.7
+    users: list[UserTrajectory], seed: int
 ) -> tuple[list[UserTrajectory], list[UserTrajectory]]:
     """Deterministic 70/30 split: order by id, seeded shuffle, cut."""
     ordered = sorted(users, key=lambda u: u.id)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     perm = rng.permutation(len(ordered))
     shuffled = [ordered[int(i)] for i in perm]
-    n_train = int(round(train_fraction * len(ordered)))
+    n_train = int(round(TRAIN_FRACTION * len(ordered)))
     n_train = max(1, min(len(ordered) - 1, n_train)) if len(ordered) > 1 else 1
     return shuffled[:n_train], shuffled[n_train:]
 

@@ -6,7 +6,9 @@ Accuracy is one scoring row per user (``_row``: correct picks, oracle-valid
 steps and their ratio, from the two plans' columns compared row by row, with
 the quality fields: regret, mean reward, invalid and dummy rates and the QoS
 ratio, each derived from the row's sums by ``_quality``), and a report's
-totals are the rows summed once and derived again (``_report``).
+totals are the rows summed once and derived again (``_report``). A pick is
+correct only at the oracle's capacity; ``_quality`` says how the picks correct
+at any capacity follow from the pick counts.
 
 Every model is trained by ``train_on_scenario`` on an explicit user list. The
 accuracy sweep trains on prefixes of the seeded 70% split and scores on the
@@ -83,12 +85,11 @@ class ConvergenceReport:
     final_value: float
 
 
-def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool) -> dict:
+def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan) -> dict:
     """One user's scoring row, from the two plans' columns compared row by
     row; the steps where the oracle has a validated pick are the
     denominator, and one counts when the agent picked a validated candidate
-    (not the dummy, capacity above 0) of the oracle's capacity, so ties
-    count, or of any capacity when ``lenient``.
+    (not the dummy, capacity above 0) of the oracle's capacity, so ties count.
 
     The quality sums: each plan's total reward, the agent's dummy picks and
     its invalid ones (another pick of capacity 0.0), and the capacities of
@@ -99,9 +100,7 @@ def _row(agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: boo
         raise ProtocolError("plans do not list identical timesteps in the same order")
     valid = o.chosen != DUMMY_SERVICE
     picks = a.chosen != DUMMY_SERVICE
-    hit = valid & picks & (a.capacity > 0.0)
-    if not lenient:
-        hit &= a.capacity == o.capacity
+    hit = valid & picks & (a.capacity > 0.0) & (a.capacity == o.capacity)
     return _quality({
         "correct_selections": int(hit.sum()),
         "valid_samples": int(valid.sum()),
@@ -129,7 +128,11 @@ def _quality(sums: dict) -> dict:
     reward, the invalid and dummy rates per step, and the QoS ratio, the
     agent's mean capacity over its non-dummy picks to the oracle's over its
     validated ones (each what ``qos.composite_qos`` computes). A ratio whose
-    denominator is 0 is None, but accuracy is then 1.0."""
+    denominator is 0 is None, but accuracy is then 1.0.
+
+    In plans that ``agent.compose`` and ``oracle.optimal_plan`` build in one
+    environment, a validated pick is at a step the oracle picks too, so the
+    picks correct at any capacity are ``steps - dummy_picks - invalid_picks``."""
     cs, ns, n = sums["correct_selections"], sums["valid_samples"], sums["steps"]
     picks = n - sums["dummy_picks"]
     agent_qos = sums["capacity"] / picks if picks else None
@@ -153,17 +156,13 @@ def _report(per_trajectory: dict[str, dict]) -> AccuracyReport:
     return AccuracyReport(**total, error=1.0 - total["accuracy"], per_trajectory=per_trajectory)
 
 
-def accuracy(
-    agent_plan: CompositionPlan, oracle_plan: CompositionPlan, lenient: bool = False
-) -> AccuracyReport:
+def accuracy(agent_plan: CompositionPlan, oracle_plan: CompositionPlan) -> AccuracyReport:
     """The report of one user's plans, which must list the same timesteps in
     the same order (``_row`` says what counts)."""
-    return _report({agent_plan.user_id: _row(agent_plan, oracle_plan, lenient)})
+    return _report({agent_plan.user_id: _row(agent_plan, oracle_plan)})
 
 
-def evaluate_model(
-    model: PolicyModel, env: Environment, users, lenient: bool = False
-) -> AccuracyReport:
+def evaluate_model(model: PolicyModel, env: Environment, users) -> AccuracyReport:
     """Accuracy of greedy composition against the oracle plan: one row per
     user, summed once."""
     if not users:
@@ -174,7 +173,7 @@ def evaluate_model(
             env.table_for(user), user, reward_scale=env.reward_scale, dummy_reward=env.rewards.dummy
         )
         agent_plan = agent_mod.compose(model, env, user)
-        rows[agent_plan.user_id] = _row(agent_plan, oracle_plan, lenient)
+        rows[agent_plan.user_id] = _row(agent_plan, oracle_plan)
     return _report(rows)
 
 
@@ -224,10 +223,7 @@ class SweepPoint:
 
 
 def run_accuracy_sweep(
-    scenario: Scenario,
-    trajectory_counts: list[int] | None,
-    config: AgentConfig,
-    lenient: bool = False,
+    scenario: Scenario, trajectory_counts: list[int] | None, config: AgentConfig
 ) -> list[SweepPoint]:
     """Train one model per training-set size (the first ``count`` users of
     the seeded 70% split; ``None`` means the whole split) and score it on the
@@ -250,7 +246,7 @@ def run_accuracy_sweep(
     points = []
     for count in trajectory_counts:
         result, env = train_on_scenario(scenario, train_users[:count], config)
-        report = evaluate_model(result.model, env, test_users, lenient=lenient)
+        report = evaluate_model(result.model, env, test_users)
         points.append(SweepPoint(trajectory_count=count, report=report))
     return points
 
@@ -318,14 +314,14 @@ def run_timing(
     return reports
 
 
-def moving_average(values: list[float], window: int = MA_WINDOW) -> list[float]:
+def moving_average(values: list[float]) -> list[float]:
     out = []
     acc = 0.0
     for i, v in enumerate(values):
         acc += v
-        if i >= window:
-            acc -= values[i - window]
-        out.append(acc / min(i + 1, window))
+        if i >= MA_WINDOW:
+            acc -= values[i - MA_WINDOW]
+        out.append(acc / min(i + 1, MA_WINDOW))
     return out
 
 

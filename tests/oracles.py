@@ -351,7 +351,8 @@ def keyed_accuracy(agent_plan, oracle_plan, lenient=False):
     against the oracle plan, both keyed by timestep and compared as sets: of
     the timesteps where the oracle has a validated pick, those where the
     agent picked a validated service (capacity above 0) of the oracle's
-    capacity, or of any capacity when ``lenient``. The quality fields: each
+    capacity, or of any capacity when ``lenient`` (the count that
+    ``evaluation._quality`` says the pick counts give). The quality fields: each
     plan's rewards summed in step order, the agent's dummy picks and its
     invalid ones (another pick of capacity 0.0), the capacities of the
     agent's other picks and of the oracle's validated ones (``math.fsum``),

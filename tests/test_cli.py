@@ -750,19 +750,16 @@ def test_discover_meta_hashes_the_scenario_csvs(bundle, tmp_path, monkeypatch, n
 
 # sha256 of the report and of the series CSV that `mobicomp evaluate --mode
 # accuracy --counts 1 2` writes on SPEC's bundle with CI_FLAGS, the training
-# flags of the CI's command step, strict and lenient. The strict model scores
-# 0.0 and the lenient one 0.76 there, so these pin the bytes, and the
-# reference test in test_evaluation checks what the scorer counts.
+# flags of the CI's command step. The model scores 0.0 there, but 0.76 of its
+# last point's oracle-valid steps get a validated pick of some capacity, so
+# these pin the bytes, and the reference test in test_evaluation checks what
+# the scorer counts.
 CI_FLAGS = ["--repetition", "2", "--memory", "64", "--batch", "8", "--train-interval", "8",
             "--hidden", "8"]
 PINNED_EVALUATE = {
     "strict": (
         "d6b8c9deb2ac3cb047601c08eaff0fedb75df105f82da288cba3f461601e787e",
         "e70b68f11825cde9d2a14128ebb4beafa59ba33876fa9e03ab6f6ef645d794d3",
-    ),
-    "lenient": (
-        "e854317282c7e92b95d87c15026541e5fb5b3aa839b1091a50aecd89708c1d34",
-        "10036ac1c873af58f47826b1a281f46ebd718bd2e4304da0be0efdf88684f5a1",
     ),
 }
 
@@ -772,8 +769,11 @@ def test_evaluate_bytes_are_pinned(bundle, tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     args = ["evaluate", "--scenario", str(bundle / "scenario.json"), "--mode", "accuracy",
             "--counts", "1", "2", "--out", "r.json", "--quiet", *CI_FLAGS]
-    assert dispatch([*args, *(["--lenient-validity"] if case == "lenient" else [])]) == 0
+    assert dispatch(args) == 0
     assert (sha256_file("r.json"), sha256_file("r.series.csv")) == PINNED_EVALUATE[case]
+    report = json.loads((tmp_path / "r.json").read_text())["points"][-1]["report"]
+    valid_picks = report["steps"] - report["dummy_picks"] - report["invalid_picks"]
+    assert report["accuracy"] == 0.0 and valid_picks / report["valid_samples"] == 0.76
 
 
 def test_evaluate_accuracy_reports_the_quality_fields(bundle, tmp_path, monkeypatch):

@@ -10,18 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mobicomp import evaluation, oracle
-from mobicomp.agent import AgentConfig, train
+from mobicomp.agent import AgentConfig, PolicyModel, compose, train
 from mobicomp.datasets import (
     Scenario,
     ScenarioSpec,
     generate,
     split_train_test,
 )
-from mobicomp.environment import RewardScheme
+from mobicomp.environment import STATE_DIM, RewardScheme
 from mobicomp.errors import InvalidInputError, ProtocolError
 from mobicomp.evaluation import (
     BAND_FRACTION,
     FINAL_TAIL,
+    MA_WINDOW,
     AccuracyReport,
     accuracy,
     build_environment,
@@ -34,10 +35,11 @@ from mobicomp.evaluation import (
     train_on_scenario,
 )
 from mobicomp.oracle import DUMMY_SERVICE, CompositionPlan
+from mobicomp.network import NetworkSpec, init_network
 from mobicomp.qos import QosParams
 from mobicomp.trajectories import DistanceMode
 
-from conftest import line_user, make_env, service_tracking
+from conftest import line_user, make_env, random_universe, service_tracking
 from oracles import keyed_accuracy, quadratic_convergence, summed_reports
 
 FAST = dict(
@@ -116,12 +118,6 @@ class TestAccuracy:
         a = plan("user:u", [(1, "b", 0.9, 9.0)])  # different id, equal capacity
         assert accuracy(a, o).accuracy == 1.0
 
-    def test_lenient_counts_any_valid_pick(self):
-        o = plan("user:u", [(1, "best", 0.9, 9.0)])
-        a = plan("user:u", [(1, "worse", 0.5, 5.0)])
-        assert accuracy(a, o).accuracy == 0.0
-        assert accuracy(a, o, lenient=True).accuracy == 1.0
-
     def test_mismatched_timesteps_rejected(self):
         o = plan("user:u", [(1, "a", 0.9, 9.0)])
         a = plan("user:u", [(2, "a", 0.9, 9.0)])
@@ -169,16 +165,16 @@ def plan_rows(draw):
 
 class TestScorerReference:
     @settings(max_examples=300, deadline=None)
-    @given(pairs=st.lists(plan_rows(), min_size=1, max_size=4), lenient=st.booleans())
-    def test_reports_equal_the_timestep_keyed_reference(self, pairs, lenient):
+    @given(pairs=st.lists(plan_rows(), min_size=1, max_size=4))
+    def test_reports_equal_the_timestep_keyed_reference(self, pairs):
         # each user alone through accuracy, and all users through
         # evaluate_model with the plans it would compose and discover
         users = [SimpleNamespace(id=f"user:{i}") for i in range(len(pairs))]
         agent_plans = {u.id: plan(u.id, a_rows) for u, (a_rows, _) in zip(users, pairs)}
         oracle_plans = {u.id: plan(u.id, o_rows) for u, (_, o_rows) in zip(users, pairs)}
-        expected = [keyed_accuracy(agent_plans[u.id], oracle_plans[u.id], lenient) for u in users]
+        expected = [keyed_accuracy(agent_plans[u.id], oracle_plans[u.id]) for u in users]
         for u, want in zip(users, expected):
-            assert asdict(accuracy(agent_plans[u.id], oracle_plans[u.id], lenient)) == want
+            assert asdict(accuracy(agent_plans[u.id], oracle_plans[u.id])) == want
         env = SimpleNamespace(
             reward_scale=1.0, rewards=SimpleNamespace(dummy=-1.0), table_for=lambda user: None
         )
@@ -187,7 +183,7 @@ class TestScorerReference:
         ), mock.patch.object(
             evaluation.oracle_mod, "optimal_plan", lambda table, user, **kw: oracle_plans[user.id]
         ):
-            report = evaluate_model(None, env, users, lenient=lenient)
+            report = evaluate_model(None, env, users)
         assert asdict(report) == summed_reports(expected)
 
     @settings(max_examples=200, deadline=None)
@@ -202,6 +198,33 @@ class TestScorerReference:
         for score in (accuracy, keyed_accuracy):
             with pytest.raises(ProtocolError):
                 score(a, o)
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_valid_picks_of_real_plans_are_the_non_dummy_non_invalid_steps(self, trained):
+        # in plans that compose and optimal_plan build in one environment,
+        # the picks the reference counts at any capacity are the steps less
+        # the dummy and invalid picks of the strict row
+        exceeds = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            services, user = random_universe(rng, n_services=int(rng.integers(0, 30)), n_steps=40)
+            env = make_env(services, [user])
+            if trained:
+                cfg = AgentConfig(repetition=4, seed=seed, **{**FAST, "hidden_layers": (8,)})
+                model = train(env, [user], cfg).model
+            else:
+                spec = NetworkSpec(STATE_DIM, (8,), len(env.action_ids))
+                model = PolicyModel(init_network(spec, seed=seed), env.action_ids, env.extents)
+            a = compose(model, env, user)
+            o = oracle.optimal_plan(
+                env.table_for(user), user, reward_scale=env.reward_scale,
+                dummy_reward=env.rewards.dummy,
+            )
+            row = accuracy(a, o)
+            lenient = keyed_accuracy(a, o, lenient=True)["correct_selections"]
+            assert lenient == row.steps - row.dummy_picks - row.invalid_picks
+            exceeds += lenient > row.correct_selections
+        assert exceeds > 0
 
 
 class TestSweep:
@@ -315,11 +338,12 @@ class TestServiceCounts:
 
 class TestConvergence:
     def test_moving_average_window(self):
-        vals = list(range(1, 26))
-        ma = moving_average(vals, window=5)
+        vals = list(range(1, 41))
+        ma = moving_average(vals)
+        assert MA_WINDOW == 20
         assert ma[0] == 1.0
-        assert ma[4] == pytest.approx(3.0)  # mean of 1..5
-        assert ma[-1] == pytest.approx(23.0)  # mean of 21..25
+        assert ma[19] == pytest.approx(10.5)  # mean of 1..20
+        assert ma[-1] == pytest.approx(30.5)  # mean of 21..40
 
     def test_detector_on_synthetic_series(self):
         flat = [10.0] * 100
