@@ -210,7 +210,7 @@ class TestScorerReference:
             services, user = random_universe(rng, n_services=int(rng.integers(0, 30)), n_steps=40)
             env = make_env(services, [user])
             if trained:
-                cfg = AgentConfig(repetition=4, seed=seed, **{**FAST, "hidden_layers": (8,)})
+                cfg = AgentConfig(repetition=4, seed=seed, **FAST)
                 model = train(env, [user], cfg).model
             else:
                 spec = NetworkSpec(STATE_DIM, (8,), len(env.action_ids))
